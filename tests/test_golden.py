@@ -1,0 +1,141 @@
+"""Replay the golden CLI corpus: every report stays byte-identical.
+
+Each tests/golden/<name>.json case holds the argv of one ghk command,
+the input files it reads, and the exit code, stdout, stderr and (for
+plot) the SVG it produced when the corpus was captured.  The replay runs
+the command in a scratch directory, so relative paths in argv and in the
+reports are the same on every machine.  After an intended change to a
+report, rewrite the corpus with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ghk.cli import run_command
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SVG = "out.svg"
+
+QUADRANT = "quadrant:(3,0);(1,1);(0,2)"
+DOCUMENT = {
+    "input.json": json.dumps(
+        {
+            "label": "skew",
+            "cone": {"rays": [[1, 0], [2, 5]]},
+            "generators": [[2, 1], [2, 2], [2, 3], [5, 4]],
+        }
+    )
+}
+REPTYPE = {
+    "reptype.json": json.dumps(
+        {
+            "reptype": {
+                "r": 5,
+                "multiplicities": [1, 0, 2, 0],
+                "weights": ["1/5", "1/3", "1/5", "1/7"],
+            }
+        }
+    )
+}
+
+
+def _toric(tag: str, spec: list[str], files: dict, q: str, prime: str, split_q: str):
+    return {
+        f"{tag}-eghk": (["eghk", *spec], files),
+        f"{tag}-function": (["function", *spec, "--prime", prime, "--max-n", "4"], files),
+        f"{tag}-split": (["split", *spec, "--q", split_q], files),
+        f"{tag}-verify": (["verify", *spec], files),
+        f"{tag}-plot": (["plot", *spec, "--out", SVG], files),
+        f"{tag}-plot-qmark": (["plot", *spec, "--out", SVG, "--q-mark", q], files),
+    }
+
+
+# name -> (argv, input files written into the working directory first)
+CASES = {
+    **_toric("a73", ["--family", "a:7,3"], {}, "3", "2", "3"),
+    **_toric("veronese97", ["--family", "veronese:9,7"], {}, "2", "3", "2"),
+    **_toric("quadrant", ["--family", QUADRANT], {}, "2", "2", "2"),
+    **_toric("file", ["--file", "input.json"], DOCUMENT, "2", "5", "2"),
+    "a73-powers": (["powers", "--family", "a:7,3", "--max-n", "49"], {}),
+    "a73-powers-period": (["powers", "--family", "a:7,3", "--max-n", "98", "--period", "14"], {}),
+    "a73-powers-max-order": (
+        ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
+    "veronese97-powers-period": (
+        ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
+    "quadrant-powers-period": (
+        ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),
+    "file-powers": (["powers", "--file", "input.json", "--max-n", "35"], DOCUMENT),
+    "a7-reptype": (["reptype", "--r", "7", "--u", "0,0,1,0,0,1"], {}),
+    "file-reptype": (["reptype", "--file", "reptype.json"], REPTYPE),
+    "error-composite-prime": (
+        ["function", "--family", "a:7,3", "--prime", "9", "--max-n", "2"], {}),
+    "error-split-unsaturated": (["split", "--family", QUADRANT, "--q", "3"], {}),
+    "error-unknown-family": (["eghk", "--family", "cubic:2,1"], {}),
+    "error-missing-file": (["eghk", "--file", "missing.json"], {}),
+    "error-malformed-file": (["eghk", "--file", "bad.json"], {"bad.json": '{"cone": [1, 0'}),
+    "error-max-order-too-small": (
+        ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "2"], {}),
+    "error-reptype-dimension": (["reptype", "--r", "4", "--u", "1,0"], {}),
+}
+
+
+def run_case(argv: list[str], files: dict, workdir: Path) -> dict:
+    """Run one command in workdir and record everything it produced."""
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(list(argv))
+    record = {
+        "argv": list(argv),
+        "files": files,
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+    }
+    svg = workdir / SVG
+    if svg.exists():
+        record["svg"] = svg.read_bytes().decode("utf-8")
+    return record
+
+
+def test_corpus_matches_case_list():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay(name, tmp_path, monkeypatch):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert golden["argv"] == CASES[name][0] and golden["files"] == CASES[name][1]
+    monkeypatch.chdir(tmp_path)
+    assert run_case(golden["argv"], golden["files"], tmp_path) == golden
+
+
+def _capture() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    home = os.getcwd()
+    for name, (argv, files) in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                record = run_case(argv, files, Path(tmp))
+            finally:
+                os.chdir(home)
+        text = json.dumps(record, indent=1, sort_keys=True) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+        print(f"{name}: exit {record['exit']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _capture()
