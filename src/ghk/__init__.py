@@ -44,7 +44,6 @@ from .ideals import (
     new_ideal,
     ordinary_power,
     saturation,
-    saturation_thresholds,
     torsion_factorization,
 )
 from .invariants import (
@@ -114,7 +113,6 @@ __all__ = [
     "quadrant",
     "render_region_svg",
     "saturation",
-    "saturation_thresholds",
     "staircase_complement_area",
     "torsion_factorization",
     "veronese",

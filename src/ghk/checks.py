@@ -21,7 +21,7 @@ from math import ceil, floor
 from typing import NamedTuple
 
 from .errors import GhkError
-from .geometry import Cone2, Corner, Point, count_lattice_complement
+from .geometry import Cone2, Point
 from .ideals import (
     MonomialIdeal,
     frobenius_power,
@@ -35,6 +35,7 @@ from .invariants import (
     eghk,
     epsilon_estimate,
     frobenius_gap_split,
+    ghk_function,
     newton_multiplicity,
 )
 
@@ -214,8 +215,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
     def area_count_convergence() -> str:
         area = eghk(ideal)
         bound_scale = convergence_constant(ideal)
-        for q in (8, 16, 32):
-            gaps = frobenius_gap_count(ideal, q)
+        for q, gaps in zip((8, 16, 32), ghk_function(ideal, 2, 5)[3:]):
             assert abs(Fraction(gaps, q * q) - area) <= Fraction(bound_scale, q), f"q={q}"
         return "q = 8, 16, 32"
 
@@ -273,10 +273,3 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
     record("torsion-roundtrip", torsion_roundtrip)
     return results
 
-
-def frobenius_gap_count(ideal: MonomialIdeal, q: int) -> int:
-    """Gap count of the q-th bracket power against the scaled thresholds."""
-    c1, c2 = ideal.thresholds
-    return count_lattice_complement(
-        ideal.cone, Corner(q * c1, q * c2), frobenius_power(ideal, q).stair
-    )

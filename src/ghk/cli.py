@@ -18,12 +18,11 @@ from .checks import run_instance_checks
 from .errors import ContractViolation, GhkError, InputError, UnboundedRegion
 from .families import ToricInstance, parse_family
 from .fmt import exact_decimal, rational_json
-from .geometry import Cone2, Corner, staircase_complement_area
+from .geometry import Cone2
 from .ideals import (
     is_saturated,
     new_ideal,
     ordinary_power,
-    saturation_thresholds,
     torsion_factorization,
 )
 from .invariants import (
@@ -122,7 +121,7 @@ def _cmd_eghk(args) -> int:
     instance, echo = _toric_instance(args)
     ideal = instance.ideal
     value = eghk(ideal)
-    c1, c2 = saturation_thresholds(ideal)
+    c1, c2 = ideal.thresholds
     results = {
         "eghk": rational_json(value),
         "thresholds": [c1, c2],
@@ -313,11 +312,8 @@ def _cmd_plot(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     q = args.q_mark or 1
-    c1, c2 = ideal.thresholds
-    threshold = Corner(q * c1, q * c2)
-    fine = ordinary_power(ideal, q).stair if q > 1 else ideal.stair
     total = eghk(ideal)
-    ordinary = staircase_complement_area(ideal.cone, threshold, fine) / (q * q)
+    ordinary = eghk(ordinary_power(ideal, q)) / (q * q)
     results = {
         "out": args.out,
         "power_scale": q,

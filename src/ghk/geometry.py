@@ -201,21 +201,28 @@ class Staircase:
         return Staircase(tuple(Corner(k * c.s, k * c.t) for c in self.corners))
 
 
+def _pareto_front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Minimal elements of a finite set of (s, t) pairs, s increasing, t decreasing.
+
+    Works on plain tuples, so a caller that reduces many candidate sets
+    builds a Corner only for the pairs it finally keeps.
+    """
+    kept: list[tuple[int, int]] = []
+    for s, t in sorted(pairs):
+        if not kept or t < kept[-1][1]:
+            kept.append((s, t))
+    return kept
+
+
 def pareto_minimal(corners: Iterable[Corner]) -> Staircase:
     """Reduce a finite set of corners to its antichain of minimal elements.
 
     Raises EmptyInput on an empty collection.
     """
-    seen = sorted(set(Corner(*c) for c in corners))
-    if not seen:
+    kept = _pareto_front(corners)
+    if not kept:
         raise EmptyInput("no corners given")
-    kept: list[Corner] = []
-    best_t: Optional[int] = None
-    for c in seen:
-        if best_t is None or c.t < best_t:
-            kept.append(c)
-            best_t = c.t
-    return Staircase(tuple(kept))
+    return Staircase(tuple(Corner(s, t) for s, t in kept))
 
 
 def _require_bounded(threshold: Corner, stair: Staircase) -> None:

@@ -1,10 +1,13 @@
 """Monomial ideals in the semigroup ring of a plane cone.
 
-An ideal is stored by its minimal monomial generators, lattice points
-of the ambient Z^2 lying inside the cone.  In facet coordinates the
-generators become staircase corners, and the ideal's lattice region is
-exactly the set of points whose corners dominate that staircase (the
-ring is normal, so corner domination and monomial divisibility agree).
+An ideal is stored as one staircase in corner space: the facet
+coordinates of its minimal generators.  The ring is normal, so the
+ideal's lattice region is exactly the set of points whose corners
+dominate that staircase (corner domination and monomial divisibility
+agree).  The corner map is linear and injective, so the generators as
+lattice points are a derived view, and sums of generators are sums of
+corners: bracket powers, ordinary powers, saturation and torsion
+shifts are all built on corners alone.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -16,7 +19,7 @@ two facet thresholds matter.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -32,6 +35,7 @@ from .geometry import (
     Corner,
     Point,
     Staircase,
+    _pareto_front,
     count_lattice_complement,
     pareto_minimal,
 )
@@ -46,21 +50,27 @@ class Thresholds(NamedTuple):
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by minimal generators inside a fixed cone.
+    """A monomial ideal of a fixed cone, stored as its staircase in corner space.
 
-    gens are lattice points sorted by their s corner coordinate, one per
-    staircase corner; stair holds their corners.  Use new_ideal to build
-    instances, it performs the Pareto reduction and the cone check.
+    stair holds the corners of the minimal generators, s increasing.
+    Every corner must be the corner of a lattice point (t == tau * s
+    modulo det_abs, see Cone2.column_data), otherwise ValueError.  gens,
+    the generators as lattice points in the same order, is derived from
+    the staircase on first use.  Use new_ideal to build an ideal from
+    lattice points; it performs the Pareto reduction and the cone check.
     """
 
     cone: Cone2
-    gens: tuple[Point, ...]
     stair: Staircase
 
     def __post_init__(self) -> None:
-        corners = tuple(self.cone.corner(g) for g in self.gens)
-        if corners != self.stair.corners:
-            raise ValueError("generators and staircase disagree")
+        _, tau = self.cone.column_data()
+        if any((c.t - tau * c.s) % self.cone.det_abs for c in self.stair.corners):
+            raise ValueError("staircase corner is not the corner of a lattice point")
+
+    @cached_property
+    def gens(self) -> tuple[Point, ...]:
+        return tuple(self.cone.preimage(c) for c in self.stair.corners)
 
     @property
     def thresholds(self) -> Thresholds:
@@ -80,43 +90,49 @@ def new_ideal(cone: Cone2, gens: Iterable[Point]) -> MonomialIdeal:
     pts = set(tuple(g) for g in gens)
     if not pts:
         raise EmptyInput("an ideal needs at least one generator")
-    by_corner: dict[Corner, Point] = {}
+    corners = []
     for p in pts:
         c = cone.corner(p)
         if c.s < 0 or c.t < 0:
             raise GeneratorOutsideCone(f"generator {p} lies outside the cone")
-        by_corner[c] = p
-    stair = pareto_minimal(by_corner)
-    kept = tuple(by_corner[c] for c in stair.corners)
-    return MonomialIdeal(cone, kept, stair)
+        corners.append(c)
+    return MonomialIdeal(cone, pareto_minimal(corners))
 
 
 def frobenius_power(ideal: MonomialIdeal, q: int) -> MonomialIdeal:
     """The bracket power generated by the q-th multiples of the generators."""
     if q < 1:
         raise BadParameters("frobenius exponent must be a positive integer")
-    gens = tuple((q * x, q * y) for x, y in ideal.gens)
-    return MonomialIdeal(ideal.cone, gens, ideal.stair.scale(q))
+    return MonomialIdeal(ideal.cone, ideal.stair.scale(q))
 
 
 def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """The n-th ordinary power, generated by all n-fold sums of generators.
 
-    Enumerates the C(n + s - 1, s - 1) multisets of the s generators and
-    Pareto-reduces the sums.  Fine at desk scale (s <= 8, n <= 40); the
-    count grows polynomially in n of degree s - 1.
+    Built in corner space one generator at a time.  Level k holds the
+    minimal k-fold sums of the generators added so far; adding a
+    generator g turns level k into the minimal elements of level k and
+    of the new level k - 1 shifted by g, so each level is Pareto-reduced
+    before the next generator comes in.  For the last generator only
+    level n is formed.  Level k has at most k * W + 1 corners, W the
+    staircase width, so the cost is polynomial in n (about s * n^2 * W
+    for s generators) where enumerating the C(n + s - 1, s - 1)
+    multisets is not.  n = 1 returns the ideal itself.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
-    sums = set()
-    for combo in combinations_with_replacement(ideal.gens, n):
-        sums.add((sum(p[0] for p in combo), sum(p[1] for p in combo)))
-    return new_ideal(ideal.cone, sums)
-
-
-def saturation_thresholds(ideal: MonomialIdeal) -> Thresholds:
-    """Facet thresholds of the saturation: minima of the generator corners."""
-    return ideal.thresholds
+    if n == 1:
+        return ideal
+    *rest, (last_s, last_t) = ideal.stair.corners
+    levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
+    for gs, gt in rest:
+        for k in range(1, n + 1):
+            grown = [(s + gs, t + gt) for s, t in levels[k - 1]]
+            levels[k] = _pareto_front(levels[k] + grown)
+    sums = [
+        (s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]
+    ]
+    return MonomialIdeal(ideal.cone, pareto_minimal(sums))
 
 
 def is_saturated(ideal: MonomialIdeal) -> bool:
@@ -136,14 +152,8 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
     c1, c2 = ideal.thresholds
     _, tau = cone.column_data()
     step = cone.det_abs
-    pts = []
-    for s in range(c1, c1 + step):
-        t = c2 + (tau * s - c2) % step
-        p = cone.preimage(Corner(s, t))
-        if p is None:
-            raise ContractViolation("column representative has no preimage")
-        pts.append(p)
-    return new_ideal(cone, pts)
+    feet = [(s, c2 + (tau * s - c2) % step) for s in range(c1, c1 + step)]
+    return MonomialIdeal(cone, pareto_minimal(feet))
 
 
 class TorsionFactorization(NamedTuple):
@@ -184,8 +194,8 @@ def torsion_factorization(
         if u is None:
             continue
         power = ordinary_power(ideal, r)
-        shifted = tuple((x - u[0], y - u[1]) for x, y in power.gens)
-        primary = new_ideal(cone, shifted)
+        shifted = tuple(Corner(s - r * c1, t - r * c2) for s, t in power.stair.corners)
+        primary = MonomialIdeal(cone, Staircase(shifted))
         if primary.thresholds != (0, 0):
             raise ContractViolation("shifted power does not have zero thresholds")
         return TorsionFactorization(r, u, primary)

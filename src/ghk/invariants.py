@@ -10,6 +10,7 @@ through a perimeter-based error constant.
 """
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -21,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     Corner,
-    Staircase,
     count_lattice_band,
     count_lattice_complement,
     staircase_complement_area,
@@ -40,9 +40,10 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, Corner(c1, c2), ideal.stair)
 
 
-def _gap_count(ideal: MonomialIdeal, scale: int, stair: Staircase) -> int:
-    c1, c2 = ideal.thresholds
-    return count_lattice_complement(ideal.cone, Corner(scale * c1, scale * c2), stair)
+def _gap_count(ideal: MonomialIdeal) -> int:
+    # a power's thresholds are the base thresholds times the exponent, so
+    # counting against its own thresholds is counting against the scaled ones
+    return count_lattice_complement(ideal.cone, Corner(*ideal.thresholds), ideal.stair)
 
 
 def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
@@ -54,13 +55,9 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
-    if p < 2 or any(p % d == 0 for d in range(2, p) if d * d <= p):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")
-    values = []
-    for n in range(n_max + 1):
-        q = p**n
-        values.append(_gap_count(ideal, q, frobenius_power(ideal, q).stair))
-    return values
+    return [_gap_count(frobenius_power(ideal, p**n)) for n in range(n_max + 1)]
 
 
 class GapSplit(NamedTuple):
@@ -91,16 +88,11 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
     c1, c2 = ideal.thresholds
     threshold = Corner(q * c1, q * c2)
     frob_stair = ideal.stair.scale(q)
-    ord_stair = ordinary_power(ideal, q).stair if q > 1 else ideal.stair
+    ord_stair = ordinary_power(ideal, q).stair
     total = count_lattice_complement(ideal.cone, threshold, frob_stair)
     sym = count_lattice_complement(ideal.cone, threshold, ord_stair)
     band = count_lattice_band(ideal.cone, threshold, ord_stair, frob_stair)
     return GapSplit(total, sym, band)
-
-
-def _h0_at(ideal: MonomialIdeal, n: int) -> int:
-    stair = ordinary_power(ideal, n).stair if n > 1 else ideal.stair
-    return _gap_count(ideal, n, stair)
 
 
 def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
@@ -111,7 +103,7 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
-    return [_h0_at(ideal, n) for n in range(1, n_max + 1)]
+    return [_gap_count(ordinary_power(ideal, n)) for n in range(1, n_max + 1)]
 
 
 class ClassFit(NamedTuple):
@@ -236,7 +228,7 @@ def epsilon_estimate(ideal: MonomialIdeal, n_max: int) -> Fraction:
     """
     if n_max < 10:
         raise BadParameters("n_max must be at least 10")
-    return Fraction(_h0_at(ideal, n_max), n_max * n_max)
+    return Fraction(_gap_count(ordinary_power(ideal, n_max)), n_max * n_max)
 
 
 def convergence_constant(ideal: MonomialIdeal) -> int:

@@ -73,7 +73,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     to_svg = _corner_to_svg(cone)
 
     coarse = ideal.stair.scale(q)
-    fine = ordinary_power(ideal, q).stair if q > 1 else ideal.stair
+    fine = ordinary_power(ideal, q).stair
     ts, tt = ideal.thresholds
     threshold = Corner(q * ts, q * tt)
 

@@ -8,44 +8,39 @@ two-sided check and not an arithmetic identity.
 
 import random
 from fractions import Fraction
-from math import ceil, floor
+from itertools import combinations_with_replacement
 
-from ghk.errors import CollinearRays, EmptyInput
+from ghk.checks import lattice_points_in_corner_box
+from ghk.errors import CollinearRays
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
 from ghk.ideals import MonomialIdeal, new_ideal
-
-
-def xspace_bbox(cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int):
-    """Integer bounding box of the preimage of a corner-space box."""
-    n1, n2 = cone.normal1, cone.normal2
-    det = n1[0] * n2[1] - n1[1] * n2[0]
-    xs, ys = [], []
-    for s in (s_lo, s_hi):
-        for t in (t_lo, t_hi):
-            xs.append(Fraction(n2[1] * s - n1[1] * t, det))
-            ys.append(Fraction(-n2[0] * s + n1[0] * t, det))
-    return floor(min(xs)), ceil(max(xs)), floor(min(ys)), ceil(max(ys))
 
 
 def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
     """Count lattice points above the threshold but below the staircase.
 
-    Scans every lattice point of the bounding box and tests domination
-    by direct comparison against each staircase corner.
+    Box-scans every lattice point with corners between the threshold and
+    the staircase's far ends, which holds every gap point when the
+    threshold meets the staircase, and tests domination by direct
+    comparison against each staircase corner.
     """
-    s_hi, t_hi = stair.max_s, stair.max_t
-    x_lo, x_hi, y_lo, y_hi = xspace_bbox(cone, threshold.s, s_hi, threshold.t, t_hi)
+    box = lattice_points_in_corner_box(
+        cone, threshold.s, stair.max_s, threshold.t, stair.max_t
+    )
     count = 0
-    corners = stair.corners
-    for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            c = cone.corner((x, y))
-            if c.s < threshold.s or c.t < threshold.t:
-                continue
-            if any(c.s >= w.s and c.t >= w.t for w in corners):
-                continue
+    for p in box:
+        c = cone.corner(p)
+        if not any(c.s >= w.s and c.t >= w.t for w in stair.corners):
             count += 1
     return count
+
+
+def brute_ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """Power oracle: every multiset of n generators, summed as lattice points."""
+    sums = set()
+    for combo in combinations_with_replacement(ideal.gens, n):
+        sums.add((sum(p[0] for p in combo), sum(p[1] for p in combo)))
+    return new_ideal(ideal.cone, sums)
 
 
 def shoelace_complement_area(
@@ -72,25 +67,14 @@ def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
             continue
 
 
-def cone_points(cone: Cone2, spread: int) -> list:
-    """Semigroup points with both corners in [0, spread], by box scan."""
-    x_lo, x_hi, y_lo, y_hi = xspace_bbox(cone, 0, spread, 0, spread)
-    pts = []
-    for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            c = cone.corner((x, y))
-            if 0 <= c.s <= spread and 0 <= c.t <= spread:
-                pts.append((x, y))
-    return pts
-
-
 def random_ideal(
     rng: random.Random, cone: Cone2 = None, n_gens: int = 4, spread: int = 9,
     ray_bound: int = 6,
 ) -> MonomialIdeal:
     if cone is None:
         cone = random_cone(rng, ray_bound)
-    pool = cone_points(cone, spread)
+    # semigroup points with both corners in [0, spread]
+    pool = lattice_points_in_corner_box(cone, 0, spread + 1, 0, spread + 1)
     k = min(len(pool), rng.randint(1, n_gens))
     return new_ideal(cone, rng.sample(pool, k))
 

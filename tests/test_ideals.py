@@ -1,8 +1,15 @@
 import random
+from dataclasses import fields
 
 import pytest
 
-from conftest import brute_count_complement, random_cone, random_ideal
+from conftest import (
+    brute_count_complement,
+    brute_ordinary_power,
+    random_cone,
+    random_ideal,
+)
+from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import (
     BadParameters,
     EmptyInput,
@@ -11,14 +18,14 @@ from ghk.errors import (
     NotTorsionWithin,
 )
 from ghk.families import a_singularity, quadrant, veronese
-from ghk.geometry import Cone2, Corner, pareto_minimal
+from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
 from ghk.ideals import (
+    MonomialIdeal,
     frobenius_power,
     is_saturated,
     new_ideal,
     ordinary_power,
     saturation,
-    saturation_thresholds,
     torsion_factorization,
 )
 
@@ -55,6 +62,19 @@ class TestConstruction:
     def test_origin_generates_unit_ideal(self):
         ideal = new_ideal(SKEW, [(0, 0), (1, 1), (2, 0)])
         assert ideal.gens == ((0, 0),)
+
+    def test_stored_as_cone_and_staircase_only(self):
+        assert [f.name for f in fields(MonomialIdeal)] == ["cone", "stair"]
+        ideal = MonomialIdeal(SKEW, Staircase((Corner(0, 6), Corner(1, 5))))
+        assert ideal == new_ideal(SKEW, ideal.gens)
+        assert tuple(SKEW.corner(g) for g in ideal.gens) == ideal.stair.corners
+
+    def test_corner_off_the_image_lattice_rejected(self):
+        # SKEW has det_abs 3 and a corner (0, t) needs t divisible by 3
+        with pytest.raises(ValueError):
+            MonomialIdeal(SKEW, Staircase((Corner(0, 1),)))
+        with pytest.raises(ValueError):
+            MonomialIdeal(SKEW, Staircase((Corner(0, 6), Corner(1, 4))))
 
 
 class TestPowers:
@@ -99,11 +119,44 @@ class TestPowers:
         assert (2, 3) not in square.gens
         assert sorted(square.gens) == [(0, 6), (1, 4), (2, 2), (3, 1), (4, 0)]
 
+    def test_ordinary_power_matches_multiset_oracle(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            ideal = random_ideal(rng, n_gens=6)
+            # points on one line s + t = m are pairwise incomparable, so a
+            # sample of them keeps every point as a minimal generator
+            lines: dict[int, list] = {}
+            for p in lattice_points_in_corner_box(ideal.cone, 0, 13, 0, 13):
+                c = ideal.cone.corner(p)
+                lines.setdefault(c.s + c.t, []).append(p)
+            row = max(lines.values(), key=len)
+            wide = new_ideal(ideal.cone, rng.sample(row, min(6, len(row))))
+            for base in (ideal, wide):
+                for n in range(1, 7):
+                    power = ordinary_power(base, n)
+                    brute = brute_ordinary_power(base, n)
+                    assert power.stair == brute.stair
+                    assert power.gens == brute.gens
+                    corners = tuple(base.cone.corner(g) for g in power.gens)
+                    assert corners == power.stair.corners
+
+    def test_two_generator_power_closed_form(self):
+        # two generators: all n + 1 sums k g1 + (n - k) g2 are minimal
+        ideal = a_singularity(60, 30).ideal
+        g1, g2 = ideal.stair.corners
+        n = 200
+        corners = ordinary_power(ideal, n).stair.corners
+        assert len(corners) == n + 1
+        assert corners == tuple(
+            Corner(k * g1.s + (n - k) * g2.s, k * g1.t + (n - k) * g2.t)
+            for k in range(n, -1, -1)
+        )
+
     def test_thresholds_scale_along_powers(self):
         rng = random.Random(37)
         for _ in range(25):
             ideal = random_ideal(rng)
-            c1, c2 = saturation_thresholds(ideal)
+            c1, c2 = ideal.thresholds
             for q in (2, 3, 5):
                 assert frobenius_power(ideal, q).thresholds == (q * c1, q * c2)
             for n in (2, 3):
@@ -121,9 +174,9 @@ class TestPowers:
 
 class TestSaturation:
     def test_thresholds_examples(self):
-        assert saturation_thresholds(a_singularity(3, 1).ideal) == (1, 0)
-        assert saturation_thresholds(veronese(3, 1).ideal) == (0, 2)
-        assert saturation_thresholds(new_ideal(QUADRANT, [(2, 0), (0, 3)])) == (0, 0)
+        assert a_singularity(3, 1).ideal.thresholds == (1, 0)
+        assert veronese(3, 1).ideal.thresholds == (0, 2)
+        assert new_ideal(QUADRANT, [(2, 0), (0, 3)]).thresholds == (0, 0)
 
     def test_is_saturated(self):
         assert is_saturated(veronese(3, 1).ideal)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 
@@ -102,6 +103,17 @@ class TestGhkFunction:
                 ghk_function(VER31, p, 2)
         with pytest.raises(BadParameters):
             ghk_function(VER31, 2, -1)
+
+    def test_primality_by_trial_division_up_to_isqrt(self):
+        # 46337^2 has its only factor at the isqrt boundary; 2^31 - 1 is
+        # prime and needs about 46000 trial divisions, not 2^31
+        start = perf_counter()
+        for p in (2, 3, 2**31 - 1):
+            assert ghk_function(VER31, p, 0) == [0]
+        assert perf_counter() - start < 1
+        for p in (4, 9, 25, 49, 46337 * 46337):
+            with pytest.raises(BadParameters, match=f"characteristic {p} is not prime"):
+                ghk_function(VER31, p, 0)
 
     def test_normalized_counts_converge(self):
         for ideal in (VER31, A31, a_singularity(5, 2).ideal):
