@@ -51,6 +51,13 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _to_int(value) -> int:
+    # only ints and integer strings: int() would truncate 3.9 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(value)
+    return int(value)
+
+
 def _int_pair_list(value, what: str) -> list[tuple[int, int]]:
     if not isinstance(value, list) or not value:
         raise InputError(f"{what} must be a nonempty list of [x, y] pairs")
@@ -59,7 +66,7 @@ def _int_pair_list(value, what: str) -> list[tuple[int, int]]:
         if not isinstance(item, list) or len(item) != 2:
             raise InputError(f"{what} entries must be [x, y] pairs, got {item!r}")
         try:
-            pairs.append((int(item[0]), int(item[1])))
+            pairs.append((_to_int(item[0]), _to_int(item[1])))
         except (TypeError, ValueError):
             raise InputError(f"{what} entries must be integers, got {item!r}") from None
     return pairs
@@ -92,7 +99,7 @@ def _toric_instance(args) -> tuple[ToricInstance, dict]:
 
 def _int_list(values, what: str) -> list[int]:
     try:
-        return [int(v) for v in values]
+        return [_to_int(v) for v in values]
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a list of integers, got {values!r}") from None
 
@@ -248,7 +255,7 @@ def _cmd_reptype(args) -> int:
     r = section.get("r")
     if r is not None:
         try:
-            r = int(r)
+            r = _to_int(r)
         except (TypeError, ValueError):
             raise InputError(f'"r" must be an integer, got {r!r}') from None
     if "table" in section:
@@ -309,8 +316,11 @@ def _cmd_plot(args) -> int:
     instance, echo = _toric_instance(args)
     ideal = instance.ideal
     svg = render_region_svg(ideal, args.q_mark)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from None
     q = args.q_mark or 1
     total = eghk(ideal)
     ordinary = eghk(ordinary_power(ideal, q)) / (q * q)

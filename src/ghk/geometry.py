@@ -9,9 +9,9 @@ of points weakly above a finite staircase.  That reduction is what lets
 every area and every lattice count below be evaluated in closed form.
 
 Facet coordinates of lattice points fill a sublattice of index det_abs
-in Z^2.  Along a fixed column s = const the attainable t values form a
-single arithmetic progression with step det_abs, so counting lattice
-points under a staircase costs O(1) per column of the bounding box.
+in Z^2: column s holds the t with t == tau * s (mod det_abs), so any
+det_abs consecutive columns hold one point per row, and counting the
+points of a rectangle costs O(det_abs) however large it is.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -46,21 +46,6 @@ def _primitive(v: Point) -> Point:
     if g == 0:
         raise CollinearRays("zero vector cannot span a cone")
     return (v[0] // g, v[1] // g)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)
@@ -139,8 +124,10 @@ class Cone2:
         t == tau * s (mod det_abs), and then the point is
         s * u + k * ray1 with k = (t - tau * s) / det_abs.
         """
-        g, a, b = _ext_gcd(self.normal1[0], self.normal1[1])
-        u = (a, b)
+        a, b = self.normal1
+        # normal1 is primitive: a is invertible modulo |b|, and b == 0 forces a == +-1
+        x = pow(a, -1, abs(b)) if b else a
+        u = (x, (1 - a * x) // b if b else 0)
         return u, dot(self.normal2, u)
 
     def preimage(self, c: Corner) -> Optional[Point]:
@@ -189,9 +176,7 @@ class Staircase:
     def height(self, s: int) -> Optional[int]:
         """Least t such that (s, t) dominates the staircase, or None."""
         idx = bisect_right(self.corners, s, key=lambda c: c.s)
-        if idx == 0:
-            return None
-        return self.corners[idx - 1].t
+        return self.corners[idx - 1].t if idx else None
 
     def dominates(self, c: Corner) -> bool:
         h = self.height(c.s)
@@ -235,6 +220,43 @@ def _require_bounded(threshold: Corner, stair: Staircase) -> None:
         )
 
 
+def _rectangles(lower: Staircase, upper: Staircase) -> list[tuple[int, int, int, int]]:
+    """Cells (a, b, lo, hi), s increasing, tiling the corners dominating lower but not upper.
+
+    Columns are cut at every corner of either staircase.  The region must
+    be bounded: lower.min_s >= upper.min_s and lower.min_t >= upper.min_t.
+    """
+    steps = [(c.s, 0, c.t) for c in upper.corners] + [(c.s, 1, c.t) for c in lower.corners]
+    steps.sort()
+    heights = [None, None]
+    rects = []
+    for (a, side, t), (b, _, _) in zip(steps, steps[1:]):
+        heights[side] = t
+        hi, lo = heights
+        if a < b and lo is not None and lo < hi:
+            rects.append((a, b, lo, hi))
+    return rects
+
+
+def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
+    """Lattice points whose corners dominate lower but not upper.
+
+    normal2 is primitive, so gcd(tau, det_abs) == 1 and any det_abs
+    consecutive columns of a rectangle hold exactly hi - lo points.
+    """
+    _, tau = cone.column_data()
+    step = cone.det_abs
+    total = 0
+    for a, b, lo, hi in _rectangles(lower, upper):
+        if b - a >= step:
+            total += (b - a) // step * (hi - lo)
+            a = b - (b - a) % step
+        while a < b:
+            total += (hi - 1 - tau * a) // step - (lo - 1 - tau * a) // step
+            a += 1
+    return total
+
+
 def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) -> Fraction:
     """Area of the threshold quadrant minus the staircase region.
 
@@ -244,40 +266,19 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     UnboundedRegion is raised.
     """
     _require_bounded(threshold, stair)
-    cells = 0
-    cs = stair.corners
-    for prev, cur in zip(cs, cs[1:]):
-        cells += (cur.s - prev.s) * (prev.t - threshold.t)
+    rects = _rectangles(Staircase((threshold,)), stair)
+    cells = sum((b - a) * (hi - lo) for a, b, lo, hi in rects)
     return Fraction(cells, cone.det_abs)
-
-
-def _progression_count(lo: int, hi: int, residue: int, step: int) -> int:
-    """Number of integers t in [lo, hi) with t == residue (mod step)."""
-    if hi <= lo:
-        return 0
-    first = lo + (residue - lo) % step
-    if first >= hi:
-        return 0
-    return (hi - 1 - first) // step + 1
 
 
 def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
     """Number of lattice points in the threshold quadrant not dominating stair.
 
     Same boundedness precondition as staircase_complement_area.  Counts
-    actual points of Z^2 via their corners: column s contributes the
-    t values with threshold.t <= t < height(s) lying on the arithmetic
-    progression t == tau * s (mod det_abs).
+    actual points of Z^2, through their corners.
     """
     _require_bounded(threshold, stair)
-    _, tau = cone.column_data()
-    step = cone.det_abs
-    total = 0
-    cs = stair.corners
-    for prev, cur in zip(cs, cs[1:]):
-        for s in range(prev.s, cur.s):
-            total += _progression_count(threshold.t, prev.t, (tau * s) % step, step)
-    return total
+    return _count_between(cone, Staircase((threshold,)), stair)
 
 
 def count_lattice_band(
@@ -290,14 +291,4 @@ def count_lattice_band(
     """
     _require_bounded(threshold, fine)
     _require_bounded(threshold, coarse)
-    _, tau = cone.column_data()
-    step = cone.det_abs
-    total = 0
-    for s in range(threshold.s, coarse.max_s):
-        hi = coarse.height(s)
-        lo = fine.height(s)
-        if hi is None or lo is None:
-            continue
-        lo = max(lo, threshold.t)
-        total += _progression_count(lo, hi, (tau * s) % step, step)
-    return total
+    return _count_between(cone, fine, coarse)

@@ -20,8 +20,10 @@ from typing import Callable, Optional
 
 from .errors import BadParameters
 from .fmt import exact_decimal
-from .geometry import Corner, Staircase
+from .geometry import Corner, Staircase, _rectangles, count_lattice_complement
 from .ideals import MonomialIdeal, ordinary_power
+
+_MAX_GAP_DOTS = 100_000  # each gap dot is one circle element of about 70 bytes
 
 _STYLE = {
     "region-w": "#d9d9d9",
@@ -63,7 +65,8 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     bracket power's region, red the points of the threshold quadrant
     outside the q-th ordinary power, green the band between the two
     staircases, and the dots mark the exact lattice points behind the
-    gap count.  Without q_mark it is the base picture (q = 1).
+    gap count.  Without q_mark it is the base picture (q = 1).  Raises
+    BadParameters when there would be more than _MAX_GAP_DOTS dots.
     """
     if q_mark is not None and q_mark < 1:
         raise BadParameters("q_mark must be a positive integer")
@@ -73,9 +76,11 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     to_svg = _corner_to_svg(cone)
 
     coarse = ideal.stair.scale(q)
+    threshold = Corner(coarse.min_s, coarse.min_t)
+    dots = count_lattice_complement(cone, threshold, coarse)
+    if dots > _MAX_GAP_DOTS:
+        raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
     fine = ordinary_power(ideal, q).stair
-    ts, tt = ideal.thresholds
-    threshold = Corner(q * ts, q * tt)
 
     pad = 2 * q + step
     s_end = coarse.max_s + pad
@@ -92,14 +97,9 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
         red_points = [threshold] + _staircase_boundary(fine)
         parts.append(_polygon([to_svg(*c) for c in red_points], "region-red"))
 
-    breaks = sorted({c.s for c in fine.corners} | {c.s for c in coarse.corners})
-    breaks.append(coarse.max_s)
-    for a, b in zip(breaks, breaks[1:]):
-        high = coarse.height(a)
-        low = fine.height(a)
-        if low is not None and high is not None and low < high:
-            rect = [Corner(a, low), Corner(b, low), Corner(b, high), Corner(a, high)]
-            parts.append(_polygon([to_svg(*c) for c in rect], "region-green"))
+    for a, b, low, high in _rectangles(fine, coarse):
+        rect = [Corner(a, low), Corner(b, low), Corner(b, high), Corner(a, high)]
+        parts.append(_polygon([to_svg(*c) for c in rect], "region-green"))
 
     stroke = exact_decimal(Fraction(step * q, 6))
     for corner_end in (Corner(0, t_end), Corner(s_end, 0)):
@@ -118,15 +118,13 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
         )
 
     _, tau = cone.column_data()
-    for s in range(threshold.s, coarse.max_s):
-        high = coarse.height(s)
-        t = threshold.t + (tau * s - threshold.t) % step
-        while t < high:
-            x, y = to_svg(s, t)
-            parts.append(
-                f'<circle class="gap-dot" cx="{x}" cy="{y}" r="{radius}" fill="#111111"/>'
-            )
-            t += step
+    for a, b, low, high in _rectangles(Staircase((threshold,)), coarse):
+        for s in range(a, b):
+            for t in range(low + (tau * s - low) % step, high, step):
+                x, y = to_svg(s, t)
+                parts.append(
+                    f'<circle class="gap-dot" cx="{x}" cy="{y}" r="{radius}" fill="#111111"/>'
+                )
 
     span_pts = [to_svg(0, 0), to_svg(s_end, 0), to_svg(0, t_end), to_svg(s_end, t_end)]
     margin = 2 * step * q

@@ -2,8 +2,9 @@
 
 The oracles recompute areas and lattice counts along completely
 different routes than the library (bounding-box scans in the ambient
-plane and shoelace sums over explicit polygons), so agreement is a real
-two-sided check and not an arithmetic identity.
+plane, shoelace sums over explicit polygons, one arithmetic progression
+per column, and a Euclid-like floor sum per staircase step), so
+agreement is a real two-sided check and not an arithmetic identity.
 """
 
 import random
@@ -33,6 +34,76 @@ def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> 
         if not any(c.s >= w.s and c.t >= w.t for w in stair.corners):
             count += 1
     return count
+
+
+def progression_count(lo: int, hi: int, residue: int, step: int) -> int:
+    """Number of integers t in [lo, hi) with t == residue (mod step)."""
+    if hi <= lo:
+        return 0
+    first = lo + (residue - lo) % step
+    if first >= hi:
+        return 0
+    return (hi - 1 - first) // step + 1
+
+
+def column_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
+    """Column oracle: one arithmetic progression per column under each step."""
+    _, tau = cone.column_data()
+    step = cone.det_abs
+    total = 0
+    for prev, cur in zip(stair.corners, stair.corners[1:]):
+        for s in range(prev.s, cur.s):
+            total += progression_count(threshold.t, prev.t, (tau * s) % step, step)
+    return total
+
+
+def column_count_band(
+    cone: Cone2, threshold: Corner, fine: Staircase, coarse: Staircase
+) -> int:
+    """Column oracle: per column, the progression between the two heights."""
+    _, tau = cone.column_data()
+    step = cone.det_abs
+    total = 0
+    for s in range(threshold.s, coarse.max_s):
+        hi = coarse.height(s)
+        lo = fine.height(s)
+        if hi is None or lo is None:
+            continue
+        lo = max(lo, threshold.t)
+        total += progression_count(lo, hi, (tau * s) % step, step)
+    return total
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a * i + b) // m over 0 <= i < n, for n >= 0 and m >= 1.
+
+    The Euclid-like recursion of the AtCoder Library's floor_sum, with
+    Python's floor division absorbing negative a and b.
+    """
+    total = 0
+    while True:
+        total += (a // m) * (n * (n - 1) // 2) + (b // m) * n
+        a, b = a % m, b % m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b, m, a = y_max // m, y_max % m, a, m
+
+
+def floor_sum_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
+    """Floor-sum oracle: the columns of each staircase step summed in closed form.
+
+    Column s of a step at height h holds (h - 1 - tau s) // d -
+    (threshold.t - 1 - tau s) // d lattice points.
+    """
+    _, tau = cone.column_data()
+    d = cone.det_abs
+    total = 0
+    for prev, cur in zip(stair.corners, stair.corners[1:]):
+        n = cur.s - prev.s
+        total += floor_sum(n, d, -tau, prev.t - 1 - tau * prev.s)
+        total -= floor_sum(n, d, -tau, threshold.t - 1 - tau * prev.s)
+    return total
 
 
 def brute_ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -264,6 +264,52 @@ class TestErrorMapping:
         assert code == 1
         assert "collinear" in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[3.9, -1], [1.2, 0.7]]},
+             "generators"),
+            ({"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[True, 1]]}, "generators"),
+            ({"cone": {"rays": [[1.0, 0], [1, 3]]}, "generators": [[1, 1]]}, "cone.rays"),
+            ({"reptype": {"r": 3.7, "multiplicities": [1, 0]}}, '"r"'),
+            ({"reptype": {"r": True, "multiplicities": [1, 0]}}, '"r"'),
+            ({"reptype": {"r": 3, "multiplicities": [1.5, True]}}, "multiplicities"),
+            ({"reptype": {"table": [[1, 1], [1, 1.0]], "multiplicities": [1, 0],
+                          "weights": ["1/3", "1/3"]}}, "table row"),
+        ],
+    )
+    def test_non_integer_document_values_rejected(self, capsys, tmp_path, doc, field):
+        # int() would silently truncate 3.9 to 3 and read true as 1
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        command = "reptype" if "reptype" in doc else "eghk"
+        code, report, err = run_json(capsys, [command, "--file", str(path)])
+        assert code == 1
+        assert report is None
+        assert field in err
+
+    def test_integer_strings_still_accepted(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"cone": {"rays": [["1", 0], [1, "3"]]},
+                                    "generators": [["1", "0"], [1, 1]]}))
+        code, report, _ = run_json(capsys, ["eghk", "--file", str(path)])
+        assert code == 0
+        assert report["results"]["eghk"]["rational"] == "1/3"
+        path.write_text(json.dumps({"reptype": {"r": "3", "multiplicities": ["1", 0]}}))
+        code, report, _ = run_json(capsys, ["reptype", "--file", str(path)])
+        assert code == 0
+        assert report["results"]["eghk"]["rational"] == "2/3"
+
+    def test_unwritable_plot_output_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "x.svg"
+        code, report, err = run_json(
+            capsys, ["plot", "--family", "a:3,1", "--out", str(out)]
+        )
+        assert code == 1
+        assert report is None
+        assert f"cannot write {out}" in err
+        assert "internal error" not in err
+
     def test_contract_violation_maps_to_internal_error(self, capsys, monkeypatch):
         def boom(ideal):
             raise ContractViolation("boom")

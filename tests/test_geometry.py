@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_count_complement,
+    column_count_band,
+    column_count_complement,
+    floor_sum_count_complement,
     grounded,
+    progression_count,
     random_cone,
     random_staircase,
     shoelace_complement_area,
@@ -23,7 +27,26 @@ from ghk.geometry import (
     pareto_minimal,
     staircase_complement_area,
 )
-from ghk.geometry import _progression_count
+
+
+def scaled_pair(rng: random.Random, q: int):
+    """A random cone, threshold and nested staircases fine >= coarse at scale q.
+
+    coarse is a random staircase scaled by q.  fine adds corners below it,
+    some anywhere in the box and some one to three columns right of a
+    coarse corner, so its steps are both narrower and wider than det_abs.
+    """
+    cone = random_cone(rng, rng.randint(1, 12))
+    threshold, coarse = grounded(random_staircase(rng, max_corners=8).scale(q))
+    extra = []
+    for _ in range(rng.randint(0, 4)):
+        c = rng.choice(coarse.corners)
+        extra.append(Corner(c.s + rng.randint(1, 3), max(threshold.t, c.t - rng.randint(1, 3))))
+        extra.append(
+            Corner(rng.randint(threshold.s, coarse.max_s), rng.randint(threshold.t, coarse.max_t))
+        )
+    fine = pareto_minimal(list(coarse.corners) + extra)
+    return cone, threshold, fine, coarse
 
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
@@ -203,12 +226,51 @@ class TestArea:
 
 class TestCount:
     def test_progression_count(self):
-        assert _progression_count(0, 10, 0, 3) == 4
-        assert _progression_count(0, 10, 1, 3) == 3
-        assert _progression_count(5, 5, 0, 3) == 0
-        assert _progression_count(7, 8, 1, 3) == 1
-        assert _progression_count(7, 8, 0, 3) == 0
-        assert _progression_count(-6, -1, 2, 5) == 1
+        # the per-column arithmetic behind the column oracles
+        assert progression_count(0, 10, 0, 3) == 4
+        assert progression_count(0, 10, 1, 3) == 3
+        assert progression_count(5, 5, 0, 3) == 0
+        assert progression_count(7, 8, 1, 3) == 1
+        assert progression_count(7, 8, 0, 3) == 0
+        assert progression_count(-6, -1, 2, 5) == 1
+
+    def test_kernel_matches_column_and_box_oracles(self):
+        rng = random.Random(37)
+        for _ in range(80):
+            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(1, 8))
+            brute = {}
+            for stair in (fine, coarse):
+                count = count_lattice_complement(cone, threshold, stair)
+                assert count == column_count_complement(cone, threshold, stair)
+                brute[stair] = brute_count_complement(cone, threshold, stair)
+                assert count == brute[stair]
+            band = count_lattice_band(cone, threshold, fine, coarse)
+            assert band == column_count_band(cone, threshold, fine, coarse)
+            assert band == brute[coarse] - brute[fine]
+
+    def test_kernel_matches_column_oracle_up_to_q_1000(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(9, 1000))
+            for stair in (fine, coarse):
+                assert count_lattice_complement(
+                    cone, threshold, stair
+                ) == column_count_complement(cone, threshold, stair)
+            assert count_lattice_band(
+                cone, threshold, fine, coarse
+            ) == column_count_band(cone, threshold, fine, coarse)
+
+    def test_kernel_matches_floor_sum_oracle_up_to_2_40(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            q = rng.choice([rng.randint(1, 2**40), 2 ** rng.randint(0, 40)])
+            cone, threshold, fine, coarse = scaled_pair(rng, q)
+            outside = {}
+            for stair in (fine, coarse):
+                outside[stair] = floor_sum_count_complement(cone, threshold, stair)
+                assert count_lattice_complement(cone, threshold, stair) == outside[stair]
+            band = count_lattice_band(cone, threshold, fine, coarse)
+            assert band == outside[coarse] - outside[fine]
 
     def test_box_count_unit_lattice(self):
         stair = pareto_minimal([Corner(2, 0), Corner(0, 3)])

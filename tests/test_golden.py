@@ -65,6 +65,8 @@ CASES = {
     **_toric("veronese97", ["--family", "veronese:9,7"], {}, "2", "3", "2"),
     **_toric("quadrant", ["--family", QUADRANT], {}, "2", "2", "2"),
     **_toric("file", ["--file", "input.json"], DOCUMENT, "2", "5", "2"),
+    # q up to 2^40: finishes only because lattice counting does not grow with q
+    "a73-function-deep": (["function", "--family", "a:7,3", "--prime", "2", "--max-n", "40"], {}),
     "a73-powers": (["powers", "--family", "a:7,3", "--max-n", "49"], {}),
     "a73-powers-period": (["powers", "--family", "a:7,3", "--max-n", "98", "--period", "14"], {}),
     "a73-powers-max-order": (

@@ -5,7 +5,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import brute_count_complement, random_ideal
+from conftest import brute_count_complement, floor_sum_count_complement, random_ideal
 from ghk.errors import (
     BadParameters,
     NoStabilization,
@@ -96,6 +96,18 @@ class TestGhkFunction:
                     ideal.cone, Corner(q * c1, q * c2), ideal.stair.scale(q)
                 )
                 assert value == brute
+
+    def test_deep_tower_matches_floor_sum_oracle(self):
+        # q reaches 2^40, so this finishes only if counting is independent of q
+        ideal = a_singularity(7, 3).ideal
+        c1, c2 = ideal.thresholds
+        expected = [
+            floor_sum_count_complement(
+                ideal.cone, Corner(q * c1, q * c2), ideal.stair.scale(q)
+            )
+            for q in (2**n for n in range(41))
+        ]
+        assert ghk_function(ideal, 2, 40) == expected
 
     def test_rejects_bad_characteristic(self):
         for p in (1, 0, -3, 4, 9, 15):

@@ -2,7 +2,11 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
+from ghk import svgplot
 from ghk.cli import run_command
+from ghk.errors import BadParameters
 from ghk.families import a_singularity, parse_family, veronese
 from ghk.svgplot import render_region_svg
 
@@ -77,6 +81,16 @@ class TestRenderedRegions:
         assert 'data-power-scale="3"' in first
 
 
+    def test_dot_cap_is_exact(self, monkeypatch):
+        ideal = a_singularity(5, 2).ideal
+        dots = circles(render_region_svg(ideal, q_mark=3))["gap-dot"]
+        monkeypatch.setattr(svgplot, "_MAX_GAP_DOTS", dots)
+        assert circles(render_region_svg(ideal, q_mark=3))["gap-dot"] == dots
+        monkeypatch.setattr(svgplot, "_MAX_GAP_DOTS", dots - 1)
+        with pytest.raises(BadParameters, match=f"{dots} gap dots"):
+            render_region_svg(ideal, q_mark=3)
+
+
 class TestPlotCommand:
     def test_writes_file_and_reports_areas(self, capsys, tmp_path):
         out = tmp_path / "region.svg"
@@ -103,3 +117,15 @@ class TestPlotCommand:
             assert run_command(["plot", "--family", "a:4,1", "--out", str(out)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    def test_q_mark_beyond_dot_cap_is_input_error(self, capsys, tmp_path):
+        # 12,444,445 gap dots, about a gigabyte of SVG, refused before any power is built
+        out = tmp_path / "big.svg"
+        code = run_command(
+            ["plot", "--family", "veronese:9,7", "--q-mark", "2000", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "12444445 gap dots" in captured.err
+        assert not out.exists()
