@@ -43,6 +43,7 @@ from .ideals import (
     is_saturated,
     new_ideal,
     ordinary_power,
+    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "ordinary_power",
     "pareto_minimal",
     "parse_family",
+    "power_chain",
     "quadrant",
     "render_region_svg",
     "saturation",

@@ -22,7 +22,6 @@ from .geometry import Cone2
 from .ideals import (
     is_saturated,
     new_ideal,
-    ordinary_power,
     torsion_factorization,
 )
 from .invariants import (
@@ -35,7 +34,7 @@ from .invariants import (
     newton_multiplicity,
 )
 from .reptype import TorTable, a_tor_table, eghk_from_type
-from .svgplot import render_region_svg
+from .svgplot import _capped_power, render_region_svg
 
 
 def _load_document(path: str) -> dict:
@@ -315,7 +314,8 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     instance, echo = _toric_instance(args)
     ideal = instance.ideal
-    svg = render_region_svg(ideal, args.q_mark)
+    power = _capped_power(ideal, args.q_mark)
+    svg = render_region_svg(ideal, args.q_mark, power)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -323,7 +323,7 @@ def _cmd_plot(args) -> int:
         raise InputError(f"cannot write {args.out}: {exc}") from None
     q = args.q_mark or 1
     total = eghk(ideal)
-    ordinary = eghk(ordinary_power(ideal, q)) / (q * q)
+    ordinary = eghk(power) / (q * q)
     results = {
         "out": args.out,
         "power_scale": q,

@@ -20,7 +20,7 @@ two facet thresholds matter.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadParameters,
@@ -106,33 +106,77 @@ def frobenius_power(ideal: MonomialIdeal, q: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.cone, ideal.stair.scale(q))
 
 
+_MAX_POWER_WORK = 1_000_000  # steps of the power DP, about a second of work
+
+
+def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
+    """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
+
+    Each level is a Pareto front, s increasing and t decreasing.
+    Adding a corner g turns level k into the minimal elements of level
+    k and of the new level k - 1 shifted by g, so each level is
+    Pareto-reduced before the next corner comes in.  The entries of a
+    level have distinct s and distinct t, so level k has at most
+    k * w + 1 of them, w the smaller span of the corners folded in so
+    far.  That bound sizes the DP in O(len(corners)) before any level
+    is built, counting a level's list and call overhead as eight
+    entries (a one-entry level costs about that much); above
+    _MAX_POWER_WORK steps it raises BadParameters.
+    """
+    s0, t0 = corners[0]
+    work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
+    if work > _MAX_POWER_WORK:
+        raise BadParameters(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
+    levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
+    for gs, gt in corners:
+        for k in range(1, n + 1):
+            grown = [(s + gs, t + gt) for s, t in levels[k - 1]]
+            levels[k] = _pareto_front(levels[k] + grown)
+    return levels
+
+
 def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """The n-th ordinary power, generated by all n-fold sums of generators.
 
-    Built in corner space one generator at a time.  Level k holds the
-    minimal k-fold sums of the generators added so far; adding a
-    generator g turns level k into the minimal elements of level k and
-    of the new level k - 1 shifted by g, so each level is Pareto-reduced
-    before the next generator comes in.  For the last generator only
-    level n is formed.  Level k has at most k * W + 1 corners, W the
-    staircase width, so the cost is polynomial in n (about s * n^2 * W
-    for s generators) where enumerating the C(n + s - 1, s - 1)
-    multisets is not.  n = 1 returns the ideal itself.
+    Built in corner space by the Pareto DP of _power_levels over all
+    generators but the last; the last one only combines with level
+    n - i shifted by i times itself, so levels below n are never formed
+    for it.  The cost is polynomial in n (about s * n^2 * W for s
+    generators and staircase width W) where enumerating the
+    C(n + s - 1, s - 1) multisets is not; a DP above _MAX_POWER_WORK
+    steps raises BadParameters before it starts.  n = 1 returns the ideal
+    itself and a principal ideal is scaled in O(1).  Use power_chain
+    for all powers 1 .. n at once.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
     if n == 1:
         return ideal
+    if len(ideal.stair.corners) == 1:
+        return MonomialIdeal(ideal.cone, ideal.stair.scale(n))
     *rest, (last_s, last_t) = ideal.stair.corners
-    levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
-    for gs, gt in rest:
-        for k in range(1, n + 1):
-            grown = [(s + gs, t + gt) for s, t in levels[k - 1]]
-            levels[k] = _pareto_front(levels[k] + grown)
+    levels = _power_levels(rest, n)
     sums = [
         (s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]
     ]
     return MonomialIdeal(ideal.cone, pareto_minimal(sums))
+
+
+def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
+    """The ordinary powers I^1 .. I^n_max, from one pass of the power DP.
+
+    Folding every generator through _power_levels leaves level k equal
+    to the k-th power's staircase, so the whole chain costs about as
+    much as ordinary_power(ideal, n_max) alone.  Raises BadParameters
+    for n_max < 1 and above the DP's work cap.
+    """
+    if n_max < 1:
+        raise BadParameters("n_max must be a positive integer")
+    levels = _power_levels(ideal.stair.corners, n_max)
+    return [
+        MonomialIdeal(ideal.cone, Staircase(tuple(Corner(s, t) for s, t in level)))
+        for level in levels[1:]
+    ]
 
 
 def is_saturated(ideal: MonomialIdeal) -> bool:

@@ -26,7 +26,13 @@ from .geometry import (
     count_lattice_complement,
     staircase_complement_area,
 )
-from .ideals import MonomialIdeal, frobenius_power, is_saturated, ordinary_power
+from .ideals import (
+    MonomialIdeal,
+    frobenius_power,
+    is_saturated,
+    ordinary_power,
+    power_chain,
+)
 
 
 def eghk(ideal: MonomialIdeal) -> Fraction:
@@ -99,11 +105,9 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """Local cohomology lengths of the quotients by ordinary powers, n = 1 .. n_max.
 
     Entry n - 1 counts lattice points above n times the thresholds that
-    the n-th ordinary power misses.
+    the n-th ordinary power misses.  All powers come from one power_chain.
     """
-    if n_max < 1:
-        raise BadParameters("n_max must be a positive integer")
-    return [_gap_count(ordinary_power(ideal, n)) for n in range(1, n_max + 1)]
+    return [_gap_count(power) for power in power_chain(ideal, n_max)]
 
 
 class ClassFit(NamedTuple):

@@ -58,7 +58,25 @@ def _staircase_boundary(stair: Staircase) -> list[Corner]:
     return pts
 
 
-def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str:
+def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:
+    # the dot count needs only the bracket power, so a picture over the cap
+    # is refused before the far costlier ordinary power is built
+    if q_mark is not None and q_mark < 1:
+        raise BadParameters("q_mark must be a positive integer")
+    q = q_mark or 1
+    coarse = ideal.stair.scale(q)
+    threshold = Corner(coarse.min_s, coarse.min_t)
+    dots = count_lattice_complement(ideal.cone, threshold, coarse)
+    if dots > _MAX_GAP_DOTS:
+        raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
+    return ordinary_power(ideal, q)
+
+
+def render_region_svg(
+    ideal: MonomialIdeal,
+    q_mark: Optional[int] = None,
+    power: Optional[MonomialIdeal] = None,
+) -> str:
     """Render the region picture, optionally at the q-th bracket power.
 
     With q_mark the whole figure is the q-scaled one: gray shows the
@@ -67,9 +85,11 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     staircases, and the dots mark the exact lattice points behind the
     gap count.  Without q_mark it is the base picture (q = 1).  Raises
     BadParameters when there would be more than _MAX_GAP_DOTS dots.
+    power is the q-th ordinary power when the caller has already built
+    it through _capped_power, which checks the dot cap first.
     """
-    if q_mark is not None and q_mark < 1:
-        raise BadParameters("q_mark must be a positive integer")
+    if power is None:
+        power = _capped_power(ideal, q_mark)
     q = q_mark or 1
     cone = ideal.cone
     step = cone.det_abs
@@ -77,10 +97,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
 
     coarse = ideal.stair.scale(q)
     threshold = Corner(coarse.min_s, coarse.min_t)
-    dots = count_lattice_complement(cone, threshold, coarse)
-    if dots > _MAX_GAP_DOTS:
-        raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
-    fine = ordinary_power(ideal, q).stair
+    fine = power.stair
 
     pad = 2 * q + step
     s_end = coarse.max_s + pad

@@ -118,6 +118,15 @@ class TestSplitCommand:
         code, _, _ = run_json(capsys, ["split", "--family", "a:3,1", "--q", "0"])
         assert code == 1
 
+    def test_q_beyond_work_cap_is_input_error(self, capsys):
+        # the 5000th power of eight generators would run for minutes
+        code, report, err = run_json(
+            capsys, ["split", "--family", "veronese:9,7", "--q", "5000"]
+        )
+        assert code == 1
+        assert report is None
+        assert "power 5000 needs about" in err
+
 
 class TestPowersCommand:
     def test_torsion_and_fit(self, capsys):
@@ -154,6 +163,14 @@ class TestPowersCommand:
         results = report["results"]
         assert "torsion" not in results
         assert results["fit"]["classes"][0]["coefficients"][0]["rational"] == "1"
+
+    def test_max_n_beyond_work_cap_is_input_error(self, capsys):
+        code, report, err = run_json(
+            capsys, ["powers", "--family", "veronese:9,7", "--max-n", "5000"]
+        )
+        assert code == 1
+        assert report is None
+        assert "power 5000 needs about" in err
 
     def test_torsion_bound_too_small(self, capsys):
         code, report, err = run_json(
@@ -321,7 +338,7 @@ class TestErrorMapping:
         assert "internal error" in err
 
     def test_unexpected_exception_maps_to_internal_error(self, capsys, monkeypatch):
-        def boom(ideal, q_mark=None):
+        def boom(ideal, q_mark=None, power=None):
             raise RuntimeError("surprise")
 
         monkeypatch.setattr("ghk.cli.render_region_svg", boom)

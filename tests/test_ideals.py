@@ -19,12 +19,14 @@ from ghk.errors import (
 )
 from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
+from ghk import ideals
 from ghk.ideals import (
     MonomialIdeal,
     frobenius_power,
     is_saturated,
     new_ideal,
     ordinary_power,
+    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -132,10 +134,12 @@ class TestPowers:
             row = max(lines.values(), key=len)
             wide = new_ideal(ideal.cone, rng.sample(row, min(6, len(row))))
             for base in (ideal, wide):
+                chain = power_chain(base, 6)
                 for n in range(1, 7):
                     power = ordinary_power(base, n)
                     brute = brute_ordinary_power(base, n)
                     assert power.stair == brute.stair
+                    assert chain[n - 1].stair == brute.stair
                     assert power.gens == brute.gens
                     corners = tuple(base.cone.corner(g) for g in power.gens)
                     assert corners == power.stair.corners
@@ -151,6 +155,42 @@ class TestPowers:
             Corner(k * g1.s + (n - k) * g2.s, k * g1.t + (n - k) * g2.t)
             for k in range(n, -1, -1)
         )
+
+    def test_power_chain_matches_single_powers(self):
+        rng = random.Random(71)
+        bases = [random_ideal(rng, n_gens=6) for _ in range(6)] + [veronese(9, 7).ideal]
+        for base in bases:
+            chain = power_chain(base, 40)
+            assert len(chain) == 40
+            for k, power in enumerate(chain, 1):
+                assert power == ordinary_power(base, k)
+
+    def test_power_chain_of_length_one_is_the_ideal(self):
+        ideal = veronese(9, 7).ideal
+        assert power_chain(ideal, 1) == [ideal]
+
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_power_chain_bad_length(self, n_max):
+        with pytest.raises(BadParameters, match="positive"):
+            power_chain(a_singularity(3, 1).ideal, n_max)
+
+    def test_principal_power_is_scaled(self):
+        ideal = quadrant([(2, 3)]).ideal
+        n = 10**9
+        assert ordinary_power(ideal, n).stair == ideal.stair.scale(n)
+
+    @pytest.mark.parametrize("build", [ordinary_power, power_chain])
+    def test_work_cap_is_exact(self, build, monkeypatch):
+        ideal = veronese(9, 7).ideal
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
+        with pytest.raises(BadParameters, match="needs about") as refused:
+            build(ideal, 30)
+        work = int(str(refused.value).split()[4])
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", work)
+        build(ideal, 30)
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", work - 1)
+        with pytest.raises(BadParameters, match=f"needs about {work} DP steps"):
+            build(ideal, 30)
 
     def test_thresholds_scale_along_powers(self):
         rng = random.Random(37)

@@ -1,9 +1,11 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ghk.ideals
 from ghk import svgplot
 from ghk.cli import run_command
 from ghk.errors import BadParameters
@@ -129,3 +131,35 @@ class TestPlotCommand:
         assert captured.out == ""
         assert "12444445 gap dots" in captured.err
         assert not out.exists()
+
+    def test_q_mark_builds_the_power_once(self, capsys, tmp_path, monkeypatch):
+        original, calls = ghk.ideals.ordinary_power, []
+
+        def counted(ideal, n):
+            calls.append(n)
+            return original(ideal, n)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ghk") and (
+                getattr(mod, "ordinary_power", None) is original
+            ):
+                monkeypatch.setattr(mod, "ordinary_power", counted)
+        out = tmp_path / "v.svg"
+        code = run_command(
+            ["plot", "--family", "veronese:9,7", "--q-mark", "40", "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert calls == [40]
+
+    def test_q_mark_on_principal_ideal_is_scaled(self, capsys, tmp_path):
+        # no gap dots pass the dot cap, so only the O(1) principal power keeps this fast
+        out = tmp_path / "p.svg"
+        code = run_command(
+            ["plot", "--family", "quadrant:(2,3)", "--q-mark", "1000000000", "--out", str(out)]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["results"]["power_scale"] == 10**9
+        assert report["results"]["areas"]["ordinary_gap"]["rational"] == "0"
+        assert 'data-power-scale="1000000000"' in out.read_text()
