@@ -73,7 +73,7 @@ CASES = {
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
     "veronese97-powers-period": (
         ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
-    # 63 powers of an 8-generator ideal: feasible because they share one power chain
+    # 63 powers of an 8-generator ideal, read off one power chain
     "veronese97-powers-deep": (["powers", "--family", "veronese:9,7", "--max-n", "63"], {}),
     "quadrant-powers-period": (
         ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),
