@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_toric_input(p)
     p.add_argument("--max-n", type=int, required=True, help="largest power")
     p.add_argument("--period", type=int, help="override the fit period")
-    p.add_argument("--max-order", type=int, help="torsion search bound")
+    p.add_argument("--max-order", type=int, help="torsion order cap (default det_abs)")
     p.set_defaults(func=_cmd_powers)
 
     p = sub.add_parser("reptype", help="multiplicity from a module decomposition")

@@ -112,10 +112,6 @@ class Cone2:
     def corner(self, p: Point) -> Corner:
         return Corner(dot(self.normal1, p), dot(self.normal2, p))
 
-    def contains(self, p: Point) -> bool:
-        c = self.corner(p)
-        return c.s >= 0 and c.t >= 0
-
     def column_data(self) -> tuple[Point, int]:
         """Return (u, tau) describing the facet-coordinate image lattice.
 

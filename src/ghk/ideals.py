@@ -20,6 +20,7 @@ two facet thresholds matter.
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -179,10 +180,15 @@ def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
     ]
 
 
+def _gap_count(ideal: MonomialIdeal) -> int:
+    # lattice points above the ideal's own thresholds that it misses; a power's
+    # thresholds are the base ones times the exponent, so no rescaling is needed
+    return count_lattice_complement(ideal.cone, Corner(*ideal.thresholds), ideal.stair)
+
+
 def is_saturated(ideal: MonomialIdeal) -> bool:
     """True when the ideal already contains every lattice point above its thresholds."""
-    c1, c2 = ideal.thresholds
-    return count_lattice_complement(ideal.cone, Corner(c1, c2), ideal.stair) == 0
+    return _gap_count(ideal) == 0
 
 
 def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -218,13 +224,13 @@ def torsion_factorization(
 ) -> TorsionFactorization:
     """Factor a saturated ideal through the divisor class group.
 
-    Searches for the least r >= 1 such that r times the threshold corner
-    is the corner of an actual lattice point u; then the r-th ordinary
-    power equals u plus a finite-colength ideal.  The class of the ideal
-    region in the class group has order dividing det_abs, so the default
-    search bound max_order = det_abs always suffices; a smaller explicit
-    bound may fail with NotTorsionWithin.  Raises NotSaturated when the
-    input is not saturated.
+    The class group is cyclic of order det_abs through (s, t) -> t - tau * s
+    mod det_abs, so the least r >= 1 such that r times the threshold corner
+    (c1, c2) is the corner of a lattice point u is det_abs // gcd(det_abs,
+    c2 - tau * c1); the r-th ordinary power is u plus a finite-colength
+    ideal.  max_order (default det_abs, which r divides) caps r: a larger r
+    raises NotTorsionWithin before any power is built.  Raises NotSaturated
+    when the input is not saturated.
     """
     if not is_saturated(ideal):
         raise NotSaturated("torsion factorization needs a saturated ideal")
@@ -233,14 +239,14 @@ def torsion_factorization(
     if bound < 1:
         raise BadParameters("max_order must be a positive integer")
     c1, c2 = ideal.thresholds
-    for r in range(1, bound + 1):
-        u = cone.preimage(Corner(r * c1, r * c2))
-        if u is None:
-            continue
-        power = ordinary_power(ideal, r)
-        shifted = tuple(Corner(s - r * c1, t - r * c2) for s, t in power.stair.corners)
-        primary = MonomialIdeal(cone, Staircase(shifted))
-        if primary.thresholds != (0, 0):
-            raise ContractViolation("shifted power does not have zero thresholds")
-        return TorsionFactorization(r, u, primary)
-    raise NotTorsionWithin(f"no torsion order up to {bound} works")
+    _, tau = cone.column_data()
+    r = cone.det_abs // gcd(cone.det_abs, c2 - tau * c1)
+    if r > bound:
+        raise NotTorsionWithin(f"no torsion order up to {bound} works")
+    u = cone.preimage(Corner(r * c1, r * c2))
+    power = ordinary_power(ideal, r)
+    shifted = tuple(Corner(s - r * c1, t - r * c2) for s, t in power.stair.corners)
+    primary = MonomialIdeal(cone, Staircase(shifted))
+    if primary.thresholds != (0, 0):
+        raise ContractViolation("shifted power does not have zero thresholds")
+    return TorsionFactorization(r, u, primary)

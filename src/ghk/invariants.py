@@ -20,14 +20,10 @@ from .errors import (
     NotMPrimary,
     NotSaturated,
 )
-from .geometry import (
-    Corner,
-    count_lattice_band,
-    count_lattice_complement,
-    staircase_complement_area,
-)
+from .geometry import Corner, count_lattice_band, staircase_complement_area
 from .ideals import (
     MonomialIdeal,
+    _gap_count,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -46,21 +42,21 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, Corner(c1, c2), ideal.stair)
 
 
-def _gap_count(ideal: MonomialIdeal) -> int:
-    # a power's thresholds are the base thresholds times the exponent, so
-    # counting against its own thresholds is counting against the scaled ones
-    return count_lattice_complement(ideal.cone, Corner(*ideal.thresholds), ideal.stair)
-
-
 def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     """Values of the generalized Hilbert-Kunz function at q = p^0 .. p^n_max.
 
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
-    prime and n_max nonnegative.
+    prime and n_max nonnegative.  p over 40 bits, or n_max times p's bit
+    length over 4096, raises BadParameters before the primality test.
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
+    bits = p.bit_length()
+    if bits > 40:
+        raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
+    if n_max * bits > 4096:
+        raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")
     return [_gap_count(frobenius_power(ideal, p**n)) for n in range(n_max + 1)]
@@ -91,14 +87,11 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
         raise NotSaturated("gap split needs a saturated ideal")
     if q < 1:
         raise BadParameters("q must be a positive integer")
-    c1, c2 = ideal.thresholds
-    threshold = Corner(q * c1, q * c2)
-    frob_stair = ideal.stair.scale(q)
-    ord_stair = ordinary_power(ideal, q).stair
-    total = count_lattice_complement(ideal.cone, threshold, frob_stair)
-    sym = count_lattice_complement(ideal.cone, threshold, ord_stair)
-    band = count_lattice_band(ideal.cone, threshold, ord_stair, frob_stair)
-    return GapSplit(total, sym, band)
+    frob = frobenius_power(ideal, q)
+    power = ordinary_power(ideal, q)
+    threshold = Corner(*frob.thresholds)
+    band = count_lattice_band(ideal.cone, threshold, power.stair, frob.stair)
+    return GapSplit(_gap_count(frob), _gap_count(power), band)
 
 
 def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:

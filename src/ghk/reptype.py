@@ -47,9 +47,11 @@ class TorTable:
 
 
 def a_tor_table(r: int) -> TorTable:
-    """Tor table of the type A singularity of index r: min(i, j, r - i, r - j)."""
+    """Tor table of the type A singularity of index 2 <= r <= 1000: min(i, j, r - i, r - j)."""
     if r < 2:
         raise BadParameters("index r must be at least 2")
+    if r > 1000:
+        raise BadParameters(f"index r = {r} is over 1000")
     return TorTable(
         tuple(
             tuple(min(i, j, r - i, r - j) for j in range(1, r))

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 from .errors import BadParameters
 from .fmt import exact_decimal
-from .geometry import Corner, Staircase, _rectangles, count_lattice_complement
-from .ideals import MonomialIdeal, ordinary_power
+from .geometry import Corner, Staircase, _rectangles
+from .ideals import MonomialIdeal, _gap_count, frobenius_power, ordinary_power
 
 _MAX_GAP_DOTS = 100_000  # each gap dot is one circle element of about 70 bytes
 
@@ -64,9 +64,7 @@ def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:
     if q_mark is not None and q_mark < 1:
         raise BadParameters("q_mark must be a positive integer")
     q = q_mark or 1
-    coarse = ideal.stair.scale(q)
-    threshold = Corner(coarse.min_s, coarse.min_t)
-    dots = count_lattice_complement(ideal.cone, threshold, coarse)
+    dots = _gap_count(frobenius_power(ideal, q))
     if dots > _MAX_GAP_DOTS:
         raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
     return ordinary_power(ideal, q)

@@ -114,6 +114,20 @@ def brute_ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return new_ideal(ideal.cone, sums)
 
 
+def search_torsion_order(ideal: MonomialIdeal, bound: int):
+    """Torsion oracle: the least r <= bound whose scaled thresholds have a preimage.
+
+    Tries every r in turn with one preimage call each; returns (r, u) for
+    the first lattice point u found, or None.
+    """
+    c1, c2 = ideal.thresholds
+    for r in range(1, bound + 1):
+        u = ideal.cone.preimage(Corner(r * c1, r * c2))
+        if u is not None:
+            return r, u
+    return None
+
+
 def shoelace_complement_area(
     cone: Cone2, threshold: Corner, stair: Staircase
 ) -> Fraction:

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,26 @@ class TestFunctionCommand:
         assert results["limit"]["rational"] == "1/3"
         assert results["convergence_constant"] == 8
         assert results["normalized"][2]["rational"] == "5/16"
+
+    def test_characteristic_bit_cap(self, capsys):
+        # 2^40 - 87 is the largest 40-bit prime; 2^40 is refused before the primality test
+        argv = ["function", "--family", "a:7,3", "--max-n", "0", "--prime"]
+        code, report, _ = run_json(capsys, argv + [str(2**40 - 87)])
+        assert code == 0
+        assert report["results"]["values"] == [0]
+        code, report, err = run_json(capsys, argv + [str(2**40)])
+        assert (code, report) == (1, None)
+        assert err == f"error: characteristic {2**40} has 41 bits, over 40\n"
+
+    def test_tower_bit_cap(self, capsys):
+        # 2^32 - 5 is a 32-bit prime: 128 steps reach the 4096-bit cap
+        argv = ["function", "--family", "a:7,3", "--prime", str(2**32 - 5), "--max-n"]
+        code, report, _ = run_json(capsys, argv + ["128"])
+        assert code == 0
+        assert len(report["results"]["values"]) == 129
+        code, report, err = run_json(capsys, argv + ["129"])
+        assert (code, report) == (1, None)
+        assert err == f"error: q = {2**32 - 5}^129 needs up to 4128 bits, over 4096\n"
 
     def test_composite_characteristic_fails(self, capsys):
         code, report, err = run_json(
@@ -172,6 +193,17 @@ class TestPowersCommand:
         assert report is None
         assert "power 5000 needs about" in err
 
+    def test_large_index_torsion_order_costs_one_power(self, capsys, tmp_path):
+        # torsion order 2000003: refused by the power work cap, with no search up to it
+        doc = {"cone": {"rays": [[1, 0], [1, 2000003]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, report, err = run_json(capsys, ["powers", "--file", str(path), "--max-n", "5"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, report) == (1, None)
+        assert err == "error: power 2000003 needs about 16000024 DP steps, over 1000000\n"
+
     def test_torsion_bound_too_small(self, capsys):
         code, report, err = run_json(
             capsys,
@@ -222,6 +254,14 @@ class TestReptypeCommand:
     def test_missing_arguments(self, capsys):
         code, _, _ = run_json(capsys, ["reptype", "--r", "3"])
         assert code == 1
+
+    def test_index_cap(self, capsys):
+        code, report, _ = run_json(capsys, ["reptype", "--r", "1000", "--u", "1" + ",0" * 998])
+        assert code == 0
+        assert report["results"]["dim"] == 999
+        code, report, err = run_json(capsys, ["reptype", "--r", "1001", "--u", "1"])
+        assert (code, report) == (1, None)
+        assert err == "error: index r = 1001 is over 1000\n"
 
     def test_dimension_mismatch(self, capsys):
         code, _, _ = run_json(capsys, ["reptype", "--r", "5", "--u", "1,0"])

@@ -8,6 +8,7 @@ from conftest import (
     brute_ordinary_power,
     random_cone,
     random_ideal,
+    search_torsion_order,
 )
 from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import (
@@ -291,6 +292,31 @@ class TestTorsion:
     def test_bad_bound(self):
         with pytest.raises(BadParameters):
             torsion_factorization(veronese(3, 1).ideal, max_order=0)
+
+    def test_order_formula_matches_search_oracle(self, monkeypatch):
+        # the r-th power is checked by test_round_trip_rebuilds_power; here the
+        # bracket power stands in for it, so orders in the thousands stay cheap
+        monkeypatch.setattr(ideals, "ordinary_power", frobenius_power)
+        rng = random.Random(61)
+        large = 0
+        for _ in range(2000):
+            cone = random_cone(rng, rng.randint(1, 50))
+            _, tau = cone.column_data()
+            d = cone.det_abs
+            c1, c2 = rng.randint(0, 2 * d), rng.randint(0, 2 * d)
+            # lattice corners in column c1 and in row c2 fix the thresholds
+            s = c1 + (c2 - tau * c1) * pow(tau, -1, d) % d if d > 1 else c1
+            t = c2 + (tau * c1 - c2) % d + d * rng.randint(0, 2)
+            ideal = saturation(MonomialIdeal(cone, pareto_minimal([Corner(c1, t), Corner(s, c2)])))
+            assert ideal.thresholds == (c1, c2)
+            order, shift = search_torsion_order(ideal, d)
+            fact = torsion_factorization(ideal)
+            assert (fact.order, fact.shift) == (order, shift)
+            if order > 1:
+                with pytest.raises(NotTorsionWithin, match=f"up to {order - 1} works"):
+                    torsion_factorization(ideal, max_order=order - 1)
+            large += d >= 1000
+        assert large >= 50
 
     def test_round_trip_rebuilds_power(self):
         rng = random.Random(53)

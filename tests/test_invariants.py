@@ -127,6 +127,16 @@ class TestGhkFunction:
             with pytest.raises(BadParameters, match=f"characteristic {p} is not prime"):
                 ghk_function(VER31, p, 0)
 
+    def test_size_caps_come_before_primality(self):
+        # the 54-bit prime took seconds of trial division, and 2^8000 overflowed
+        # the report's integer-to-string limit after seconds of counting
+        start = perf_counter()
+        with pytest.raises(BadParameters, match="characteristic 10000000000000061 has 54 bits"):
+            ghk_function(VER31, 10000000000000061, 0)
+        with pytest.raises(BadParameters, match=r"q = 2\^8000 needs up to 16000 bits, over 4096"):
+            ghk_function(VER31, 2, 8000)
+        assert perf_counter() - start < 0.1
+
     def test_normalized_counts_converge(self):
         for ideal in (VER31, A31, a_singularity(5, 2).ideal):
             area = eghk(ideal)

@@ -35,6 +35,8 @@ class TestTable:
     def test_bad_index(self):
         with pytest.raises(BadParameters):
             a_tor_table(1)
+        with pytest.raises(BadParameters, match="index r = 1001 is over 1000"):
+            a_tor_table(1001)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricTable):
