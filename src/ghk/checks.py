@@ -3,24 +3,26 @@
 The oracle answers the defining question about the limit closure
 directly, without the threshold shortcut: translating the cone to a
 point p, is everything far out in the translate already inside the
-ideal region?  It scans actual lattice points (found by bounding-box
-search in the ambient plane, not by the arithmetic-progression counting
-the fast path uses) and tests membership by direct comparison against
-the generator corners.  Far means: a fundamental window of columns
-beyond the maximal generator corners, plus one test point per column or
-row of the two boundary strips, which decides each strip tail because
-membership is monotone along a column.
+ideal region?  It scans actual lattice points (found line by line in
+the ambient plane, one exact integer interval of y for each x, not by
+the arithmetic-progression counting the fast path uses) and tests
+membership by direct comparison against the generator corners.  Far
+means: a fundamental window of columns beyond the maximal generator
+corners, plus one test point per column or row of the two boundary
+strips, which decides each strip tail because membership is monotone
+along a column.
 
 run_instance_checks bundles the oracle with the scaling, additivity,
 and convergence properties into a pass/fail report for one instance.
+Its cost is linear in det_abs and in the staircase's far ends, so it
+estimates the scan work first and refuses above _MAX_VERIFY_WORK.
 """
 
 import random
 from fractions import Fraction
-from math import ceil, floor
 from typing import NamedTuple
 
-from .errors import GhkError
+from .errors import BadParameters, GhkError
 from .geometry import Cone2, Point
 from .ideals import (
     MonomialIdeal,
@@ -55,31 +57,38 @@ def threshold_membership(ideal: MonomialIdeal, p: Point) -> bool:
     return c.s >= c1 and c.t >= c2
 
 
+def _y_bounds(a: int, b: int, x: int, lo: int, hi: int):
+    """Inclusive range of the y with lo <= a * x + b * y < hi, or None for every y."""
+    lo, hi = lo - a * x, hi - a * x
+    if b > 0:
+        return -(-lo // b), -(-hi // b) - 1
+    if b < 0:
+        return hi // b + 1, lo // b
+    return None if lo <= 0 < hi else (1, 0)
+
+
 def lattice_points_in_corner_box(
     cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int
 ) -> list[Point]:
     """All lattice points whose corners lie in [s_lo, s_hi) x [t_lo, t_hi).
 
-    Found by scanning the integer bounding box of the preimage
-    parallelogram, so it does not rely on the column progression
+    Points come x ascending, then y ascending.  Each vertical line x
+    through the preimage parallelogram meets it in one integer interval
+    of y, the intersection of the two corner inequalities, so the cost
+    is O(lines + points).  It does not rely on the column progression
     structure the fast counting uses.
     """
     if s_hi <= s_lo or t_hi <= t_lo:
         return []
-    n1, n2 = cone.normal1, cone.normal2
-    det = n1[0] * n2[1] - n1[1] * n2[0]
-    xs = []
-    ys = []
-    for s in (s_lo, s_hi):
-        for t in (t_lo, t_hi):
-            xs.append(Fraction(n2[1] * s - n1[1] * t, det))
-            ys.append(Fraction(-n2[0] * s + n1[0] * t, det))
+    (a1, b1), (a2, b2) = cone.normal1, cone.normal2
+    det = a1 * b2 - b1 * a2
+    # det times the x-coordinates of the parallelogram's vertices
+    xs = [b2 * s - b1 * t for s in (s_lo, s_hi) for t in (t_lo, t_hi)]
     pts = []
-    for x in range(floor(min(xs)), ceil(max(xs)) + 1):
-        for y in range(floor(min(ys)), ceil(max(ys)) + 1):
-            c = cone.corner((x, y))
-            if s_lo <= c.s < s_hi and t_lo <= c.t < t_hi:
-                pts.append((x, y))
+    for x in range(min(n // det for n in xs), max(-(-n // det) for n in xs) + 1):
+        bounds = [_y_bounds(a1, b1, x, s_lo, s_hi), _y_bounds(a2, b2, x, t_lo, t_hi)]
+        lows, highs = zip(*(r for r in bounds if r is not None))
+        pts.extend((x, y) for y in range(max(lows), min(highs) + 1))
     return pts
 
 
@@ -158,10 +167,54 @@ def _probe_points(ideal: MonomialIdeal, rng: random.Random, want: int) -> list[P
     return rng.sample(pool, want)
 
 
+_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, about a second of work
+
+
+def _box_work(cone: Cone2, w: int, h: int) -> int:
+    # lines the scan walks over a w x h corner box, plus a bound on its points
+    d = cone.det_abs
+    lines = (abs(cone.normal2[1]) * w + abs(cone.normal1[1]) * h) // d + 3
+    return lines + min(w * -(-h // d), h * -(-w // d))
+
+
+def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
+    """Upper estimate of the lines and points that the box scans of the suites visit.
+
+    Two probe pools (the ideal's and its third bracket power's), then
+    per probe the oracle's window and one column or row box for each s
+    below the staircase's largest s and each t below its largest t.
+    """
+    cone, stair = ideal.cone, ideal.stair
+    d = cone.det_abs
+    side = 4 * d + 5
+    per_probe = (
+        _box_work(cone, d, d)
+        + stair.max_s * _box_work(cone, 1, d)
+        + stair.max_t * _box_work(cone, d, 1)
+    )
+    return 2 * _box_work(cone, side, side) + probes * per_probe
+
+
 def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResult]:
-    """Run every library invariant suite against one ideal."""
+    """Run every library invariant suite against one ideal.
+
+    Raises BadParameters, before any suite runs, when the suites' box
+    scans would visit more than _MAX_VERIFY_WORK lines and points.
+    Each ordinary power the suites build here is built once.
+    """
+    work = _scan_work(ideal, probes)
+    if work > _MAX_VERIFY_WORK:
+        raise BadParameters(
+            f"verify needs about {work} scan steps, over {_MAX_VERIFY_WORK}"
+        )
     rng = random.Random(2026)
     results: list[CheckResult] = []
+    powers: dict[int, MonomialIdeal] = {}
+
+    def power(n: int) -> MonomialIdeal:
+        if n not in powers:
+            powers[n] = ordinary_power(ideal, n)
+        return powers[n]
 
     def record(name: str, fn) -> None:
         try:
@@ -183,13 +236,13 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
 
     def ordinary_thresholds() -> str:
         for n in (2, 3):
-            assert ordinary_power(ideal, n).thresholds == (n * c1, n * c2), f"n={n}"
+            assert power(n).thresholds == (n * c1, n * c2), f"n={n}"
         return "n = 2, 3"
 
     def membership_chain() -> str:
         q = 3
         frob = frobenius_power(ideal, q)
-        ordn = ordinary_power(ideal, q)
+        ordn = power(q)
         pts = [tuple(g) for g in frob.gens]
         pts += _probe_points(frob, rng, probes)
         checked = 0
@@ -253,11 +306,11 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         if not is_saturated(ideal):
             return "skipped: ideal is not saturated"
         fact = torsion_factorization(ideal)
-        power = ordinary_power(ideal, fact.order)
+        rebuilt = power(fact.order)
         shifted = sorted(
             (x + fact.shift[0], y + fact.shift[1]) for x, y in fact.primary.gens
         )
-        assert shifted == sorted(power.gens), "shift does not rebuild the power"
+        assert shifted == sorted(rebuilt.gens), "shift does not rebuild the power"
         newton_multiplicity(fact.primary)
         return f"order {fact.order}, shift {fact.shift}"
 

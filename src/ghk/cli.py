@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .checks import run_instance_checks
@@ -358,51 +359,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eghk", help="exact multiplicity of the quotient")
     _add_toric_input(p)
-    p.set_defaults(func=_cmd_eghk)
 
     p = sub.add_parser("function", help="gap counts along a prime-power tower")
     _add_toric_input(p)
     p.add_argument("--prime", type=int, required=True, help="characteristic, a prime")
     p.add_argument("--max-n", type=int, required=True, help="largest exponent n")
-    p.set_defaults(func=_cmd_function)
 
     p = sub.add_parser("split", help="bracket power gap split at one q")
     _add_toric_input(p)
     p.add_argument("--q", type=int, required=True, help="bracket power exponent")
-    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("powers", help="ordinary power lengths, torsion, and fit")
     _add_toric_input(p)
     p.add_argument("--max-n", type=int, required=True, help="largest power")
     p.add_argument("--period", type=int, help="override the fit period")
     p.add_argument("--max-order", type=int, help="torsion order cap (default det_abs)")
-    p.set_defaults(func=_cmd_powers)
 
     p = sub.add_parser("reptype", help="multiplicity from a module decomposition")
     p.add_argument("--file", help="path of a JSON input document")
     p.add_argument("--r", type=int, help="index of the type A singularity")
     p.add_argument("--u", help="comma-separated module multiplicities")
     p.add_argument("--v", help="comma-separated limit weights (rationals)")
-    p.set_defaults(func=_cmd_reptype)
 
     p = sub.add_parser("verify", help="run the property suites on an input")
     _add_toric_input(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot", help="write the region picture as SVG")
     _add_toric_input(p)
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--q-mark", type=int, help="draw the q-th bracket power")
-    p.set_defaults(func=_cmd_plot)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; argparse keeps no state between parse_args calls
+    return build_parser()
+
+
 def run_command(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a command replaced after the first call still runs
+        return globals()["_cmd_" + args.command](args)
     except (UnboundedRegion, ContractViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

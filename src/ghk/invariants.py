@@ -9,6 +9,7 @@ are computed exactly as lattice counts and compared against the area
 through a perimeter-based error constant.
 """
 
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
@@ -48,7 +49,9 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
     prime and n_max nonnegative.  p over 40 bits, or n_max times p's bit
-    length over 4096, raises BadParameters before the primality test.
+    length over 4096, raises BadParameters before the primality test; so
+    does a count that could pass the interpreter's int-to-str digit limit,
+    before any counting.
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
@@ -59,6 +62,16 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")
+    # the largest count is at most the lattice points of its gap box, which has
+    # at most ceil(height / det_abs) in a column and ceil(width / det_abs) in a row
+    q, stair, d = p**n_max, ideal.stair, ideal.cone.det_abs
+    width, height = q * (stair.max_s - stair.min_s), q * (stair.max_t - stair.min_t)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if digits and min(width * -(-height // d), height * -(-width // d)) >= 10**digits:
+        raise BadParameters(
+            f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
+            "the limit for printing an integer"
+        )
     return [_gap_count(frobenius_power(ideal, p**n)) for n in range(n_max + 1)]
 
 

@@ -29,14 +29,12 @@ class TorTable:
             raise BadParameters("a pairing table needs at least one row")
         if any(len(row) != n for row in self.entries):
             raise BadParameters("pairing table must be square")
-        if any(v < 0 for row in self.entries for v in row):
+        if any(min(row) < 0 for row in self.entries):
             raise BadParameters("pairing lengths must be nonnegative")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise AsymmetricTable(
-                        f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ"
-                    )
+        e = self.entries
+        if not all(tuple(row) == col for row, col in zip(e, zip(*e))):
+            i, j = next((i, j) for i in range(n) for j in range(i) if e[i][j] != e[j][i])
+            raise AsymmetricTable(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
 
     @property
     def dim(self) -> int:

@@ -10,11 +10,37 @@ agreement is a real two-sided check and not an arithmetic identity.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import ceil, floor
 
 from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import CollinearRays
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
 from ghk.ideals import MonomialIdeal, new_ideal
+
+
+def box_scan_points(cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> list:
+    """Box-scan oracle: lattice points with corners in [s_lo, s_hi) x [t_lo, t_hi).
+
+    Tests every point of the integer bounding box of the preimage
+    parallelogram, x ascending, then y ascending.
+    """
+    if s_hi <= s_lo or t_hi <= t_lo:
+        return []
+    n1, n2 = cone.normal1, cone.normal2
+    det = n1[0] * n2[1] - n1[1] * n2[0]
+    xs = []
+    ys = []
+    for s in (s_lo, s_hi):
+        for t in (t_lo, t_hi):
+            xs.append(Fraction(n2[1] * s - n1[1] * t, det))
+            ys.append(Fraction(-n2[0] * s + n1[0] * t, det))
+    pts = []
+    for x in range(floor(min(xs)), ceil(max(xs)) + 1):
+        for y in range(floor(min(ys)), ceil(max(ys)) + 1):
+            c = cone.corner((x, y))
+            if s_lo <= c.s < s_hi and t_lo <= c.t < t_hi:
+                pts.append((x, y))
+    return pts
 
 
 def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
@@ -25,7 +51,7 @@ def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> 
     threshold meets the staircase, and tests domination by direct
     comparison against each staircase corner.
     """
-    box = lattice_points_in_corner_box(
+    box = box_scan_points(
         cone, threshold.s, stair.max_s, threshold.t, stair.max_t
     )
     count = 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghk import cli
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json
@@ -102,6 +103,24 @@ class TestFunctionCommand:
         code, report, err = run_json(capsys, argv + ["129"])
         assert (code, report) == (1, None)
         assert err == f"error: q = {2**32 - 5}^129 needs up to 4128 bits, over 4096\n"
+
+    def test_unprintable_counts_refused_before_counting(self, capsys, tmp_path):
+        # the count at q = 2^2048 has about 4430 digits, over the 4300-digit print limit
+        doc = {"cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[10**1600, 0], [0, 10**1600]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = ["function", "--file", str(path), "--prime", "2", "--max-n"]
+        start = time.perf_counter()
+        code, report, err = run_json(capsys, argv + ["2048"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, report) == (1, None)
+        assert err == (
+            "error: gap counts up to q = 2^2048 may pass 4300 digits, "
+            "the limit for printing an integer\n"
+        )
+        code, report, _ = run_json(capsys, argv + ["10"])
+        assert code == 0
+        assert report["results"]["values"][0] == 10**3200
 
     def test_composite_characteristic_fails(self, capsys):
         code, report, err = run_json(
@@ -284,6 +303,59 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert report["results"]["all_passed"] is True
+
+
+    def test_large_index_finishes(self, capsys, tmp_path):
+        # index 6401: the box scans of the oracle used to take minutes here
+        doc = {"cone": {"rays": [[1, 0], [1, 6401]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_json(capsys, ["verify", "--file", str(path)])
+        assert code == 0
+        assert report["results"]["all_passed"] is True
+
+    def test_scan_work_cap_refuses_before_any_suite(self, capsys, tmp_path):
+        doc = {"cone": {"rays": [[1, 0], [1, 2000003]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, report, err = run_json(capsys, ["verify", "--file", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (code, report) == (1, None)
+        assert err == "error: verify needs about 176000416 scan steps, over 1000000\n"
+
+
+class TestDispatch:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in (
+            ["eghk", "--family", "a:3,1"],
+            ["function", "--family", "a:3,1", "--prime", "2", "--max-n", "2"],
+            ["split", "--family", "a:3,1", "--q", "2"],
+            ["reptype", "--r", "3", "--u", "1,0"],
+            ["eghk", "--family", "mystery:1"],
+        ):
+            run_command(argv)
+        with pytest.raises(SystemExit):
+            run_command(["eghk"])
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_command_replaced_after_first_call_is_dispatched(self, capsys, monkeypatch):
+        assert run_command(["eghk", "--family", "a:3,1"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_eghk", lambda args: seen.append(args.family) or 7)
+        assert run_command(["eghk", "--family", "a:5,2"]) == 7
+        assert seen == ["a:5,2"]
+        capsys.readouterr()
 
 
 class TestErrorMapping:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
@@ -136,6 +137,18 @@ class TestGhkFunction:
         with pytest.raises(BadParameters, match=r"q = 2\^8000 needs up to 16000 bits, over 4096"):
             ghk_function(VER31, 2, 8000)
         assert perf_counter() - start < 0.1
+
+    def test_digit_limit_boundary(self):
+        # on the unit quadrant the count at q = 1 is exactly the gap box, n^2
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            n = 10**320 - 1
+            assert ghk_function(new_ideal(QUADRANT, [(n, 0), (0, n)]), 2, 0) == [n * n]
+            with pytest.raises(BadParameters, match=r"up to q = 2\^0 may pass 640 digits"):
+                ghk_function(new_ideal(QUADRANT, [(n + 1, 0), (0, n + 1)]), 2, 0)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_normalized_counts_converge(self):
         for ideal in (VER31, A31, a_singularity(5, 2).ideal):

@@ -39,8 +39,15 @@ class TestTable:
             a_tor_table(1001)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(AsymmetricTable):
+        with pytest.raises(AsymmetricTable, match=r"^entries \(2,1\) and \(1,2\) differ$"):
             TorTable(((1, 2), (3, 1)))
+        # the message names the first differing pair, row by row below the diagonal
+        table = ((1, 2, 3, 4), (2, 1, 5, 6), (3, 7, 1, 9), (4, 6, 8, 1))
+        with pytest.raises(AsymmetricTable, match=r"^entries \(3,2\) and \(2,3\) differ$"):
+            TorTable(table)
+        with pytest.raises(AsymmetricTable, match=r"^entries \(2,1\) and \(1,2\) differ$"):
+            TorTable([[0, 1], [2, 0]])
+        TorTable([[0, 1], [1, 0]])
 
     def test_malformed_rejected(self):
         with pytest.raises(BadParameters):
