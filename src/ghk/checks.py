@@ -167,7 +167,7 @@ def _probe_points(ideal: MonomialIdeal, rng: random.Random, want: int) -> list[P
     return rng.sample(pool, want)
 
 
-_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, about a second of work
+_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, 1.5 to 3 s of work
 
 
 def _box_work(cone: Cone2, w: int, h: int) -> int:
