@@ -16,15 +16,11 @@ from functools import cache
 from typing import Optional
 
 from .checks import run_instance_checks
-from .errors import ContractViolation, GhkError, InputError, UnboundedRegion
+from .errors import BadParameters, ContractViolation, GhkError, InputError, UnboundedRegion
 from .families import ToricInstance, parse_family
 from .fmt import exact_decimal, rational_json
 from .geometry import Cone2
-from .ideals import (
-    is_saturated,
-    new_ideal,
-    torsion_factorization,
-)
+from .ideals import is_saturated, new_ideal, torsion_factorization
 from .invariants import (
     convergence_constant,
     eghk,
@@ -44,7 +40,7 @@ def _load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path} must contain a JSON object")
@@ -118,8 +114,8 @@ def _parse_rational(value, what: str) -> Fraction:
 
 
 def _emit(report: dict, summary: list[str]) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # formatted whole first, so a report that cannot be printed writes nothing
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for line in summary:
         print(line, file=sys.stderr)
 
@@ -401,8 +397,15 @@ def _parser() -> argparse.ArgumentParser:
 def run_command(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # looked up per call, so a command replaced after the first call still runs
-        return globals()["_cmd_" + args.command](args)
+        try:
+            # looked up per call, so a command replaced after the first call still runs
+            return globals()["_cmd_" + args.command](args)
+        except ValueError as exc:
+            # str() of an integer past the interpreter's digit limit, in a report or a message
+            if isinstance(exc, GhkError) or "integer string conversion" not in str(exc):
+                raise
+            digits = sys.get_int_max_str_digits()
+            raise BadParameters(f"a number to print passes the {digits}-digit limit") from None
     except (UnboundedRegion, ContractViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -206,6 +206,11 @@ def pareto_minimal(corners: Iterable[Corner]) -> Staircase:
     return Staircase(tuple(Corner(s, t) for s, t in kept))
 
 
+def _box_points_bound(w: int, h: int, d: int) -> int:
+    # points of a w x h corner box: at most ceil(h / d) per column and ceil(w / d) per row
+    return min(w * -(-h // d), h * -(-w // d))
+
+
 def _require_bounded(threshold: Corner, stair: Staircase) -> None:
     # the region between threshold quadrant and staircase is bounded exactly
     # when the staircase touches both threshold lines

@@ -21,7 +21,7 @@ from .errors import (
     NotMPrimary,
     NotSaturated,
 )
-from .geometry import Corner, count_lattice_band, staircase_complement_area
+from .geometry import Corner, _box_points_bound, count_lattice_band, staircase_complement_area
 from .ideals import (
     MonomialIdeal,
     _gap_count,
@@ -62,12 +62,11 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")
-    # the largest count is at most the lattice points of its gap box, which has
-    # at most ceil(height / det_abs) in a column and ceil(width / det_abs) in a row
-    q, stair, d = p**n_max, ideal.stair, ideal.cone.det_abs
+    # the largest count is at most the lattice points of its gap box
+    q, stair = p**n_max, ideal.stair
     width, height = q * (stair.max_s - stair.min_s), q * (stair.max_t - stair.min_t)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if digits and min(width * -(-height // d), height * -(-width // d)) >= 10**digits:
+    if digits and _box_points_bound(width, height, ideal.cone.det_abs) >= 10**digits:
         raise BadParameters(
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"

@@ -8,6 +8,7 @@ from ghk.checks import lattice_points_in_corner_box, run_instance_checks
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, veronese
 from ghk.geometry import Cone2
+from ghk.ideals import new_ideal
 
 
 def random_box(rng: random.Random, size: int) -> tuple[int, int, int, int]:
@@ -42,6 +43,37 @@ class TestCornerBoxScan:
         for box in ((3, 3, 0, 9), (0, 9, 4, 4), (5, 2, 0, 9), (0, 9, 7, -1)):
             assert lattice_points_in_corner_box(cone, *box) == []
 
+    def test_box_is_the_union_of_its_halves(self):
+        # the oracle scans each boundary strip as one box, the union of its column boxes
+        rng = random.Random(79)
+        for _ in range(300):
+            cone = random_cone(rng, rng.randint(1, 12))
+            s_lo, t_lo = rng.randint(-25, 25), rng.randint(-25, 25)
+            s_hi, t_hi = s_lo + rng.randint(0, 25), t_lo + rng.randint(0, 25)
+            whole = lattice_points_in_corner_box(cone, s_lo, s_hi, t_lo, t_hi)
+            if rng.random() < 0.5:
+                s = rng.randint(s_lo, s_hi)
+                halves = [(s_lo, s, t_lo, t_hi), (s, s_hi, t_lo, t_hi)]
+            else:
+                t = rng.randint(t_lo, t_hi)
+                halves = [(s_lo, s_hi, t_lo, t), (s_lo, s_hi, t, t_hi)]
+            first, second = (lattice_points_in_corner_box(cone, *half) for half in halves)
+            assert sorted(first + second) == whole
+
+    @pytest.mark.parametrize("rays", [((1, 0), (40, 1)), ((0, 1), (1, 40))])
+    def test_each_scan_direction_matches_box_scan(self, rays):
+        cone = Cone2.from_rays(*rays)
+        rng = random.Random(83)
+        directions = set()
+        for _ in range(80):
+            box = random_box(rng, 12)
+            if box[1] > box[0] and box[3] > box[2]:
+                rows, columns = checks._spans(cone, box[1] - box[0], box[3] - box[2])
+                directions.add(rows < columns)
+            assert lattice_points_in_corner_box(cone, *box) == box_scan_points(cone, *box)
+        # rays (1, 0), (40, 1) scan rows for every box, the transpose columns
+        assert directions == {rays[0] == (1, 0)}
+
     def test_matches_box_scan_on_skewed_large_index_cones(self):
         rng = random.Random(71)
         cones = [Cone2.from_rays((1, 0), (1, d)) for d in (1000, 1601, 4099)]
@@ -59,20 +91,36 @@ class TestCornerBoxScan:
 
 class TestVerifyWork:
     def test_estimate_bounds_the_scanned_points(self, monkeypatch):
-        scanned = []
+        bounds, points = [], []
+        scan_line, scan_box = checks._y_bounds, checks.lattice_points_in_corner_box
 
-        def counting(*args):
-            points = lattice_points_in_corner_box(*args)
-            scanned.append(len(points))
-            return points
+        def counting_line(*args):
+            bounds.append(1)
+            return scan_line(*args)
 
-        monkeypatch.setattr(checks, "lattice_points_in_corner_box", counting)
+        def counting_box(*args):
+            found = scan_box(*args)
+            points.append(len(found))
+            return found
+
+        monkeypatch.setattr(checks, "_y_bounds", counting_line)
+        monkeypatch.setattr(checks, "lattice_points_in_corner_box", counting_box)
         rng = random.Random(73)
-        for _ in range(12):
-            ideal = random_ideal(rng, ray_bound=rng.randint(1, 12))
-            scanned.clear()
-            run_instance_checks(ideal)
-            assert len(scanned) + sum(scanned) <= checks._scan_work(ideal, 8)
+        cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(12)]
+        cases += [a_singularity(r, m).ideal for r, m in ((5, 2), (7, 3), (12, 5), (31, 9))]
+        # skewed cones: the first three scan rows, the transposed one columns
+        cases += [
+            new_ideal(Cone2.from_rays((1, 0), (40, 1)), [(7, 0), (43, 1), (120, 3)]),
+            new_ideal(Cone2.from_rays((1, 0), (40, 3)), [(7, 0), (14, 1), (40, 3)]),
+            new_ideal(Cone2.from_rays((1, 0), (10**6, 1)), [(1, 0), (10**6 + 1, 1)]),
+            new_ideal(Cone2.from_rays((0, 1), (1, 40)), [(0, 7), (1, 43), (3, 120)]),
+        ]
+        for ideal in cases:
+            bounds.clear()
+            points.clear()
+            assert all(c.passed for c in run_instance_checks(ideal))
+            # each line walked asks for the y-bounds of both corners
+            assert bounds and len(bounds) // 2 + sum(points) <= checks._scan_work(ideal, 8)
 
     def test_cap_boundary(self, monkeypatch):
         ideal = a_singularity(7, 3).ideal

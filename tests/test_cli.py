@@ -322,7 +322,55 @@ class TestVerifyCommand:
         code, report, err = run_json(capsys, ["verify", "--file", str(path)])
         assert time.perf_counter() - start < 1
         assert (code, report) == (1, None)
-        assert err == "error: verify needs about 176000416 scan steps, over 1000000\n"
+        assert err == "error: verify needs about 112000360 scan steps, over 1000000\n"
+
+
+    def test_skewed_cone_scans_rows(self, capsys, tmp_path):
+        # normals with a large y-component: a column scan would walk millions of empty lines
+        doc = {"cone": {"rays": [[1, 0], [1000000, 1]]}, "generators": [[1, 0], [1000001, 1]]}
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, report, err = run_json(capsys, ["verify", "--file", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["results"]["all_passed"] is True
+        assert err.endswith("input: 10/10 suites passed\n")
+
+
+class TestPrintLimit:
+    """Numbers past the interpreter's int-to-str digit limit are bad input."""
+
+    LIMIT = "error: a number to print passes the 4300-digit limit\n"
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        # the gap area is 10^4400 / 2, a numerator of 4400 digits
+        doc = {"cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[10**2200, 0], [0, 10**2200]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_eghk_exits_1(self, capsys, huge):
+        code = run_command(["eghk", "--file", huge])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", self.LIMIT)
+
+    def test_plot_exits_1_without_writing(self, capsys, huge, tmp_path):
+        svg = tmp_path / "huge.svg"
+        code = run_command(["plot", "--file", huge, "--out", str(svg)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", self.LIMIT)
+        assert not svg.exists()
+
+    def test_long_integer_literal_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "literal.json"
+        literal = "1" * 4400
+        path.write_text('{"cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[%s, 0]]}' % literal)
+        code = run_command(["eghk", "--file", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 class TestDispatch:
