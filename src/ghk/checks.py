@@ -198,7 +198,10 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
 
     Raises BadParameters, before any suite runs, when the suites' box
     scans would visit more than _MAX_VERIFY_WORK lines and points.
-    Each ordinary power the suites build here is built once.
+    Each ordinary power the suites build here is built once.  A suite
+    that raises BadParameters has hit a work cap or the digit cap, not
+    failed its property, so that error ends the run and is re-raised;
+    any other GhkError or failed assertion marks its suite as FAIL.
     """
     work = _scan_work(ideal, probes)
     if work > _MAX_VERIFY_WORK:
@@ -216,6 +219,8 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         try:
             detail = fn()
             results.append(CheckResult(name, True, detail or "ok"))
+        except BadParameters:
+            raise
         except GhkError as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
         except AssertionError as exc:

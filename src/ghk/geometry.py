@@ -11,7 +11,9 @@ every area and every lattice count below be evaluated in closed form.
 Facet coordinates of lattice points fill a sublattice of index det_abs
 in Z^2: column s holds the t with t == tau * s (mod det_abs), so any
 det_abs consecutive columns hold one point per row, and counting the
-points of a rectangle costs O(det_abs) however large it is.
+points of a rectangle takes O(log det_abs) steps however large it is:
+one product for the full blocks of det_abs columns, a floor sum for
+the columns left over.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -239,19 +241,37 @@ def _rectangles(lower: Staircase, upper: Staircase) -> list[tuple[int, int, int,
     return rects
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    # sum of (a * i + b) // m over 0 <= i < n, for m >= 1: Euclid on a and m
+    total = 0
+    while n:
+        total += (a // m) * (n * (n - 1) // 2) + (b // m) * n
+        a, b = a % m, b % m
+        top = a * n + b
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
 def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     """Lattice points whose corners dominate lower but not upper.
 
     normal2 is primitive, so gcd(tau, det_abs) == 1 and any det_abs
     consecutive columns of a rectangle hold exactly hi - lo points.
+    The fewer than det_abs columns left over are counted one at a time
+    when there are at most det_abs.bit_length() of them, and otherwise
+    by two floor sums, one per horizontal side, in O(log det_abs) steps.
     """
     _, tau = cone.column_data()
     step = cone.det_abs
     total = 0
     for a, b, lo, hi in _rectangles(lower, upper):
-        if b - a >= step:
-            total += (b - a) // step * (hi - lo)
-            a = b - (b - a) % step
+        full, rest = divmod(b - a, step)
+        total += full * (hi - lo)
+        a = b - rest
+        if rest > step.bit_length():
+            total += _floor_sum(rest, step, -tau, hi - 1 - tau * a)
+            total -= _floor_sum(rest, step, -tau, lo - 1 - tau * a)
+            continue
         while a < b:
             total += (hi - 1 - tau * a) // step - (lo - 1 - tau * a) // step
             a += 1

@@ -166,7 +166,9 @@ def fit_quasi_polynomial(
     reproduce the last verify_window entries of the class; otherwise
     NoStabilization reports the failing class.  The per-class onset is
     the least n from which the fit reproduces every entry.  Requires
-    len(seq) >= 7 * period so each class has enough entries.
+    len(seq) >= 7 * period so each class has enough entries.  Both checks
+    read the class's integer third differences, which vanish exactly
+    where equally spaced entries lie on one quadratic.
     """
     if period < 1:
         raise BadParameters("period must be a positive integer")
@@ -178,21 +180,17 @@ def fit_quasi_polynomial(
         )
     classes = []
     for residue in range(period):
-        pts = [(n, seq[n]) for n in range(len(seq)) if n % period == residue]
-        coeffs = _quadratic_through(pts[-3:])
-        fit = ClassFit(residue, coeffs, pts[0][0])
-        window = pts[-verify_window:]
-        if any(fit.evaluate(n) != v for n, v in window):
+        ns, vals = range(residue, len(seq), period), seq[residue::period]
+        quads = zip(vals, vals[1:], vals[2:], vals[3:])
+        third = [d - 3 * c + 3 * b - a for a, b, c, d in quads]
+        if any(third[max(0, len(third) + 3 - verify_window):]):
             raise NoStabilization(
                 f"residue class {residue} does not match its quadratic "
                 f"on the last {verify_window} entries"
             )
-        onset = pts[-1][0]
-        for n, v in reversed(pts):
-            if fit.evaluate(n) != v:
-                break
-            onset = n
-        classes.append(ClassFit(residue, coeffs, onset))
+        coeffs = _quadratic_through(list(zip(ns[-3:], vals[-3:])))
+        start = max((k + 1 for k, d in enumerate(third) if d), default=0)
+        classes.append(ClassFit(residue, coeffs, ns[start]))
     return QuasiPolynomial(period, tuple(classes))
 
 

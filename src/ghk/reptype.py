@@ -11,7 +11,9 @@ min(i, j, r - i, r - j) and equal limit weights 1 / r.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 from .errors import AsymmetricTable, BadParameters, DimensionMismatch
@@ -66,10 +68,10 @@ def eghk_from_type(
     """Pair module multiplicities with limit weights through a Tor table.
 
     Returns sum over i, j of multiplicities[i] * weights[j] * table(i, j)
-    as an exact rational.
+    as an exact rational, summed in integers over the weights' least
+    common denominator.
     """
-    u = list(multiplicities)
-    v = [Fraction(w) for w in weights]
+    u, v = list(multiplicities), list(weights)
     if len(u) != table.dim or len(v) != table.dim:
         raise DimensionMismatch(
             f"table is {table.dim}x{table.dim} but got {len(u)} multiplicities "
@@ -79,13 +81,12 @@ def eghk_from_type(
         raise BadParameters("module multiplicities must be nonnegative")
     if any(w < 0 for w in v):
         raise BadParameters("limit weights must be nonnegative")
-    total = Fraction(0)
-    for i, ui in enumerate(u, start=1):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v, start=1):
-            total += ui * vj * table.entry(i, j)
-    return total
+    den = 1
+    for w in v:
+        den *= w.denominator // gcd(den, w.denominator)
+    scaled = [w.numerator * (den // w.denominator) for w in v]
+    total = sum(ui * sum(map(mul, scaled, row)) for ui, row in zip(u, table.entries) if ui)
+    return Fraction(total, den)
 
 
 def eghk_a(r: int, multiplicities: Sequence[int]) -> Fraction:

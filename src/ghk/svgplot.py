@@ -58,16 +58,51 @@ def _staircase_boundary(stair: Staircase) -> list[Corner]:
     return pts
 
 
+def _gap_rectangles(stair: Staircase) -> list[tuple[int, int, int, int]]:
+    # the cells between the staircase and the quadrant at its minima, which hold the gap dots
+    return _rectangles(Staircase((Corner(stair.min_s, stair.min_t),)), stair)
+
+
 def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:
-    # the dot count needs only the bracket power, so a picture over the cap
-    # is refused before the far costlier ordinary power is built
+    """The q_mark-th ordinary power, once the picture is known to be drawable.
+
+    The dot count needs only the bracket power, so a picture with more
+    than _MAX_GAP_DOTS gap dots is refused before the far costlier
+    ordinary power is built.  Placing the dots walks each gap rectangle
+    along its shorter side, so a picture whose rectangles take more
+    than _MAX_GAP_DOTS such lines is refused too.  Both raise
+    BadParameters.
+    """
     if q_mark is not None and q_mark < 1:
         raise BadParameters("q_mark must be a positive integer")
     q = q_mark or 1
-    dots = _gap_count(frobenius_power(ideal, q))
+    frob = frobenius_power(ideal, q)
+    dots = _gap_count(frob)
     if dots > _MAX_GAP_DOTS:
         raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
+    lines = sum(min(b - a, hi - lo) for a, b, lo, hi in _gap_rectangles(frob.stair))
+    if lines > _MAX_GAP_DOTS:
+        raise BadParameters(
+            f"q_mark {q} would walk {lines} lines to place its gap dots, over {_MAX_GAP_DOTS}"
+        )
     return ordinary_power(ideal, q)
+
+
+def _gap_dots(rect: tuple[int, int, int, int], tau: int, step: int) -> list[tuple[int, int]]:
+    """The lattice corners (s, t) in [a, b) x [lo, hi), s ascending, then t ascending.
+
+    Column s holds the t == tau * s (mod step).  A rectangle with fewer
+    rows than columns is walked row by row instead, row t holding the
+    s == tau^-1 * t (mod step), and its dots are sorted back into
+    column order.
+    """
+    a, b, lo, hi = rect
+    if hi - lo < b - a:
+        inv = pow(tau, -1, step)
+        return sorted(
+            (s, t) for t in range(lo, hi) for s in range(a + (inv * t - a) % step, b, step)
+        )
+    return [(s, t) for s in range(a, b) for t in range(lo + (tau * s - lo) % step, hi, step)]
 
 
 def render_region_svg(
@@ -82,9 +117,10 @@ def render_region_svg(
     outside the q-th ordinary power, green the band between the two
     staircases, and the dots mark the exact lattice points behind the
     gap count.  Without q_mark it is the base picture (q = 1).  Raises
-    BadParameters when there would be more than _MAX_GAP_DOTS dots.
-    power is the q-th ordinary power when the caller has already built
-    it through _capped_power, which checks the dot cap first.
+    BadParameters when there would be more than _MAX_GAP_DOTS dots, or
+    more than _MAX_GAP_DOTS lines to walk to place them.  power is the
+    q-th ordinary power when the caller has already built it through
+    _capped_power, which checks both caps first.
     """
     if power is None:
         power = _capped_power(ideal, q_mark)
@@ -133,13 +169,12 @@ def render_region_svg(
         )
 
     _, tau = cone.column_data()
-    for a, b, low, high in _rectangles(Staircase((threshold,)), coarse):
-        for s in range(a, b):
-            for t in range(low + (tau * s - low) % step, high, step):
-                x, y = to_svg(s, t)
-                parts.append(
-                    f'<circle class="gap-dot" cx="{x}" cy="{y}" r="{radius}" fill="#111111"/>'
-                )
+    for rect in _gap_rectangles(coarse):
+        for s, t in _gap_dots(rect, tau, step):
+            x, y = to_svg(s, t)
+            parts.append(
+                f'<circle class="gap-dot" cx="{x}" cy="{y}" r="{radius}" fill="#111111"/>'
+            )
 
     span_pts = [to_svg(0, 0), to_svg(s_end, 0), to_svg(0, t_end), to_svg(s_end, t_end)]
     margin = 2 * step * q

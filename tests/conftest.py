@@ -5,6 +5,8 @@ different routes than the library (bounding-box scans in the ambient
 plane, shoelace sums over explicit polygons, one arithmetic progression
 per column, and a Euclid-like floor sum per staircase step), so
 agreement is a real two-sided check and not an arithmetic identity.
+The fit and pairing oracles evaluate in Fractions term by term, where
+the library works in integers and builds one rational at the end.
 """
 
 import random
@@ -13,9 +15,15 @@ from itertools import combinations_with_replacement
 from math import ceil, floor
 
 from ghk.checks import lattice_points_in_corner_box
-from ghk.errors import CollinearRays
+from ghk.errors import (
+    BadParameters,
+    CollinearRays,
+    DimensionMismatch,
+    NoStabilization,
+)
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
 from ghk.ideals import MonomialIdeal, new_ideal
+from ghk.invariants import ClassFit, QuasiPolynomial, _quadratic_through
 
 
 def box_scan_points(cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> list:
@@ -201,3 +209,66 @@ def random_staircase(rng: random.Random, max_corners: int = 5, spread: int = 10)
 def grounded(stair: Staircase) -> tuple[Corner, Staircase]:
     """A threshold meeting the staircase, for bounded-region tests."""
     return Corner(stair.min_s, stair.min_t), stair
+
+
+def fit_oracle(seq, period: int, verify_window: int = 5) -> QuasiPolynomial:
+    """Fit oracle: each class's quadratic evaluated in Fractions at every entry.
+
+    Interpolates through the last three entries of a class, checks the
+    last verify_window entries, then walks back from the last entry
+    while the quadratic still matches to find the onset.  Raises the
+    same exceptions, with the same messages, as fit_quasi_polynomial.
+    """
+    if period < 1:
+        raise BadParameters("period must be a positive integer")
+    if verify_window < 3:
+        raise BadParameters("verify window must be at least 3")
+    if len(seq) < 7 * period:
+        raise BadParameters(
+            f"need at least {7 * period} entries to fit period {period}"
+        )
+    classes = []
+    for residue in range(period):
+        pts = [(n, seq[n]) for n in range(len(seq)) if n % period == residue]
+        coeffs = _quadratic_through(pts[-3:])
+        fit = ClassFit(residue, coeffs, pts[0][0])
+        if any(fit.evaluate(n) != v for n, v in pts[-verify_window:]):
+            raise NoStabilization(
+                f"residue class {residue} does not match its quadratic "
+                f"on the last {verify_window} entries"
+            )
+        onset = pts[-1][0]
+        for n, v in reversed(pts):
+            if fit.evaluate(n) != v:
+                break
+            onset = n
+        classes.append(ClassFit(residue, coeffs, onset))
+    return QuasiPolynomial(period, tuple(classes))
+
+
+def pairing_oracle(multiplicities, weights, table) -> Fraction:
+    """Pairing oracle: the double sum of u_i * w_j * T(i, j), one Fraction term at a time."""
+    u = list(multiplicities)
+    v = [Fraction(w) for w in weights]
+    if len(u) != table.dim or len(v) != table.dim:
+        raise DimensionMismatch(
+            f"table is {table.dim}x{table.dim} but got {len(u)} multiplicities "
+            f"and {len(v)} weights"
+        )
+    if any(x < 0 for x in u):
+        raise BadParameters("module multiplicities must be nonnegative")
+    if any(w < 0 for w in v):
+        raise BadParameters("limit weights must be nonnegative")
+    total = Fraction(0)
+    for i, ui in enumerate(u, start=1):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v, start=1):
+            total += ui * vj * table.entry(i, j)
+    return total
+
+
+def column_walk_dots(rect, tau: int, step: int) -> list:
+    """Dot oracle: the lattice corners of a rectangle, one column at a time."""
+    a, b, lo, hi = rect
+    return [(s, t) for s in range(a, b) for t in range(lo + (tau * s - lo) % step, hi, step)]

@@ -1,0 +1,86 @@
+"""Inputs whose work once grew with det_abs, the table size or a power's DP.
+
+Each runs as its own `python -m ghk` process and must finish in under
+2 s with its stated exit code and result: the counts take a floor sum
+over leftover columns, the plot walks the shorter side of each gap
+rectangle and refuses too many lines, the pairing sums in integers, and
+verify refuses when a suite hits a work cap.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+D = 10**12
+# det_abs 10^12 and one gap rectangle 10^12 - 1 columns wide, all of them left over
+TALL = {"cone": {"rays": [[1, 0], [1, D]]}, "generators": [[1, 0], [1, D - 1]]}
+# det_abs 100000 and a gap rectangle one row high, 99900001 columns wide, 999 dots
+WIDE = {
+    "cone": {"rays": [[1, 0], [1, 100000]]},
+    "generators": [[1, 99998], [1, 99999], [1000, 100000000]],
+}
+# one gap rectangle 10^7 lines long on both sides, holding 99 dots
+LONG = {
+    "cone": {"rays": [[1, 0], [1000001, D]]},
+    "generators": [[999991, 999990000000], [1000001, D]],
+}
+E_GHK = "999999999998000000000001/1000000000000"
+
+
+def run_ghk(tmp_path, argv, doc=None):
+    if doc is not None:
+        (tmp_path / "input.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--file", "input.json"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghk", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = perf_counter() - start
+    assert elapsed < 2, f"{argv} took {elapsed:.2f} s"
+    return proc
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["eghk"], "eghk"), (["function", "--prime", "2", "--max-n", "10"], "limit")],
+    ids=["eghk", "function"],
+)
+def test_count_over_a_huge_index(tmp_path, argv, key):
+    proc = run_ghk(tmp_path, argv, TALL)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"][key]["rational"] == E_GHK
+
+
+def test_plot_of_a_wide_gap_rectangle(tmp_path):
+    proc = run_ghk(tmp_path, ["plot", "--out", "wide.svg"], WIDE)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "wide.svg").read_text().count('class="gap-dot"') == 999
+
+
+def test_plot_long_on_both_sides_is_refused(tmp_path):
+    proc = run_ghk(tmp_path, ["plot", "--out", "long.svg"], LONG)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "would walk 10000000 lines" in proc.stderr
+    assert not (tmp_path / "long.svg").exists()
+
+
+def test_reptype_at_the_largest_index(tmp_path):
+    proc = run_ghk(tmp_path, ["reptype", "--r", "1000", "--u", ",".join(["1"] * 999)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["eghk"]["rational"] == "333333/2"
+
+
+def test_verify_refuses_a_power_over_the_cap(tmp_path):
+    proc = run_ghk(tmp_path, ["verify", "--family", "veronese:600,7"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "power 600 needs about 3819900 DP steps" in proc.stderr

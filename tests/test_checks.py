@@ -131,6 +131,11 @@ class TestVerifyWork:
         with pytest.raises(BadParameters, match=f"verify needs about {work} scan steps"):
             run_instance_checks(ideal)
 
+    def test_cap_inside_a_suite_refuses_the_run(self):
+        # the scans fit the cap, but the torsion power of order 600 is over the DP cap
+        with pytest.raises(BadParameters, match="power 600 needs about 3819900 DP steps"):
+            run_instance_checks(veronese(600, 7).ideal)
+
     def test_each_power_built_once(self, monkeypatch):
         calls = []
         original = ideals.ordinary_power

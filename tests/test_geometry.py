@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
+    _floor_sum,
+    _rectangles,
     count_lattice_band,
     count_lattice_complement,
     dot,
@@ -29,14 +32,16 @@ from ghk.geometry import (
 )
 
 
-def scaled_pair(rng: random.Random, q: int):
+def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
     """A random cone, threshold and nested staircases fine >= coarse at scale q.
 
     coarse is a random staircase scaled by q.  fine adds corners below it,
     some anywhere in the box and some one to three columns right of a
     coarse corner, so its steps are both narrower and wider than det_abs.
+    The cone is random unless one is given.
     """
-    cone = random_cone(rng, rng.randint(1, 12))
+    if cone is None:
+        cone = random_cone(rng, rng.randint(1, 12))
     threshold, coarse = grounded(random_staircase(rng, max_corners=8).scale(q))
     extra = []
     for _ in range(rng.randint(0, 4)):
@@ -271,6 +276,37 @@ class TestCount:
                 assert count_lattice_complement(cone, threshold, stair) == outside[stair]
             band = count_lattice_band(cone, threshold, fine, coarse)
             assert band == outside[coarse] - outside[fine]
+
+    def test_floor_sum_matches_plain_sum(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            n, m = rng.randint(0, 300), rng.randint(1, 10**4)
+            a, b = rng.randint(-(10**5), 10**5), rng.randint(-(10**9), 10**9)
+            assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    def test_kernel_matches_column_oracle_on_wide_leftovers(self):
+        # det_abs up to 10^4 and steps about as wide, so most rectangles leave
+        # more columns over than det_abs has bits and take the floor sum
+        rng = random.Random(49)
+        wide = 0
+        for _ in range(60):
+            d = rng.randint(2, 10**4)
+            k = rng.randint(-d, d)
+            while gcd(k, d) != 1:
+                k = rng.randint(-d, d)
+            cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
+            assert cone.det_abs == d
+            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(1, d // 2 + 1), cone)
+            for stair in (fine, coarse):
+                assert count_lattice_complement(
+                    cone, threshold, stair
+                ) == column_count_complement(cone, threshold, stair)
+            assert count_lattice_band(
+                cone, threshold, fine, coarse
+            ) == column_count_band(cone, threshold, fine, coarse)
+            rects = _rectangles(fine, coarse) + _rectangles(Staircase((threshold,)), coarse)
+            wide += any((b - a) % d > d.bit_length() for a, b, _, _ in rects)
+        assert wide >= 30
 
     def test_box_count_unit_lattice(self):
         stair = pareto_minimal([Corner(2, 0), Corner(0, 3)])

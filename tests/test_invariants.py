@@ -6,7 +6,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import brute_count_complement, floor_sum_count_complement, random_ideal
+from conftest import brute_count_complement, fit_oracle, floor_sum_count_complement, random_ideal
 from ghk.errors import (
     BadParameters,
     NoStabilization,
@@ -255,6 +255,34 @@ class TestQuasiPolynomial:
             fit_quasi_polynomial([0] * 8, 0)
         with pytest.raises(BadParameters):
             fit_quasi_polynomial([0] * 8, 1, verify_window=2)
+
+    def test_fit_matches_oracle(self):
+        # quasi-polynomials with +-1 perturbations: some classes settle late,
+        # some fail their window, and every window up to past the class length
+        def outcome(fit, seq, period, window):
+            try:
+                return fit(seq, period, window)
+            except (BadParameters, NoStabilization) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(53)
+        kinds = set()
+        for _ in range(250):
+            period = rng.randint(1, 4)
+            length = rng.randint(7 * period - 1, 12 * period)
+            coeffs = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(period)]
+            seq = []
+            for n in range(length):
+                c2, c1, c0 = coeffs[n % period]
+                seq.append(c2 * n * (n - 1) // 2 + c1 * n + c0)
+            for _ in range(rng.randint(0, 3)):
+                seq[rng.randrange(length)] += rng.choice((-1, 1))
+            for window in range(3, -(-length // period) + 3):
+                got = outcome(fit_quasi_polynomial, seq, period, window)
+                assert got == outcome(fit_oracle, seq, period, window)
+                # a fit settles late when some class starts past its first entry
+                kinds.add(got.onset >= period if hasattr(got, "onset") else got[0])
+        assert kinds == {BadParameters, NoStabilization, False, True}
 
     def test_leading_matches_newton_prediction(self):
         for instance in (veronese(3, 1), a_singularity(3, 1), a_singularity(4, 1)):

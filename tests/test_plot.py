@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -6,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 import ghk.ideals
+from conftest import column_walk_dots, random_ideal
 from ghk import svgplot
 from ghk.cli import run_command
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, parse_family, veronese
+from ghk.geometry import Cone2
+from ghk.ideals import new_ideal
 from ghk.svgplot import render_region_svg
 
 POLYGON = re.compile(r'<polygon class="([a-z-]+)"[^>]*points="([^"]+)"')
@@ -82,6 +86,22 @@ class TestRenderedRegions:
         assert first.startswith("<svg")
         assert 'data-power-scale="3"' in first
 
+    def test_row_walk_draws_the_column_walk_svg(self, monkeypatch):
+        # short wide gap rectangles are walked by rows, the others by columns
+        rng = random.Random(61)
+        wide = new_ideal(Cone2.from_rays((1, 0), (1, 1000)), [(1, 998), (1, 999), (10, 10**4)])
+        cases = [(wide, None), (a_singularity(5, 2).ideal, 3), (veronese(9, 7).ideal, 5)]
+        cases += [(random_ideal(rng, ray_bound=9), rng.choice((None, 2, 3))) for _ in range(30)]
+        walks = set()
+        for ideal, q in cases:
+            svg = render_region_svg(ideal, q_mark=q)
+            for a, b, lo, hi in svgplot._gap_rectangles(ideal.stair.scale(q or 1)):
+                walks.add("rows" if hi - lo < b - a else "columns")
+            with monkeypatch.context() as m:
+                m.setattr(svgplot, "_gap_dots", column_walk_dots)
+                assert render_region_svg(ideal, q_mark=q) == svg
+        assert walks == {"rows", "columns"}
+        assert circles(render_region_svg(wide))["gap-dot"] == 9
 
     def test_dot_cap_is_exact(self, monkeypatch):
         ideal = a_singularity(5, 2).ideal

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairing_oracle
 from ghk.errors import AsymmetricTable, BadParameters, DimensionMismatch
 from ghk.reptype import TorTable, a_tor_table, eghk_a, eghk_from_type
 
@@ -84,6 +86,28 @@ class TestPairing:
     def test_accepts_integer_weights(self):
         table = a_tor_table(3)
         assert eghk_from_type([1, 1], [1, 1], table) == 4
+
+    def test_pairing_matches_oracle(self):
+        # random symmetric tables, zero rows, integer weights and mixed denominators
+        rng = random.Random(59)
+        for _ in range(200):
+            dim = rng.randint(1, 9)
+            rows = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = rng.randint(0, 9)
+            table = TorTable(tuple(map(tuple, rows)))
+            u = [rng.choice((0, rng.randint(0, 9))) for _ in range(dim)]
+            v = [
+                rng.choice((rng.randint(0, 3), Fraction(rng.randint(0, 30), rng.randint(1, 24))))
+                for _ in range(dim)
+            ]
+            value = eghk_from_type(u, v, table)
+            assert type(value) is Fraction and value == pairing_oracle(u, v, table)
+        for r in (2, 7, 60):
+            u = [rng.randint(0, 3) for _ in range(r - 1)]
+            weights = [Fraction(1, r)] * (r - 1)
+            assert eghk_a(r, u) == pairing_oracle(u, weights, a_tor_table(r))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
