@@ -26,6 +26,7 @@ from .errors import BadParameters, GhkError
 from .geometry import Cone2, Point, _box_points_bound
 from .ideals import (
     MonomialIdeal,
+    _PowerWorkCap,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -199,9 +200,10 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
     Raises BadParameters, before any suite runs, when the suites' box
     scans would visit more than _MAX_VERIFY_WORK lines and points.
     Each ordinary power the suites build here is built once.  A suite
-    that raises BadParameters has hit a work cap or the digit cap, not
-    failed its property, so that error ends the run and is re-raised;
-    any other GhkError or failed assertion marks its suite as FAIL.
+    whose power DP passes the ideals module's work cap has not failed
+    its property, so that BadParameters ends the run and is re-raised;
+    any other GhkError (other BadParameters included) or failed
+    assertion marks its suite as FAIL.
     """
     work = _scan_work(ideal, probes)
     if work > _MAX_VERIFY_WORK:
@@ -219,7 +221,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         try:
             detail = fn()
             results.append(CheckResult(name, True, detail or "ok"))
-        except BadParameters:
+        except _PowerWorkCap:
             raise
         except GhkError as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

@@ -260,6 +260,9 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     The fewer than det_abs columns left over are counted one at a time
     when there are at most det_abs.bit_length() of them, and otherwise
     by two floor sums, one per horizontal side, in O(log det_abs) steps.
+    The loop stays for the narrow leftovers that ordinary-power staircases
+    are made of: there two floor sums per rectangle cost about 3.5 times
+    as much as the few columns they replace.
     """
     _, tau = cone.column_data()
     step = cone.det_abs

@@ -110,6 +110,10 @@ def frobenius_power(ideal: MonomialIdeal, q: int) -> MonomialIdeal:
 _MAX_POWER_WORK = 1_000_000  # steps of the power DP, about a second of work
 
 
+class _PowerWorkCap(BadParameters):
+    """The refusal of a power DP over _MAX_POWER_WORK steps."""
+
+
 def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
 
@@ -127,7 +131,7 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
     if work > _MAX_POWER_WORK:
-        raise BadParameters(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
+        raise _PowerWorkCap(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
     levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
     for gs, gt in corners:
         for k in range(1, n + 1):

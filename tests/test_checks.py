@@ -136,6 +136,19 @@ class TestVerifyWork:
         with pytest.raises(BadParameters, match="power 600 needs about 3819900 DP steps"):
             run_instance_checks(veronese(600, 7).ideal)
 
+    def test_other_bad_parameters_inside_a_suite_fail_that_suite(self, monkeypatch):
+        # a suite that passes a bad argument has failed; only the DP cap refuses the run
+        monkeypatch.setattr(
+            checks, "torsion_factorization",
+            lambda ideal: ideals.torsion_factorization(ideal, max_order=0),
+        )
+        results = run_instance_checks(veronese(9, 7).ideal)
+        failed = [(c.name, c.detail) for c in results if not c.passed]
+        assert failed == [
+            ("torsion-roundtrip", "BadParameters: max_order must be a positive integer")
+        ]
+        assert len(results) == 10
+
     def test_each_power_built_once(self, monkeypatch):
         calls = []
         original = ideals.ordinary_power
