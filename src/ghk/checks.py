@@ -198,24 +198,18 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
     """Run every library invariant suite against one ideal.
 
     Raises BadParameters, before any suite runs, when the suites' box
-    scans would visit more than _MAX_VERIFY_WORK lines and points.
-    Each ordinary power the suites build here is built once.  A suite
-    whose power DP passes the ideals module's work cap has not failed
-    its property, so that BadParameters ends the run and is re-raised;
-    any other GhkError (other BadParameters included) or failed
-    assertion marks its suite as FAIL.
+    scans would visit more than _MAX_VERIFY_WORK lines and points.  The
+    suites share the powers the ideal keeps, so each is built once.  A
+    suite whose power DP passes the ideals module's work cap has not
+    failed its property, so that BadParameters ends the run and is
+    re-raised; any other GhkError (other BadParameters included) or
+    failed assertion marks its suite as FAIL.
     """
     work = _scan_work(ideal, probes)
     if work > _MAX_VERIFY_WORK:
         raise BadParameters(f"verify needs about {work} scan steps, over {_MAX_VERIFY_WORK}")
     rng = random.Random(2026)
     results: list[CheckResult] = []
-    powers: dict[int, MonomialIdeal] = {}
-
-    def power(n: int) -> MonomialIdeal:
-        if n not in powers:
-            powers[n] = ordinary_power(ideal, n)
-        return powers[n]
 
     def record(name: str, fn) -> None:
         try:
@@ -239,13 +233,13 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
 
     def ordinary_thresholds() -> str:
         for n in (2, 3):
-            assert power(n).thresholds == (n * c1, n * c2), f"n={n}"
+            assert ordinary_power(ideal, n).thresholds == (n * c1, n * c2), f"n={n}"
         return "n = 2, 3"
 
     def membership_chain() -> str:
         q = 3
         frob = frobenius_power(ideal, q)
-        ordn = power(q)
+        ordn = ordinary_power(ideal, q)
         pts = [tuple(g) for g in frob.gens] + _probe_points(frob, rng, probes)
         checked = 0
         for p in pts:
@@ -308,7 +302,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         if not is_saturated(ideal):
             return "skipped: ideal is not saturated"
         fact = torsion_factorization(ideal)
-        rebuilt = power(fact.order)
+        rebuilt = ordinary_power(ideal, fact.order)
         shifted = sorted((x + fact.shift[0], y + fact.shift[1]) for x, y in fact.primary.gens)
         assert shifted == sorted(rebuilt.gens), "shift does not rebuild the power"
         newton_multiplicity(fact.primary)

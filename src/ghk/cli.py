@@ -20,7 +20,7 @@ from .errors import BadParameters, ContractViolation, GhkError, InputError, Unbo
 from .families import ToricInstance, parse_family
 from .fmt import exact_decimal, rational_json
 from .geometry import Cone2
-from .ideals import is_saturated, new_ideal, torsion_factorization
+from .ideals import is_saturated, new_ideal, ordinary_power, torsion_factorization
 from .invariants import (
     convergence_constant,
     eghk,
@@ -31,7 +31,7 @@ from .invariants import (
     newton_multiplicity,
 )
 from .reptype import TorTable, a_tor_table, eghk_from_type
-from .svgplot import _capped_power, render_region_svg
+from .svgplot import render_region_svg
 
 
 def _load_document(path: str) -> dict:
@@ -311,8 +311,7 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     instance, echo = _toric_instance(args)
     ideal = instance.ideal
-    power = _capped_power(ideal, args.q_mark)
-    svg = render_region_svg(ideal, args.q_mark, power)
+    svg = render_region_svg(ideal, args.q_mark)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -320,7 +319,7 @@ def _cmd_plot(args) -> int:
         raise InputError(f"cannot write {args.out}: {exc}") from None
     q = args.q_mark or 1
     total = eghk(ideal)
-    ordinary = eghk(power) / (q * q)
+    ordinary = eghk(ordinary_power(ideal, q)) / (q * q)
     results = {
         "out": args.out,
         "power_scale": q,

@@ -7,7 +7,8 @@ dominate that staircase (corner domination and monomial divisibility
 agree).  The corner map is linear and injective, so the generators as
 lattice points are a derived view, and sums of generators are sums of
 corners: bracket powers, ordinary powers, saturation and torsion
-shifts are all built on corners alone.
+shifts are all built on corners alone.  Each ideal object keeps the
+ordinary powers built of it, so each is built once; no state is global.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -72,6 +73,10 @@ class MonomialIdeal:
     @cached_property
     def gens(self) -> tuple[Point, ...]:
         return tuple(self.cone.preimage(c) for c in self.stair.corners)
+
+    @cached_property
+    def _powers(self) -> dict[int, "MonomialIdeal"]:
+        return {}  # ordinary powers by n >= 2: the ideal under 1 would be a cycle
 
     @property
     def thresholds(self) -> Thresholds:
@@ -149,21 +154,27 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     for it.  The cost is polynomial in n (about s * n^2 * W for s
     generators and staircase width W) where enumerating the
     C(n + s - 1, s - 1) multisets is not; a DP above _MAX_POWER_WORK
-    steps raises BadParameters before it starts.  n = 1 returns the ideal
-    itself and a principal ideal is scaled in O(1).  Use power_chain
-    for all powers 1 .. n at once.
+    steps raises BadParameters before it starts and stores nothing.
+    n = 1 returns the ideal itself, a principal ideal is scaled in O(1),
+    and each power is built once per ideal object and kept on it (a kept
+    ideal keeps its powers).  Use power_chain for all powers 1 .. n.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
     if n == 1:
         return ideal
+    power = ideal._powers.get(n)
+    if power is None:
+        power = ideal._powers[n] = _build_power(ideal, n)
+    return power
+
+
+def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if len(ideal.stair.corners) == 1:
         return MonomialIdeal(ideal.cone, ideal.stair.scale(n))
     *rest, (last_s, last_t) = ideal.stair.corners
     levels = _power_levels(rest, n)
-    sums = [
-        (s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]
-    ]
+    sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
     return MonomialIdeal(ideal.cone, pareto_minimal(sums))
 
 
@@ -172,15 +183,17 @@ def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
 
     Folding every generator through _power_levels leaves level k equal
     to the k-th power's staircase, so the whole chain costs about as
-    much as ordinary_power(ideal, n_max) alone.  Raises BadParameters
-    for n_max < 1 and above the DP's work cap.
+    much as ordinary_power(ideal, n_max) alone.  Entry k - 1 is
+    ordinary_power(ideal, k): new powers go into the ideal's store.
+    Raises BadParameters for n_max < 1 and above the DP's work cap.
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
     levels = _power_levels(ideal.stair.corners, n_max)
-    return [
-        MonomialIdeal(ideal.cone, Staircase(tuple(Corner(s, t) for s, t in level)))
-        for level in levels[1:]
+    stairs = (Staircase(tuple(Corner(s, t) for s, t in level)) for level in levels[2:])
+    store = ideal._powers
+    return [ideal] + [
+        store.setdefault(k, MonomialIdeal(ideal.cone, stair)) for k, stair in enumerate(stairs, 2)
     ]
 
 

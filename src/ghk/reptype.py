@@ -52,12 +52,12 @@ def a_tor_table(r: int) -> TorTable:
         raise BadParameters("index r must be at least 2")
     if r > 1000:
         raise BadParameters(f"index r = {r} is over 1000")
-    return TorTable(
-        tuple(
-            tuple(min(i, j, r - i, r - j) for j in range(1, r))
-            for i in range(1, r)
-        )
-    )
+    rows = []
+    for i in range(1, r):
+        # min(j, r - j, m) for j = 1 .. r - 1: a rise, a run of m, a fall
+        m = min(i, r - i)
+        rows.append((*range(1, m), *(m,) * (r - 2 * m + 1), *range(m - 1, 0, -1)))
+    return TorTable(tuple(rows))
 
 
 def eghk_from_type(

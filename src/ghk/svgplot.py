@@ -71,7 +71,7 @@ def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:
     ordinary power is built.  Placing the dots walks each gap rectangle
     along its shorter side, so a picture whose rectangles take more
     than _MAX_GAP_DOTS such lines is refused too.  Both raise
-    BadParameters.
+    BadParameters.  The ideal keeps the power it returns.
     """
     if q_mark is not None and q_mark < 1:
         raise BadParameters("q_mark must be a positive integer")
@@ -105,11 +105,7 @@ def _gap_dots(rect: tuple[int, int, int, int], tau: int, step: int) -> list[tupl
     return [(s, t) for s in range(a, b) for t in range(lo + (tau * s - lo) % step, hi, step)]
 
 
-def render_region_svg(
-    ideal: MonomialIdeal,
-    q_mark: Optional[int] = None,
-    power: Optional[MonomialIdeal] = None,
-) -> str:
+def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str:
     """Render the region picture, optionally at the q-th bracket power.
 
     With q_mark the whole figure is the q-scaled one: gray shows the
@@ -118,12 +114,10 @@ def render_region_svg(
     staircases, and the dots mark the exact lattice points behind the
     gap count.  Without q_mark it is the base picture (q = 1).  Raises
     BadParameters when there would be more than _MAX_GAP_DOTS dots, or
-    more than _MAX_GAP_DOTS lines to walk to place them.  power is the
-    q-th ordinary power when the caller has already built it through
-    _capped_power, which checks both caps first.
+    more than _MAX_GAP_DOTS lines to walk to place them, before the
+    q-th ordinary power is built; the ideal then keeps that power.
     """
-    if power is None:
-        power = _capped_power(ideal, q_mark)
+    fine = _capped_power(ideal, q_mark).stair
     q = q_mark or 1
     cone = ideal.cone
     step = cone.det_abs
@@ -131,7 +125,6 @@ def render_region_svg(
 
     coarse = ideal.stair.scale(q)
     threshold = Corner(coarse.min_s, coarse.min_t)
-    fine = power.stair
 
     pad = 2 * q + step
     s_end = coarse.max_s + pad

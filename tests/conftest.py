@@ -246,6 +246,11 @@ def fit_oracle(seq, period: int, verify_window: int = 5) -> QuasiPolynomial:
     return QuasiPolynomial(period, tuple(classes))
 
 
+def tor_table_oracle(r: int) -> tuple[tuple[int, ...], ...]:
+    """Type A Tor table oracle: min(i, j, r - i, r - j) entry by entry."""
+    return tuple(tuple(min(i, j, r - i, r - j) for j in range(1, r)) for i in range(1, r))
+
+
 def pairing_oracle(multiplicities, weights, table) -> Fraction:
     """Pairing oracle: the double sum of u_i * w_j * T(i, j), one Fraction term at a time."""
     u = list(multiplicities)

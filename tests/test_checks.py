@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import box_scan_points, random_cone, random_ideal
-from ghk import checks, ideals, invariants
+from ghk import checks, ideals
 from ghk.checks import lattice_points_in_corner_box, run_instance_checks
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, veronese
@@ -151,15 +151,14 @@ class TestVerifyWork:
 
     def test_each_power_built_once(self, monkeypatch):
         calls = []
-        original = ideals.ordinary_power
+        original = ideals._power_levels
 
-        def recording(ideal, n):
+        def recording(corners, n):
             calls.append(n)
-            return original(ideal, n)
+            return original(corners, n)
 
-        for module in (ideals, invariants, checks):
-            monkeypatch.setattr(module, "ordinary_power", recording)
+        monkeypatch.setattr(ideals, "_power_levels", recording)
         run_instance_checks(veronese(9, 7).ideal)
-        # n = 2, 3 and 9 by the suites here; the gap split (2, 3, 4), the epsilon
-        # estimate (10) and the torsion factorization (9) build their own
-        assert calls == [2, 3, 2, 3, 4, 10, 9, 9]
+        # n = 2, 3 by the suites, 4 by the gap split, 10 by the epsilon estimate and 9
+        # by the torsion factorization; every other call finds the power the ideal keeps
+        assert calls == [2, 3, 4, 10, 9]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghk import cli
+from ghk import cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json
@@ -211,6 +211,22 @@ class TestPowersCommand:
         assert code == 1
         assert report is None
         assert "power 5000 needs about" in err
+
+    def test_chain_holds_the_torsion_power(self, capsys, monkeypatch):
+        # I^9 comes out of the chain up to 63, so the torsion factorization builds nothing
+        original, calls = ideals._power_levels, []
+
+        def counted(corners, n):
+            calls.append(n)
+            return original(corners, n)
+
+        monkeypatch.setattr(ideals, "_power_levels", counted)
+        code, report, _ = run_json(
+            capsys, ["powers", "--family", "veronese:9,7", "--max-n", "63"]
+        )
+        assert code == 0
+        assert report["results"]["torsion"]["order"] == 9
+        assert calls == [63]
 
     def test_large_index_torsion_order_costs_one_power(self, capsys, tmp_path):
         # torsion order 2000003: refused by the power work cap, with no search up to it
@@ -498,7 +514,7 @@ class TestErrorMapping:
         assert "internal error" in err
 
     def test_unexpected_exception_maps_to_internal_error(self, capsys, monkeypatch):
-        def boom(ideal, q_mark=None, power=None):
+        def boom(ideal, q_mark=None):
             raise RuntimeError("surprise")
 
         monkeypatch.setattr("ghk.cli.render_region_svg", boom)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -137,7 +139,8 @@ class TestPowers:
             for base in (ideal, wide):
                 chain = power_chain(base, 6)
                 for n in range(1, 7):
-                    power = ordinary_power(base, n)
+                    # an equal ideal with no stored powers runs the single-power DP
+                    power = ordinary_power(MonomialIdeal(base.cone, base.stair), n)
                     brute = brute_ordinary_power(base, n)
                     assert power.stair == brute.stair
                     assert chain[n - 1].stair == brute.stair
@@ -164,7 +167,7 @@ class TestPowers:
             chain = power_chain(base, 40)
             assert len(chain) == 40
             for k, power in enumerate(chain, 1):
-                assert power == ordinary_power(base, k)
+                assert power == ordinary_power(MonomialIdeal(base.cone, base.stair), k)
 
     def test_power_chain_of_length_one_is_the_ideal(self):
         ideal = veronese(9, 7).ideal
@@ -182,16 +185,56 @@ class TestPowers:
 
     @pytest.mark.parametrize("build", [ordinary_power, power_chain])
     def test_work_cap_is_exact(self, build, monkeypatch):
-        ideal = veronese(9, 7).ideal
+        # a fresh ideal for each call: a stored power is not estimated again
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
         with pytest.raises(BadParameters, match="needs about") as refused:
-            build(ideal, 30)
+            build(veronese(9, 7).ideal, 30)
         work = int(str(refused.value).split()[4])
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", work)
-        build(ideal, 30)
+        build(veronese(9, 7).ideal, 30)
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", work - 1)
         with pytest.raises(BadParameters, match=f"needs about {work} DP steps"):
-            build(ideal, 30)
+            build(veronese(9, 7).ideal, 30)
+
+    def test_refused_power_is_refused_again(self, monkeypatch):
+        ideal = veronese(9, 7).ideal
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
+        for _ in range(2):
+            with pytest.raises(BadParameters, match="power 30 needs about"):
+                ordinary_power(ideal, 30)
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 10**9)
+        assert ordinary_power(ideal, 30) == ordinary_power(veronese(9, 7).ideal, 30)
+
+    def test_each_power_is_built_once_and_kept(self, monkeypatch):
+        original, calls = ideals._power_levels, []
+
+        def counted(corners, n):
+            calls.append(n)
+            return original(corners, n)
+
+        monkeypatch.setattr(ideals, "_power_levels", counted)
+        ideal = veronese(9, 7).ideal
+        single = ordinary_power(ideal, 5)
+        assert ordinary_power(ideal, 5) is single
+        chain = power_chain(ideal, 8)
+        assert chain[4] is single
+        assert all(chain[k - 1] is ordinary_power(ideal, k) for k in range(1, 9))
+        assert calls == [5, 8]
+        # an equal ideal built elsewhere has its own, empty store
+        assert ordinary_power(veronese(9, 7).ideal, 5) is not single
+        assert calls == [5, 8, 5]
+
+    def test_ideal_with_powers_dies_without_the_collector(self):
+        ideal = veronese(9, 7).ideal
+        ordinary_power(ideal, 4)
+        power_chain(ideal, 6)
+        ref = weakref.ref(ideal)
+        gc.disable()
+        try:
+            del ideal
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_thresholds_scale_along_powers(self):
         rng = random.Random(37)
@@ -324,7 +367,7 @@ class TestTorsion:
             ideal = saturation(random_ideal(rng, spread=7))
             fact = torsion_factorization(ideal)
             assert 1 <= fact.order <= ideal.cone.det_abs
-            power = ordinary_power(ideal, fact.order)
+            power = ordinary_power(MonomialIdeal(ideal.cone, ideal.stair), fact.order)
             rebuilt = sorted(
                 (x + fact.shift[0], y + fact.shift[1]) for x, y in fact.primary.gens
             )

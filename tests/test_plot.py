@@ -1,7 +1,6 @@
 import json
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -153,17 +152,13 @@ class TestPlotCommand:
         assert not out.exists()
 
     def test_q_mark_builds_the_power_once(self, capsys, tmp_path, monkeypatch):
-        original, calls = ghk.ideals.ordinary_power, []
+        original, calls = ghk.ideals._power_levels, []
 
-        def counted(ideal, n):
+        def counted(corners, n):
             calls.append(n)
-            return original(ideal, n)
+            return original(corners, n)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("ghk") and (
-                getattr(mod, "ordinary_power", None) is original
-            ):
-                monkeypatch.setattr(mod, "ordinary_power", counted)
+        monkeypatch.setattr(ghk.ideals, "_power_levels", counted)
         out = tmp_path / "v.svg"
         code = run_command(
             ["plot", "--family", "veronese:9,7", "--q-mark", "40", "--out", str(out)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairing_oracle
+from conftest import pairing_oracle, tor_table_oracle
 from ghk.errors import AsymmetricTable, BadParameters, DimensionMismatch
 from ghk.reptype import TorTable, a_tor_table, eghk_a, eghk_from_type
 
@@ -24,6 +24,10 @@ class TestTable:
 
     def test_index_two(self):
         assert a_tor_table(2).entries == ((1,),)
+
+    def test_rows_match_entrywise_formula(self):
+        for r in [*range(2, 61), 1000]:
+            assert a_tor_table(r).entries == tor_table_oracle(r), f"r={r}"
 
     def test_symmetries(self):
         for r in range(2, 31):
