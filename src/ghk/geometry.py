@@ -13,7 +13,8 @@ in Z^2: column s holds the t with t == tau * s (mod det_abs), so any
 det_abs consecutive columns hold one point per row, and counting the
 points of a rectangle takes O(log det_abs) steps however large it is:
 one product for the full blocks of det_abs columns, a floor sum for
-the columns left over.
+the columns left over.  A complement is counted straight off the
+corners of its staircase, one step at a time.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -25,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CollinearRays, EmptyInput, UnboundedRegion
 
@@ -253,7 +254,7 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
-    """Lattice points whose corners dominate lower but not upper.
+    """Lattice points whose corners dominate lower but not upper: the band count.
 
     normal2 is primitive, so gcd(tau, det_abs) == 1 and any det_abs
     consecutive columns of a rectangle hold exactly hi - lo points.
@@ -262,7 +263,9 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     by two floor sums, one per horizontal side, in O(log det_abs) steps.
     The loop stays for the narrow leftovers that ordinary-power staircases
     are made of: there two floor sums per rectangle cost about 3.5 times
-    as much as the few columns they replace.
+    as much as the few columns they replace.  Complements go through
+    _count_under instead, so this walk stays an independent count that
+    the gap split's total_gap == sym_vs_ord + ord_vs_frob can check.
     """
     _, tau = cone.column_data()
     step = cone.det_abs
@@ -281,6 +284,33 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     return total
 
 
+def _count_under(cone: Cone2, lo: int, corners: Sequence[tuple[int, int]]) -> int:
+    """Lattice points at or above row lo and under the steps of corners.
+
+    corners is a staircase as plain (s, t) pairs, s increasing and t
+    decreasing, with no t below lo; column s in [s_i, s_i+1) counts the
+    rows lo <= t < t_i.  Column s holds (h - 1 - tau * s) // det_abs
+    points below row h, so the lo side is one floor sum over all columns
+    [s_0, s_m).  Each step adds its own hi side: a loop over its columns
+    when it is at most det_abs.bit_length() wide, the narrow steps that
+    ordinary-power staircases are made of, and one floor sum otherwise.
+    """
+    _, tau = cone.column_data()
+    step = cone.det_abs
+    bits = step.bit_length()
+    s0 = corners[0][0]
+    total = -_floor_sum(corners[-1][0] - s0, step, -tau, lo - 1 - tau * s0)
+    for (a, hi), (b, _) in zip(corners, corners[1:]):
+        c = hi - 1 - tau * a
+        if b - a > bits:
+            total += _floor_sum(b - a, step, -tau, c)
+            continue
+        for _ in range(b - a):
+            total += c // step
+            c -= tau
+    return total
+
+
 def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) -> Fraction:
     """Area of the threshold quadrant minus the staircase region.
 
@@ -290,8 +320,8 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     UnboundedRegion is raised.
     """
     _require_bounded(threshold, stair)
-    rects = _rectangles(Staircase((threshold,)), stair)
-    cells = sum((b - a) * (hi - lo) for a, b, lo, hi in rects)
+    steps = zip(stair.corners, stair.corners[1:])
+    cells = sum((b - a) * (hi - threshold.t) for (a, hi), (b, _) in steps)
     return Fraction(cells, cone.det_abs)
 
 
@@ -299,10 +329,10 @@ def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -
     """Number of lattice points in the threshold quadrant not dominating stair.
 
     Same boundedness precondition as staircase_complement_area.  Counts
-    actual points of Z^2, through their corners.
+    actual points of Z^2, through their corners, with _count_under.
     """
     _require_bounded(threshold, stair)
-    return _count_between(cone, Staircase((threshold,)), stair)
+    return _count_under(cone, threshold.t, stair.corners)
 
 
 def count_lattice_band(

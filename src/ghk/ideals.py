@@ -8,7 +8,9 @@ agree).  The corner map is linear and injective, so the generators as
 lattice points are a derived view, and sums of generators are sums of
 corners: bracket powers, ordinary powers, saturation and torsion
 shifts are all built on corners alone.  Each ideal object keeps the
-ordinary powers built of it, so each is built once; no state is global.
+ordinary powers built of it and, as plain (s, t) pairs, the levels of
+the longest power chain run on it, so each is built once; no state is
+global.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -77,6 +79,10 @@ class MonomialIdeal:
     @cached_property
     def _powers(self) -> dict[int, "MonomialIdeal"]:
         return {}  # ordinary powers by n >= 2: the ideal under 1 would be a cycle
+
+    @cached_property
+    def _levels(self) -> list[list[tuple[int, int]]]:
+        return [[(0, 0)]]  # levels 0 .. N of the longest power chain, plain tuples only
 
     @property
     def thresholds(self) -> Thresholds:
@@ -157,7 +163,9 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     steps raises BadParameters before it starts and stores nothing.
     n = 1 returns the ideal itself, a principal ideal is scaled in O(1),
     and each power is built once per ideal object and kept on it (a kept
-    ideal keeps its powers).  Use power_chain for all powers 1 .. n.
+    ideal keeps its powers).  A power inside a chain already run on the
+    ideal is read off that chain's level n with no DP.  Use power_chain
+    for all powers 1 .. n.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
@@ -170,6 +178,8 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    if n < len(ideal._levels):
+        return MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in ideal._levels[n])))
     if len(ideal.stair.corners) == 1:
         return MonomialIdeal(ideal.cone, ideal.stair.scale(n))
     *rest, (last_s, last_t) = ideal.stair.corners
@@ -178,23 +188,34 @@ def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.cone, pareto_minimal(sums))
 
 
-def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
-    """The ordinary powers I^1 .. I^n_max, from one pass of the power DP.
+def _chain_levels(ideal: MonomialIdeal, n_max: int) -> list[list[tuple[int, int]]]:
+    """The staircases of I^0 .. I^N as plain (s, t) pairs, N >= n_max.
 
     Folding every generator through _power_levels leaves level k equal
-    to the k-th power's staircase, so the whole chain costs about as
-    much as ordinary_power(ideal, n_max) alone.  Entry k - 1 is
-    ordinary_power(ideal, k): new powers go into the ideal's store.
+    to the k-th power's staircase.  The ideal keeps the levels of the
+    longest chain run on it, so the DP runs only when that chain is
+    shorter than n_max; a chain refused by the work cap stores nothing.
     Raises BadParameters for n_max < 1 and above the DP's work cap.
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
-    levels = _power_levels(ideal.stair.corners, n_max)
-    stairs = (Staircase(tuple(Corner(s, t) for s, t in level)) for level in levels[2:])
-    store = ideal._powers
-    return [ideal] + [
-        store.setdefault(k, MonomialIdeal(ideal.cone, stair)) for k, stair in enumerate(stairs, 2)
-    ]
+    levels = ideal._levels
+    if len(levels) <= n_max:
+        levels[:] = _power_levels(ideal.stair.corners, n_max)
+    return levels
+
+
+def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
+    """The ordinary powers I^1 .. I^n_max, from one pass of the power DP.
+
+    The chain costs about as much as ordinary_power(ideal, n_max) alone,
+    and none if the ideal already holds a chain that long.  Entry k - 1
+    is ordinary_power(ideal, k), read off the chain's level k when the
+    ideal does not hold that power yet.  Raises BadParameters for
+    n_max < 1 and above the DP's work cap.
+    """
+    _chain_levels(ideal, n_max)
+    return [ordinary_power(ideal, k) for k in range(1, n_max + 1)]
 
 
 def _gap_count(ideal: MonomialIdeal) -> int:

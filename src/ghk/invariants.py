@@ -21,14 +21,20 @@ from .errors import (
     NotMPrimary,
     NotSaturated,
 )
-from .geometry import Corner, _box_points_bound, count_lattice_band, staircase_complement_area
+from .geometry import (
+    Corner,
+    _box_points_bound,
+    _count_under,
+    count_lattice_band,
+    staircase_complement_area,
+)
 from .ideals import (
     MonomialIdeal,
+    _chain_levels,
     _gap_count,
     frobenius_power,
     is_saturated,
     ordinary_power,
-    power_chain,
 )
 
 
@@ -110,9 +116,13 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """Local cohomology lengths of the quotients by ordinary powers, n = 1 .. n_max.
 
     Entry n - 1 counts lattice points above n times the thresholds that
-    the n-th ordinary power misses.  All powers come from one power_chain.
+    the n-th ordinary power misses.  All lengths are counted straight off
+    the levels of one power chain, kept on the ideal, without building
+    the powers as ideals: level n's last corner is on the t threshold
+    and its first on the s threshold.
     """
-    return [_gap_count(power) for power in power_chain(ideal, n_max)]
+    levels = _chain_levels(ideal, n_max)
+    return [_count_under(ideal.cone, lv[-1][1], lv) for lv in levels[1:n_max + 1]]
 
 
 class ClassFit(NamedTuple):

@@ -59,8 +59,10 @@ def _staircase_boundary(stair: Staircase) -> list[Corner]:
 
 
 def _gap_rectangles(stair: Staircase) -> list[tuple[int, int, int, int]]:
-    # the cells between the staircase and the quadrant at its minima, which hold the gap dots
-    return _rectangles(Staircase((Corner(stair.min_s, stair.min_t),)), stair)
+    # the cells between the staircase and the quadrant at its minima, which hold the
+    # gap dots: one under each step, down to the last corner's row
+    steps = zip(stair.corners, stair.corners[1:])
+    return [(a, b, stair.min_t, hi) for (a, hi), (b, _) in steps]
 
 
 def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:

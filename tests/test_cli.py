@@ -11,6 +11,7 @@ from ghk import cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json
+from ghk.ideals import MonomialIdeal
 
 
 def run_json(capsys, argv):
@@ -227,6 +228,22 @@ class TestPowersCommand:
         assert code == 0
         assert report["results"]["torsion"]["order"] == 9
         assert calls == [63]
+
+    def test_gap_lengths_build_no_ideal_per_power(self, capsys, monkeypatch):
+        # the family ideal, its torsion power I^9 and the shifted primary ideal
+        original, built = MonomialIdeal.__post_init__, []
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+        code, report, _ = run_json(
+            capsys, ["powers", "--family", "veronese:9,7", "--max-n", "63"]
+        )
+        assert code == 0
+        assert len(report["results"]["values"]) == 63
+        assert len(built) <= 3
 
     def test_large_index_torsion_order_costs_one_power(self, capsys, tmp_path):
         # torsion order 2000003: refused by the power work cap, with no search up to it

@@ -33,6 +33,7 @@ from ghk.ideals import (
     saturation,
     torsion_factorization,
 )
+from ghk.invariants import h0_powers
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
 SKEW = Cone2.from_rays((1, 0), (1, 3))
@@ -223,6 +224,24 @@ class TestPowers:
         # an equal ideal built elsewhere has its own, empty store
         assert ordinary_power(veronese(9, 7).ideal, 5) is not single
         assert calls == [5, 8, 5]
+
+    def test_powers_inside_a_counted_chain_need_no_dp(self, monkeypatch):
+        original, calls = ideals._power_levels, []
+
+        def counted(corners, n):
+            calls.append(n)
+            return original(corners, n)
+
+        monkeypatch.setattr(ideals, "_power_levels", counted)
+        ideal = veronese(9, 7).ideal
+        h0_powers(ideal, 63)
+        chain = power_chain(ideal, 8)
+        ninth = ordinary_power(ideal, 9)
+        assert calls == [63]
+        assert all(chain[k - 1] is ordinary_power(ideal, k) for k in range(1, 9))
+        fresh = veronese(9, 7).ideal
+        assert chain == [ordinary_power(fresh, k) for k in range(1, 9)]
+        assert ninth == ordinary_power(fresh, 9)
 
     def test_ideal_with_powers_dies_without_the_collector(self):
         ideal = veronese(9, 7).ideal

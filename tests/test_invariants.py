@@ -6,7 +6,14 @@ from time import perf_counter
 
 import pytest
 
-from conftest import brute_count_complement, fit_oracle, floor_sum_count_complement, random_ideal
+from conftest import (
+    brute_count_complement,
+    column_count_complement,
+    fit_oracle,
+    floor_sum_count_complement,
+    random_ideal,
+)
+from ghk import ideals
 from ghk.errors import (
     BadParameters,
     NoStabilization,
@@ -14,11 +21,14 @@ from ghk.errors import (
     NotSaturated,
 )
 from ghk.families import a_singularity, quadrant, veronese
-from ghk.geometry import Cone2, Corner, count_lattice_complement
+from ghk.geometry import Cone2, Corner, Staircase, count_lattice_complement
 from ghk.ideals import (
+    MonomialIdeal,
+    _gap_count,
     frobenius_power,
     new_ideal,
     ordinary_power,
+    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -212,6 +222,67 @@ class TestPowerLengths:
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
             h0_powers(VER31, 0)
+
+    def test_counts_off_the_levels_match_built_powers_and_column_oracle(self):
+        # small random cones with non-saturated and saturated ideals, whose steps
+        # are narrow, and cones with det_abs up to 10^4 whose steps are often
+        # wider than det_abs has bits, so the count takes its floor sum
+        rng = random.Random(83)
+        bases = []
+        for _ in range(10):
+            ideal = random_ideal(rng, n_gens=5)
+            bases += [ideal, saturation(ideal)]
+        for _ in range(10):
+            d = rng.randint(2, 10**4)
+            k = rng.randint(-d, d)
+            while gcd(k, d) != 1:
+                k = rng.randint(-d, d)
+            cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
+            _, tau = cone.column_data()
+            ss = [rng.randint(0, 3)]
+            for _ in range(rng.randint(1, 3)):
+                ss.append(ss[-1] + rng.randint(1, 30))
+            ts = [(tau * ss[-1]) % d]
+            for s in reversed(ss[:-1]):
+                ts.append(ts[-1] + 1 + (tau * s - ts[-1] - 1) % d + d * rng.randint(0, 2))
+            stair = Staircase(tuple(Corner(s, t) for s, t in zip(ss, reversed(ts))))
+            bases.append(MonomialIdeal(cone, stair))
+        wide = 0
+        for base in bases:
+            n_max = rng.randint(1, 40)
+            values = h0_powers(base, n_max)
+            # an equal ideal with no stored levels builds every power as an ideal
+            chain = power_chain(MonomialIdeal(base.cone, base.stair), n_max)
+            assert values == [_gap_count(power) for power in chain]
+            bits = base.cone.det_abs.bit_length()
+            for value, power in zip(values, chain):
+                threshold = Corner(*power.thresholds)
+                assert value == column_count_complement(base.cone, threshold, power.stair)
+                steps = zip(power.stair.corners, power.stair.corners[1:])
+                wide += any(b.s - a.s > bits for a, b in steps)
+        assert wide >= 30
+
+    def test_shorter_sequence_reads_the_longer_chain(self, monkeypatch):
+        original, calls = ideals._power_levels, []
+
+        def counted(corners, n):
+            calls.append(n)
+            return original(corners, n)
+
+        monkeypatch.setattr(ideals, "_power_levels", counted)
+        ideal = veronese(9, 7).ideal
+        longer = h0_powers(ideal, 63)
+        assert h0_powers(ideal, 8) == longer[:8]
+        assert calls == [63]
+
+    def test_refused_chain_stores_nothing(self, monkeypatch):
+        ideal = veronese(9, 7).ideal
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
+        for _ in range(2):
+            with pytest.raises(BadParameters, match="power 30 needs about"):
+                h0_powers(ideal, 30)
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 10**9)
+        assert h0_powers(ideal, 30) == h0_powers(veronese(9, 7).ideal, 30)
 
 
 class TestQuasiPolynomial:
