@@ -234,7 +234,8 @@ class TestPowers:
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
         ideal = veronese(9, 7).ideal
-        h0_powers(ideal, 63)
+        longer = h0_powers(ideal, 63)
+        assert h0_powers(ideal, 8) == longer[:8]
         chain = power_chain(ideal, 8)
         ninth = ordinary_power(ideal, 9)
         assert calls == [63]

@@ -262,19 +262,6 @@ class TestPowerLengths:
                 wide += any(b.s - a.s > bits for a, b in steps)
         assert wide >= 30
 
-    def test_shorter_sequence_reads_the_longer_chain(self, monkeypatch):
-        original, calls = ideals._power_levels, []
-
-        def counted(corners, n):
-            calls.append(n)
-            return original(corners, n)
-
-        monkeypatch.setattr(ideals, "_power_levels", counted)
-        ideal = veronese(9, 7).ideal
-        longer = h0_powers(ideal, 63)
-        assert h0_powers(ideal, 8) == longer[:8]
-        assert calls == [63]
-
     def test_refused_chain_stores_nothing(self, monkeypatch):
         ideal = veronese(9, 7).ideal
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
