@@ -18,7 +18,7 @@ from typing import Optional
 from .checks import run_instance_checks
 from .errors import BadParameters, ContractViolation, GhkError, InputError, UnboundedRegion
 from .families import ToricInstance, parse_family
-from .fmt import exact_decimal, rational_json
+from .fmt import exact_decimal, rational_json, report_json
 from .geometry import Cone2
 from .ideals import is_saturated, new_ideal, ordinary_power, torsion_factorization
 from .invariants import (
@@ -114,8 +114,13 @@ def _parse_rational(value, what: str) -> Fraction:
 
 
 def _emit(report: dict, summary: list[str]) -> None:
-    # formatted whole first, so a report that cannot be printed writes nothing
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """Print the report as indented JSON, keys sorted, then the summary lines.
+
+    The report is formatted whole first, by fmt.report_json, so a report
+    that cannot be printed (an unserialisable value, an int past the
+    digit limit) writes nothing on stdout.
+    """
+    sys.stdout.write(report_json(report) + "\n")
     for line in summary:
         print(line, file=sys.stderr)
 

@@ -1,19 +1,28 @@
-"""Exact-to-decimal formatting shared by the CLI reports and the SVG renderer."""
+"""Exact decimal strings for the CLI reports and the SVG renderer, and the report writer.
 
-from decimal import Decimal, localcontext
+Rationals print as correctly rounded decimal strings that do not depend
+on the caller's decimal context.  Reports print through report_json,
+which writes the bytes of the standard json.dumps with an indent of 2
+and sorted keys at the speed of the C string encoder: CPython runs its
+pure-Python encoder whenever an indent is set.
+"""
+
+import json
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 
 def exact_decimal(value: Fraction, sig: int = 12) -> str:
     """Decimal string of a rational, correctly rounded to sig significant digits.
 
     Never uses scientific notation, never emits padding zeros, so equal
-    rationals always format to byte-identical strings.
+    rationals always format to byte-identical strings.  The division runs
+    in a context of its own, so the caller's decimal context (its
+    rounding, its traps) has no effect.
     """
-    value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = sig
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+    context = Context(prec=sig, rounding=ROUND_HALF_EVEN)
+    quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
     return format(quotient, "f")
 
 
@@ -21,3 +30,45 @@ def rational_json(value: Fraction) -> dict:
     """The report encoding of an exact rational."""
     value = Fraction(value)
     return {"rational": str(value), "decimal": exact_decimal(value)}
+
+
+def report_json(value) -> str:
+    """The standard json.dumps of value, indent 2 and keys sorted, byte for byte.
+
+    Dicts (str keys only, written in sorted order), lists, tuples, str,
+    int, bool and None are written here, strings through the C
+    encode_basestring_ascii and ints through int.__repr__, so an int past
+    the interpreter's digit limit raises the same ValueError.  Any other
+    value (a float echoed from an input document, NaN and infinities
+    included) goes to json.dumps, which also raises the TypeError for a
+    value JSON cannot hold.
+    """
+    return _encode(value, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)

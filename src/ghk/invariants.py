@@ -57,7 +57,10 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     prime and n_max nonnegative.  p over 40 bits, or n_max times p's bit
     length over 4096, raises BadParameters before the primality test; so
     does a count that could pass the interpreter's int-to-str digit limit,
-    before any counting.
+    before any counting.  The input ideal was validated when it was built,
+    so each q is counted by _count_under straight off the base corners
+    scaled by q (the staircase of frobenius_power(ideal, q)), without
+    building that power as an ideal.
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
@@ -77,7 +80,10 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"
         )
-    return [_gap_count(frobenius_power(ideal, p**n)) for n in range(n_max + 1)]
+    return [
+        _count_under(ideal.cone, q * stair.min_t, [(q * s, q * t) for s, t in stair.corners])
+        for q in (p**n for n in range(n_max + 1))
+    ]
 
 
 class GapSplit(NamedTuple):

@@ -12,7 +12,7 @@ the library works in integers and builds one rational at the end.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import (
@@ -196,6 +196,29 @@ def random_ideal(
     pool = lattice_points_in_corner_box(cone, 0, spread + 1, 0, spread + 1)
     k = min(len(pool), rng.randint(1, n_gens))
     return new_ideal(cone, rng.sample(pool, k))
+
+
+def random_index_ideal(rng: random.Random, d_max: int = 10**4) -> MonomialIdeal:
+    """An ideal of a cone of index up to d_max whose steps are up to 30 columns wide.
+
+    Steps that wide are often wider than det_abs has bits, so counts
+    over them take the floor-sum branches.  The ideals are not always
+    saturated.
+    """
+    d = rng.randint(2, d_max)
+    k = rng.randint(-d, d)
+    while gcd(k, d) != 1:
+        k = rng.randint(-d, d)
+    cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
+    _, tau = cone.column_data()
+    ss = [rng.randint(0, 3)]
+    for _ in range(rng.randint(1, 3)):
+        ss.append(ss[-1] + rng.randint(1, 30))
+    # the least admissible t above the previous one, plus up to two whole periods
+    ts = [(tau * ss[-1]) % d]
+    for s in reversed(ss[:-1]):
+        ts.append(ts[-1] + 1 + (tau * s - ts[-1] - 1) % d + d * rng.randint(0, 2))
+    return MonomialIdeal(cone, Staircase(tuple(Corner(s, t) for s, t in zip(ss, reversed(ts)))))
 
 
 def random_staircase(rng: random.Random, max_corners: int = 5, spread: int = 10):

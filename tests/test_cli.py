@@ -3,14 +3,17 @@ import re
 import subprocess
 import sys
 import time
+from decimal import ROUND_DOWN, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ghk import cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
-from ghk.fmt import exact_decimal, rational_json
+from ghk.fmt import exact_decimal, rational_json, report_json
 from ghk.ideals import MonomialIdeal
 
 
@@ -32,12 +35,57 @@ class TestFormatting:
         assert exact_decimal(Fraction(10**13)) == "10000000000000"
         assert exact_decimal(Fraction(1, 7)) == "0.142857142857"
 
+    def test_exact_decimal_ignores_the_callers_context(self):
+        # ROUND_DOWN gave 0.666666666666, and the Inexact trap raised
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_DOWN
+            ctx.traps[Inexact] = True
+            assert rational_json(Fraction(2, 3)) == {
+                "rational": "2/3",
+                "decimal": "0.666666666667",
+            }
+            assert exact_decimal(Fraction(-2, 3)) == "-0.666666666667"
+
     def test_rational_json(self):
         assert rational_json(Fraction(2, 3)) == {
             "rational": "2/3",
             "decimal": "0.666666666667",
         }
         assert rational_json(Fraction(5)) == {"rational": "5", "decimal": "5"}
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=1 - 10**4300, max_value=10**4300 - 1)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x2f))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @seed(1503)
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_stdlib_indented_dump(self, value):
+        assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_same_errors_as_stdlib(self):
+        for bad in ({"n": [10**4300]}, (1, {"x": object()}), object()):
+            with pytest.raises((ValueError, TypeError)) as expected:
+                json.dumps(bad, indent=2, sort_keys=True)
+            with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+                report_json(bad)
 
 
 class TestEghkCommand:
@@ -122,6 +170,22 @@ class TestFunctionCommand:
         code, report, _ = run_json(capsys, argv + ["10"])
         assert code == 0
         assert report["results"]["values"][0] == 10**3200
+
+    def test_tower_builds_one_ideal(self, capsys, monkeypatch):
+        # only the family ideal: every bracket power up to 2^40 is counted off its corners
+        original, built = MonomialIdeal.__post_init__, []
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+        code, report, _ = run_json(
+            capsys, ["function", "--family", "a:7,3", "--prime", "2", "--max-n", "40"]
+        )
+        assert code == 0
+        assert len(report["results"]["values"]) == 41
+        assert len(built) == 1
 
     def test_composite_characteristic_fails(self, capsys):
         code, report, err = run_json(

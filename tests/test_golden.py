@@ -8,6 +8,10 @@ reports are the same on every machine.  After an intended change to a
 report, rewrite the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or capture only the named cases, leaving every other file untouched, with
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
 """
 
 import io
@@ -48,6 +52,17 @@ REPTYPE = {
 }
 
 
+# echoed back verbatim by every report: non-ASCII text and numbers of every JSON kind
+ECHO = {
+    "echo.json": (
+        '{"label": "Kegel \u00e9\u2202 \u4e09", "cone": {"rays": [[1, 0], [1, 3]]}, '
+        '"generators": [[1, 0], [1, 1]], "extra": {"huge": 1.5e300, "negzero": -0.0, '
+        '"nan": NaN, "inf": [Infinity, -Infinity], "digits": 123456789012345678901234567890, '
+        '"nested": [[1, [2.5, "tab\\there"]], [], {}, {"z": null, "a": true}]}}'
+    )
+}
+
+
 def _toric(tag: str, spec: list[str], files: dict, q: str, prime: str, split_q: str):
     return {
         f"{tag}-eghk": (["eghk", *spec], files),
@@ -78,6 +93,7 @@ CASES = {
     "quadrant-powers-period": (
         ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),
     "file-powers": (["powers", "--file", "input.json", "--max-n", "35"], DOCUMENT),
+    "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
     "a7-reptype": (["reptype", "--r", "7", "--u", "0,0,1,0,0,1"], {}),
     "file-reptype": (["reptype", "--file", "reptype.json"], REPTYPE),
     "error-composite-prime": (
@@ -124,12 +140,17 @@ def test_replay(name, tmp_path, monkeypatch):
     assert run_case(golden["argv"], golden["files"], tmp_path) == golden
 
 
-def _capture() -> None:
+def _capture(names: list[str]) -> None:
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.glob("*.json"):
-        stale.unlink()
+    if not names:
+        for stale in GOLDEN.glob("*.json"):
+            stale.unlink()
     home = os.getcwd()
-    for name, (argv, files) in CASES.items():
+    for name in names or CASES:
+        argv, files = CASES[name]
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
@@ -142,4 +163,4 @@ def _capture() -> None:
 
 
 if __name__ == "__main__":
-    _capture()
+    _capture(sys.argv[1:])

@@ -12,6 +12,7 @@ from conftest import (
     fit_oracle,
     floor_sum_count_complement,
     random_ideal,
+    random_index_ideal,
 )
 from ghk import ideals
 from ghk.errors import (
@@ -26,6 +27,7 @@ from ghk.ideals import (
     MonomialIdeal,
     _gap_count,
     frobenius_power,
+    is_saturated,
     new_ideal,
     ordinary_power,
     power_chain,
@@ -119,6 +121,32 @@ class TestGhkFunction:
             for q in (2**n for n in range(41))
         ]
         assert ghk_function(ideal, 2, 40) == expected
+
+    def test_tower_counts_match_built_powers_and_oracles(self):
+        # non-saturated random ideals, their saturations and ideals of cones with
+        # det_abs up to 10^4, along the tower of each small prime up to q = 2^40
+        rng = random.Random(1503)
+        bases = []
+        for _ in range(6):
+            ideal = random_ideal(rng, n_gens=5)
+            bases += [ideal, saturation(ideal)]
+        bases += [random_index_ideal(rng) for _ in range(6)]
+        assert sum(not is_saturated(base) for base in bases) >= 4
+        columns = 0
+        for p in (2, 3, 5, 7):
+            n_max = max(n for n in range(41) if p**n <= 2**40)
+            for base in bases:
+                values = ghk_function(base, p, n_max)
+                powers = [frobenius_power(base, p**n) for n in range(n_max + 1)]
+                assert values == [_gap_count(power) for power in powers]
+                width = base.stair.max_s - base.stair.min_s
+                for n, (value, power) in enumerate(zip(values, powers)):
+                    threshold = Corner(*power.thresholds)
+                    assert value == floor_sum_count_complement(base.cone, threshold, power.stair)
+                    if p**n * width <= 10**4:
+                        columns += 1
+                        assert value == column_count_complement(base.cone, threshold, power.stair)
+        assert columns >= 100
 
     def test_rejects_bad_characteristic(self):
         for p in (1, 0, -3, 4, 9, 15):
