@@ -138,7 +138,11 @@ def saturation_region_oracle(ideal: MonomialIdeal, p: Point) -> bool:
     return all(all(map(covered, points)) for points in scans)
 
 
-def witness_ray_outside(ideal: MonomialIdeal, p: Point, count: int = 8) -> bool:
+_WITNESS_STEPS = 8  # translates of a witness ray checked
+_PROBES = 8  # points sampled per probe suite
+
+
+def witness_ray_outside(ideal: MonomialIdeal, p: Point) -> bool:
     """For p below a threshold, verify a whole ray of translates stays outside.
 
     Moving along the facet ray that keeps the deficient corner constant
@@ -154,7 +158,7 @@ def witness_ray_outside(ideal: MonomialIdeal, p: Point, count: int = 8) -> bool:
         return False
     return not any(
         in_ideal_naive(ideal, (p[0] + k * ray[0], p[1] + k * ray[1]))
-        for k in range(count)
+        for k in range(_WITNESS_STEPS)
     )
 
 
@@ -194,7 +198,7 @@ def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
     return 2 * _box_work(cone, 4 * d + 5, 4 * d + 5) + probes * per_probe
 
 
-def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResult]:
+def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
     """Run every library invariant suite against one ideal.
 
     Raises BadParameters, before any suite runs, when the suites' box
@@ -205,7 +209,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
     re-raised; any other GhkError (other BadParameters included) or
     failed assertion marks its suite as FAIL.
     """
-    work = _scan_work(ideal, probes)
+    work = _scan_work(ideal, _PROBES)
     if work > _MAX_VERIFY_WORK:
         raise BadParameters(f"verify needs about {work} scan steps, over {_MAX_VERIFY_WORK}")
     rng = random.Random(2026)
@@ -240,7 +244,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         q = 3
         frob = frobenius_power(ideal, q)
         ordn = ordinary_power(ideal, q)
-        pts = [tuple(g) for g in frob.gens] + _probe_points(frob, rng, probes)
+        pts = [tuple(g) for g in frob.gens] + _probe_points(frob, rng, _PROBES)
         checked = 0
         for p in pts:
             c = frob.cone.corner(p)
@@ -252,7 +256,7 @@ def run_instance_checks(ideal: MonomialIdeal, probes: int = 8) -> list[CheckResu
         return f"{checked} points at q = {q}"
 
     def saturation_oracle() -> str:
-        pts = _probe_points(ideal, rng, probes)
+        pts = _probe_points(ideal, rng, _PROBES)
         for p in pts:
             fast = threshold_membership(ideal, p)
             slow = saturation_region_oracle(ideal, p)

@@ -6,6 +6,11 @@ pairs) and a short human summary on stderr.  Exit codes: 0 on success,
 1 for invalid input or a data-dependent failure, 2 for an internal
 error.  The verify subcommand also exits 1 when some property suite
 fails.
+
+Every request takes one path, run_command.  It loads the input (the
+toric instance, or for reptype its section), calls _cmd_<name>, which
+only computes and returns the results and the summary lines, then
+prints the report and the summary and picks the exit code.
 """
 
 import argparse
@@ -113,20 +118,23 @@ def _parse_rational(value, what: str) -> Fraction:
     raise InputError(f'{what} must be an integer or a "p/q" string, got {value!r}')
 
 
-def _emit(report: dict, summary: list[str]) -> None:
-    """Print the report as indented JSON, keys sorted, then the summary lines.
+def _reptype_input(args) -> tuple[dict, dict]:
+    """The reptype section and its echo, from --file or from --r, --u and --v."""
+    if args.file is not None:
+        doc = _load_document(args.file)
+        section = doc.get("reptype")
+        if not isinstance(section, dict):
+            raise InputError('input document needs a "reptype" object')
+        return section, doc
+    if args.r is None or args.u is None:
+        raise InputError("reptype needs either --file or both --r and --u")
+    section = {"r": args.r, "multiplicities": _int_list(args.u.split(","), "--u")}
+    if args.v is not None:
+        section["weights"] = [w.strip() for w in args.v.split(",")]
+    return section, {"reptype": section}
 
-    The report is formatted whole first, by fmt.report_json, so a report
-    that cannot be printed (an unserialisable value, an int past the
-    digit limit) writes nothing on stdout.
-    """
-    sys.stdout.write(report_json(report) + "\n")
-    for line in summary:
-        print(line, file=sys.stderr)
 
-
-def _cmd_eghk(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_eghk(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     ideal = instance.ideal
     value = eghk(ideal)
     c1, c2 = ideal.thresholds
@@ -138,15 +146,10 @@ def _cmd_eghk(args) -> int:
     }
     if instance.closed_form is not None:
         results["closed_form"] = rational_json(instance.closed_form)
-    _emit(
-        {"command": "eghk", "input": echo, "results": results},
-        [f"{instance.label}: e_gHK = {value} = {exact_decimal(value)}"],
-    )
-    return 0
+    return results, [f"{instance.label}: e_gHK = {value} = {exact_decimal(value)}"]
 
 
-def _cmd_function(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_function(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     ideal = instance.ideal
     values = ghk_function(ideal, args.prime, args.max_n)
     limit = eghk(ideal)
@@ -160,19 +163,14 @@ def _cmd_function(args) -> int:
         "limit": rational_json(limit),
         "convergence_constant": convergence_constant(ideal),
     }
-    _emit(
-        {"command": "function", "input": echo, "results": results},
-        [
-            f"{instance.label}: gap counts at q = {args.prime}^0 .. "
-            f"{args.prime}^{args.max_n}: {values}",
-            f"limit of count / q^2 is {limit} = {exact_decimal(limit)}",
-        ],
-    )
-    return 0
+    return results, [
+        f"{instance.label}: gap counts at q = {args.prime}^0 .. "
+        f"{args.prime}^{args.max_n}: {values}",
+        f"limit of count / q^2 is {limit} = {exact_decimal(limit)}",
+    ]
 
 
-def _cmd_split(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_split(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     split = frobenius_gap_split(instance.ideal, args.q)
     results = {
         "q": args.q,
@@ -181,18 +179,13 @@ def _cmd_split(args) -> int:
         "ord_vs_frob": split.ord_vs_frob,
         "additive": split.total_gap == split.sym_vs_ord + split.ord_vs_frob,
     }
-    _emit(
-        {"command": "split", "input": echo, "results": results},
-        [
-            f"{instance.label}: q = {args.q}: total gap {split.total_gap} = "
-            f"{split.sym_vs_ord} (ordinary) + {split.ord_vs_frob} (band)"
-        ],
-    )
-    return 0
+    return results, [
+        f"{instance.label}: q = {args.q}: total gap {split.total_gap} = "
+        f"{split.sym_vs_ord} (ordinary) + {split.ord_vs_frob} (band)"
+    ]
 
 
-def _cmd_powers(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     ideal = instance.ideal
     values = h0_powers(ideal, args.max_n)
     results: dict = {"values": values, "max_n": args.max_n}
@@ -234,25 +227,10 @@ def _cmd_powers(args) -> int:
     results["epsilon_estimate"] = rational_json(
         Fraction(values[-1], args.max_n * args.max_n)
     )
-    _emit({"command": "powers", "input": echo, "results": results}, summary)
-    return 0
+    return results, summary
 
 
-def _cmd_reptype(args) -> int:
-    if args.file is not None:
-        doc = _load_document(args.file)
-        section = doc.get("reptype")
-        if not isinstance(section, dict):
-            raise InputError('input document needs a "reptype" object')
-        echo = doc
-    else:
-        if args.r is None or args.u is None:
-            raise InputError("reptype needs either --file or both --r and --u")
-        section = {"r": args.r, "multiplicities": _int_list(args.u.split(","), "--u")}
-        if args.v is not None:
-            section["weights"] = [w.strip() for w in args.v.split(",")]
-        echo = {"reptype": section}
-
+def _cmd_reptype(section: dict, args) -> tuple[dict, list[str]]:
     r = section.get("r")
     if r is not None:
         try:
@@ -286,35 +264,23 @@ def _cmd_reptype(args) -> int:
     }
     if r is not None:
         results["r"] = r
-    _emit(
-        {"command": "reptype", "input": echo, "results": results},
-        [f"module pairing gives e_gHK = {value} = {exact_decimal(value)}"],
-    )
-    return 0
+    return results, [f"module pairing gives e_gHK = {value} = {exact_decimal(value)}"]
 
 
-def _cmd_verify(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_verify(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     checks = run_instance_checks(instance.ideal)
-    all_passed = all(c.passed for c in checks)
     results = {
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-        "all_passed": all_passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "all_passed": all(c.passed for c in checks),
     }
-    summary = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks
-    ]
+    summary = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
     summary.append(
         f"{instance.label}: {sum(c.passed for c in checks)}/{len(checks)} suites passed"
     )
-    _emit({"command": "verify", "input": echo, "results": results}, summary)
-    return 0 if all_passed else 1
+    return results, summary
 
 
-def _cmd_plot(args) -> int:
-    instance, echo = _toric_instance(args)
+def _cmd_plot(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     ideal = instance.ideal
     svg = render_region_svg(ideal, args.q_mark)
     try:
@@ -334,11 +300,7 @@ def _cmd_plot(args) -> int:
             "band": rational_json(total - ordinary),
         },
     }
-    _emit(
-        {"command": "plot", "input": echo, "results": results},
-        [f"{instance.label}: wrote {args.out} (power scale {q})"],
-    )
-    return 0
+    return results, [f"{instance.label}: wrote {args.out} (power scale {q})"]
 
 
 def _add_toric_input(parser: argparse.ArgumentParser) -> None:
@@ -399,11 +361,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Optional[list[str]] = None) -> int:
+    """Run one request from argv and return its exit code.
+
+    _cmd_<name>(source, args) gets the section for reptype and the toric
+    instance otherwise, and returns (results, summary lines).  Results
+    with all_passed false (a failed verify suite) exit 1.
+    """
     args = _parser().parse_args(argv)
     try:
         try:
+            load = _reptype_input if args.command == "reptype" else _toric_instance
+            source, echo = load(args)
             # looked up per call, so a command replaced after the first call still runs
-            return globals()["_cmd_" + args.command](args)
+            results, summary = globals()["_cmd_" + args.command](source, args)
+            # formatted whole before writing, so a report that cannot be printed (an
+            # unserialisable value, an int past the digit limit) writes nothing on stdout
+            report = report_json({"command": args.command, "input": echo, "results": results})
+            sys.stdout.write(report + "\n")
+            for line in summary:
+                print(line, file=sys.stderr)
+            return 1 if results.get("all_passed") is False else 0
         except ValueError as exc:
             # str() of an integer past the interpreter's digit limit, in a report or a message
             if isinstance(exc, GhkError) or "integer string conversion" not in str(exc):

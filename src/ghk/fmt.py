@@ -13,22 +13,24 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 
-def exact_decimal(value: Fraction, sig: int = 12) -> str:
-    """Decimal string of a rational, correctly rounded to sig significant digits.
+_SIG = 12  # significant digits of every decimal string
+
+
+def exact_decimal(value: Fraction) -> str:
+    """Decimal string of a rational, correctly rounded to _SIG significant digits.
 
     Never uses scientific notation, never emits padding zeros, so equal
     rationals always format to byte-identical strings.  The division runs
     in a context of its own, so the caller's decimal context (its
     rounding, its traps) has no effect.
     """
-    context = Context(prec=sig, rounding=ROUND_HALF_EVEN)
+    context = Context(prec=_SIG, rounding=ROUND_HALF_EVEN)
     quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
     return format(quotient, "f")
 
 
 def rational_json(value: Fraction) -> dict:
     """The report encoding of an exact rational."""
-    value = Fraction(value)
     return {"rational": str(value), "decimal": exact_decimal(value)}
 
 

@@ -284,12 +284,12 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     return total
 
 
-def _count_under(cone: Cone2, lo: int, corners: Sequence[tuple[int, int]]) -> int:
-    """Lattice points at or above row lo and under the steps of corners.
+def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
+    """Lattice points under the steps of corners, at or above the last corner's row.
 
     corners is a staircase as plain (s, t) pairs, s increasing and t
-    decreasing, with no t below lo; column s in [s_i, s_i+1) counts the
-    rows lo <= t < t_i.  Column s holds (h - 1 - tau * s) // det_abs
+    decreasing, the last one on row lo; column s in [s_i, s_i+1) counts
+    the rows lo <= t < t_i.  Column s holds (h - 1 - tau * s) // det_abs
     points below row h, so the lo side is one floor sum over all columns
     [s_0, s_m).  Each step adds its own hi side: a loop over its columns
     when it is at most det_abs.bit_length() wide, the narrow steps that
@@ -299,7 +299,8 @@ def _count_under(cone: Cone2, lo: int, corners: Sequence[tuple[int, int]]) -> in
     step = cone.det_abs
     bits = step.bit_length()
     s0 = corners[0][0]
-    total = -_floor_sum(corners[-1][0] - s0, step, -tau, lo - 1 - tau * s0)
+    s_end, lo = corners[-1]
+    total = -_floor_sum(s_end - s0, step, -tau, lo - 1 - tau * s0)
     for (a, hi), (b, _) in zip(corners, corners[1:]):
         c = hi - 1 - tau * a
         if b - a > bits:
@@ -332,7 +333,7 @@ def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -
     actual points of Z^2, through their corners, with _count_under.
     """
     _require_bounded(threshold, stair)
-    return _count_under(cone, threshold.t, stair.corners)
+    return _count_under(cone, stair.corners)
 
 
 def count_lattice_band(

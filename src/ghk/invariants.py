@@ -49,13 +49,17 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, Corner(c1, c2), ideal.stair)
 
 
+_MAX_TOWER_WORK = 500_000  # corners counted over the tower, about 1.3 s up to det_abs 10^12
+
+
 def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     """Values of the generalized Hilbert-Kunz function at q = p^0 .. p^n_max.
 
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
-    prime and n_max nonnegative.  p over 40 bits, or n_max times p's bit
-    length over 4096, raises BadParameters before the primality test; so
+    prime and n_max nonnegative.  p over 40 bits, n_max times p's bit
+    length over 4096, or (n_max + 1) times the corner count over
+    _MAX_TOWER_WORK raises BadParameters before the primality test; so
     does a count that could pass the interpreter's int-to-str digit limit,
     before any counting.  The input ideal was validated when it was built,
     so each q is counted by _count_under straight off the base corners
@@ -69,6 +73,11 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
     if n_max * bits > 4096:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
+    work = (n_max + 1) * len(ideal.stair.corners)
+    if work > _MAX_TOWER_WORK:
+        raise BadParameters(
+            f"q = {p}^0 .. {p}^{n_max} needs {work} corner counts, over {_MAX_TOWER_WORK}"
+        )
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")
     # the largest count is at most the lattice points of its gap box
@@ -81,7 +90,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
             "the limit for printing an integer"
         )
     return [
-        _count_under(ideal.cone, q * stair.min_t, [(q * s, q * t) for s, t in stair.corners])
+        _count_under(ideal.cone, [(q * s, q * t) for s, t in stair.corners])
         for q in (p**n for n in range(n_max + 1))
     ]
 
@@ -128,7 +137,7 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     and its first on the s threshold.
     """
     levels = _chain_levels(ideal, n_max)
-    return [_count_under(ideal.cone, lv[-1][1], lv) for lv in levels[1:n_max + 1]]
+    return [_count_under(ideal.cone, lv) for lv in levels[1:n_max + 1]]
 
 
 class ClassFit(NamedTuple):

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 from .errors import BadParameters
 from .fmt import exact_decimal
-from .geometry import Corner, Staircase, _rectangles
-from .ideals import MonomialIdeal, _gap_count, frobenius_power, ordinary_power
+from .geometry import Corner, Staircase, _count_under, _rectangles
+from .ideals import MonomialIdeal, ordinary_power
 
 _MAX_GAP_DOTS = 100_000  # each gap dot is one circle element of about 70 bytes
 
@@ -65,31 +65,6 @@ def _gap_rectangles(stair: Staircase) -> list[tuple[int, int, int, int]]:
     return [(a, b, stair.min_t, hi) for (a, hi), (b, _) in steps]
 
 
-def _capped_power(ideal: MonomialIdeal, q_mark: Optional[int]) -> MonomialIdeal:
-    """The q_mark-th ordinary power, once the picture is known to be drawable.
-
-    The dot count needs only the bracket power, so a picture with more
-    than _MAX_GAP_DOTS gap dots is refused before the far costlier
-    ordinary power is built.  Placing the dots walks each gap rectangle
-    along its shorter side, so a picture whose rectangles take more
-    than _MAX_GAP_DOTS such lines is refused too.  Both raise
-    BadParameters.  The ideal keeps the power it returns.
-    """
-    if q_mark is not None and q_mark < 1:
-        raise BadParameters("q_mark must be a positive integer")
-    q = q_mark or 1
-    frob = frobenius_power(ideal, q)
-    dots = _gap_count(frob)
-    if dots > _MAX_GAP_DOTS:
-        raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
-    lines = sum(min(b - a, hi - lo) for a, b, lo, hi in _gap_rectangles(frob.stair))
-    if lines > _MAX_GAP_DOTS:
-        raise BadParameters(
-            f"q_mark {q} would walk {lines} lines to place its gap dots, over {_MAX_GAP_DOTS}"
-        )
-    return ordinary_power(ideal, q)
-
-
 def _gap_dots(rect: tuple[int, int, int, int], tau: int, step: int) -> list[tuple[int, int]]:
     """The lattice corners (s, t) in [a, b) x [lo, hi), s ascending, then t ascending.
 
@@ -116,16 +91,28 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     staircases, and the dots mark the exact lattice points behind the
     gap count.  Without q_mark it is the base picture (q = 1).  Raises
     BadParameters when there would be more than _MAX_GAP_DOTS dots, or
-    more than _MAX_GAP_DOTS lines to walk to place them, before the
-    q-th ordinary power is built; the ideal then keeps that power.
+    more than _MAX_GAP_DOTS lines to walk to place them (each gap
+    rectangle is walked along its shorter side).  Both caps read the
+    base staircase scaled by q, before the far costlier q-th ordinary
+    power is built; the ideal then keeps that power.
     """
-    fine = _capped_power(ideal, q_mark).stair
+    if q_mark is not None and q_mark < 1:
+        raise BadParameters("q_mark must be a positive integer")
     q = q_mark or 1
     cone = ideal.cone
+    coarse = ideal.stair.scale(q)
+    cells = _gap_rectangles(coarse)
+    dots = _count_under(cone, coarse.corners)
+    if dots > _MAX_GAP_DOTS:
+        raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
+    lines = sum(min(b - a, hi - lo) for a, b, lo, hi in cells)
+    if lines > _MAX_GAP_DOTS:
+        raise BadParameters(
+            f"q_mark {q} would walk {lines} lines to place its gap dots, over {_MAX_GAP_DOTS}"
+        )
+    fine = ordinary_power(ideal, q).stair
     step = cone.det_abs
     to_svg = _corner_to_svg(cone)
-
-    coarse = ideal.stair.scale(q)
     threshold = Corner(coarse.min_s, coarse.min_t)
 
     pad = 2 * q + step
@@ -164,7 +151,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
         )
 
     _, tau = cone.column_data()
-    for rect in _gap_rectangles(coarse):
+    for rect in cells:
         for s, t in _gap_dots(rect, tau, step):
             x, y = to_svg(s, t)
             parts.append(

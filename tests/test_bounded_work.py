@@ -3,8 +3,9 @@
 Each runs as its own `python -m ghk` process and must finish in under
 2 s with its stated exit code and result: the counts take a floor sum
 over leftover columns, the plot walks the shorter side of each gap
-rectangle and refuses too many lines, the pairing sums in integers, and
-verify refuses when a suite hits a work cap.
+rectangle and refuses too many lines, the pairing sums in integers,
+verify refuses when a suite hits a work cap, and function refuses a
+tower with too many corner counts.
 """
 
 import json
@@ -31,6 +32,11 @@ LONG = {
     "generators": [[999991, 999990000000], [1000001, D]],
 }
 E_GHK = "999999999998000000000001/1000000000000"
+# 20,001 corners: each q of a function tower counts all of them
+QUADRANT = {
+    "cone": {"rays": [[1, 0], [0, 1]]},
+    "generators": [[i, 20000 - i] for i in range(20001)],
+}
 
 
 def run_ghk(tmp_path, argv, doc=None):
@@ -84,3 +90,19 @@ def test_verify_refuses_a_power_over_the_cap(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "power 600 needs about 3819900 DP steps" in proc.stderr
+
+
+def test_function_tower_over_the_cap_is_refused(tmp_path):
+    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "2000"], QUADRANT)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: q = 2^0 .. 2^2000 needs 40022001 corner counts, over 500000\n"
+
+
+def test_function_tower_under_the_cap(tmp_path):
+    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "20"], QUADRANT)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["limit"]["rational"] == "200010000"
+    assert results["values"][0] == 200010000
+    assert len(results["values"]) == 21

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ghk import cli, ideals
+from ghk import checks, cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json, report_json
@@ -402,6 +402,21 @@ class TestVerifyCommand:
         assert report["results"]["all_passed"] is True
 
 
+    def test_failed_suite_prints_the_report_and_exits_1(self, capsys, monkeypatch):
+        # a suite that passes a bad argument fails; the report and summary still print
+        monkeypatch.setattr(
+            checks, "torsion_factorization",
+            lambda ideal: ideals.torsion_factorization(ideal, max_order=0),
+        )
+        code, report, err = run_json(capsys, ["verify", "--family", "veronese:9,7"])
+        assert code == 1
+        assert report["command"] == "verify"
+        assert report["results"]["all_passed"] is False
+        failed = [c["name"] for c in report["results"]["checks"] if not c["passed"]]
+        assert failed == ["torsion-roundtrip"]
+        assert "FAIL torsion-roundtrip: BadParameters: max_order" in err
+        assert err.endswith("9/10 suites passed\n")
+
     def test_large_index_finishes(self, capsys, tmp_path):
         # index 6401: the box scans of the oracle used to take minutes here
         doc = {"cone": {"rays": [[1, 0], [1, 6401]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
@@ -496,11 +511,21 @@ class TestDispatch:
 
     def test_command_replaced_after_first_call_is_dispatched(self, capsys, monkeypatch):
         assert run_command(["eghk", "--family", "a:3,1"]) == 0
-        seen = []
-        monkeypatch.setattr(cli, "_cmd_eghk", lambda args: seen.append(args.family) or 7)
-        assert run_command(["eghk", "--family", "a:5,2"]) == 7
-        assert seen == ["a:5,2"]
         capsys.readouterr()
+        seen = []
+
+        def replaced(instance, args):
+            seen.append((instance.label, args.family))
+            return {"replaced": True}, ["replaced"]
+
+        monkeypatch.setattr(cli, "_cmd_eghk", replaced)
+        code, report, err = run_json(capsys, ["eghk", "--family", "a:5,2"])
+        assert code == 0
+        assert report == {
+            "command": "eghk", "input": {"family": "a:5,2"}, "results": {"replaced": True}
+        }
+        assert err == "replaced\n"
+        assert seen == [("a:5,2", "a:5,2")]
 
 
 class TestErrorMapping:

@@ -14,7 +14,7 @@ from conftest import (
     random_ideal,
     random_index_ideal,
 )
-from ghk import ideals
+from ghk import ideals, invariants
 from ghk.errors import (
     BadParameters,
     NoStabilization,
@@ -175,6 +175,18 @@ class TestGhkFunction:
         with pytest.raises(BadParameters, match=r"q = 2\^8000 needs up to 16000 bits, over 4096"):
             ghk_function(VER31, 2, 8000)
         assert perf_counter() - start < 0.1
+
+    def test_tower_cap_is_exact(self, monkeypatch):
+        # (n_max + 1) counts of every corner, refused before the primality test
+        ideal = veronese(9, 7).ideal
+        work = 6 * len(ideal.stair.corners)
+        monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work)
+        assert len(ghk_function(ideal, 2, 5)) == 6
+        monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work - 1)
+        refusal = rf"\^5 needs {work} corner counts, over {work - 1}"
+        for p in (2, 4):
+            with pytest.raises(BadParameters, match=refusal):
+                ghk_function(ideal, p, 5)
 
     def test_digit_limit_boundary(self):
         # on the unit quadrant the count at q = 1 is exactly the gap box, n^2
