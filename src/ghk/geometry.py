@@ -14,7 +14,9 @@ det_abs consecutive columns hold one point per row, and counting the
 points of a rectangle takes O(log det_abs) steps however large it is:
 one product for the full blocks of det_abs columns, a floor sum for
 the columns left over.  A complement is counted straight off the
-corners of its staircase, one step at a time.
+corners of its staircase, one run of equal steps at a time: a run of
+more steps than a step has columns costs one floor sum per column of a
+step.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -289,26 +291,47 @@ def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
 
     corners is a staircase as plain (s, t) pairs, s increasing and t
     decreasing, the last one on row lo; column s in [s_i, s_i+1) counts
-    the rows lo <= t < t_i.  Column s holds (h - 1 - tau * s) // det_abs
-    points below row h, so the lo side is one floor sum over all columns
-    [s_0, s_m).  Each step adds its own hi side: a loop over its columns
-    when it is at most det_abs.bit_length() wide, the narrow steps that
-    ordinary-power staircases are made of, and one floor sum otherwise.
+    the rows lo <= t < t_i.  Column s holds (r - 1 - tau * s) // det_abs
+    points below row r, so the lo side is one floor sum over all columns
+    [s_0, s_m).  The top sides are added one run at a time, a run being a
+    maximal stretch of R equal steps (w, -h), found in one pass over the
+    corners.  Column x of the run's step j is s_i + j * w + x, under row
+    t_i - j * h, so each of the w column offsets x is one floor sum over
+    j = 0 .. R - 1 with slope -(h + tau * w).  That takes w floor sums
+    where the steps one by one take about R, so it is used when w < R, as
+    on the long runs of Veronese powers.  Otherwise each step of the run
+    adds its own top side: a loop over its columns when it is at most
+    det_abs.bit_length() wide, the narrow steps that ordinary-power
+    staircases are made of, and one floor sum otherwise.
     """
     _, tau = cone.column_data()
     step = cone.det_abs
     bits = step.bit_length()
-    s0 = corners[0][0]
-    s_end, lo = corners[-1]
-    total = -_floor_sum(s_end - s0, step, -tau, lo - 1 - tau * s0)
-    for (a, hi), (b, _) in zip(corners, corners[1:]):
-        c = hi - 1 - tau * a
-        if b - a > bits:
-            total += _floor_sum(b - a, step, -tau, c)
-            continue
-        for _ in range(b - a):
-            total += c // step
-            c -= tau
+    (a, hi), (s_end, lo) = corners[0], corners[-1]
+    total = -_floor_sum(s_end - a, step, -tau, lo - 1 - tau * a)
+    c, w, h, run = hi - 1 - tau * a, 0, 0, 0  # c: hi - 1 - tau * s at the run's first column
+    # a closing step of width 0 ends the last run
+    for b, t in corners[1:] + corners[-1:]:
+        if b - a == w and hi - t == h:
+            run += 1
+        else:
+            if w < run:
+                for _ in range(w):
+                    total += _floor_sum(run, step, -h - tau * w, c)
+                    c -= tau
+                c = hi - 1 - tau * a
+            else:
+                for _ in range(run):
+                    if w > bits:
+                        total += _floor_sum(w, step, -tau, c)
+                        c -= tau * w
+                    else:
+                        for _ in range(w):
+                            total += c // step
+                            c -= tau
+                    c -= h
+            w, h, run = b - a, hi - t, 1
+        a, hi = b, t
     return total
 
 

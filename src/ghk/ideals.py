@@ -128,21 +128,29 @@ class _PowerWorkCap(BadParameters):
 def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
 
-    Each level is a Pareto front, s increasing and t decreasing.
-    Adding a corner g turns level k into the minimal elements of level
-    k and of the new level k - 1 shifted by g, so each level is
+    Each level is a Pareto front, s increasing and t decreasing.  When
+    the corners are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m (a
+    single corner is a run with m = 0), level k is the dilated run
+    (k * s0 + i * w, k * t0 - i * h) for i = 0 .. k * m: the k-fold sums
+    fill it, and its points are an antichain.  Other corners go through
+    a DP.  Adding a corner g turns level k into the minimal elements of
+    level k and of the new level k - 1 shifted by g, so each level is
     Pareto-reduced before the next corner comes in.  The entries of a
     level have distinct s and distinct t, so level k has at most
     k * w + 1 of them, w the smaller span of the corners folded in so
     far.  That bound sizes the DP in O(len(corners)) before any level
     is built, counting a level's list and call overhead as eight
     entries (a one-entry level costs about that much); above
-    _MAX_POWER_WORK steps it raises BadParameters.
+    _MAX_POWER_WORK steps it raises BadParameters, a run included.
     """
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
     if work > _MAX_POWER_WORK:
         raise _PowerWorkCap(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
+    m = len(corners) - 1
+    w, h = (corners[1][0] - s0, t0 - corners[1][1]) if m else (0, 0)
+    if all(s - s0 == i * w and t0 - t == i * h for i, (s, t) in enumerate(corners)):
+        return [[(k * s0 + i * w, k * t0 - i * h) for i in range(k * m + 1)] for k in range(n + 1)]
     levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
     for gs, gt in corners:
         for k in range(1, n + 1):
@@ -154,18 +162,18 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
 def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """The n-th ordinary power, generated by all n-fold sums of generators.
 
-    Built in corner space by the Pareto DP of _power_levels over all
-    generators but the last; the last one only combines with level
-    n - i shifted by i times itself, so levels below n are never formed
-    for it.  The cost is polynomial in n (about s * n^2 * W for s
-    generators and staircase width W) where enumerating the
-    C(n + s - 1, s - 1) multisets is not; a DP above _MAX_POWER_WORK
-    steps raises BadParameters before it starts and stores nothing.
-    n = 1 returns the ideal itself, a principal ideal is scaled in O(1),
-    and each power is built once per ideal object and kept on it (a kept
-    ideal keeps its powers).  A power inside a chain already run on the
-    ideal is read off that chain's level n with no DP.  Use power_chain
-    for all powers 1 .. n.
+    Built in corner space by _power_levels over all generators but the
+    last (in closed form when they are one run, by the Pareto DP
+    otherwise); the last one only combines with level n - i shifted by
+    i times itself, so levels below n are never formed for it.  The cost
+    is polynomial in n (about s * n^2 * W for s generators and staircase
+    width W) where enumerating the C(n + s - 1, s - 1) multisets is not;
+    a DP above _MAX_POWER_WORK steps raises BadParameters before it
+    starts and stores nothing.  n = 1 returns the ideal itself, a
+    principal ideal is scaled in O(1), and each power is built once per
+    ideal object and kept on it (a kept ideal keeps its powers).  A power
+    inside a chain already run on the ideal is read off that chain's
+    level n with no DP.  Use power_chain for all powers 1 .. n.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")

@@ -171,13 +171,17 @@ class QuasiPolynomial(NamedTuple):
 
 def _quadratic_through(pts: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
     (n1, v1), (n2, v2), (n3, v3) = pts
-    d1 = Fraction(v2 - v1, n2 - n1)
-    d2 = Fraction(v3 - v2, n3 - n2)
-    a2 = (d2 - d1) / (n3 - n1)
-    # expand the Newton form v1 + d1 (n - n1) + a2 (n - n1)(n - n2)
-    a1 = d1 - a2 * (n1 + n2)
-    a0 = v1 - d1 * n1 + a2 * n1 * n2
-    return a2, a1, a0
+    # the Newton form v1 + d1 (n - n1) + a2 (n - n1)(n - n2), expanded over
+    # the common denominator p * r * (p + r) of d1 = (v2 - v1) / p and a2
+    p, r = n2 - n1, n3 - n2
+    den = p * r * (p + r)
+    d1 = (v2 - v1) * r * (p + r)
+    a2 = (v3 - v2) * p - (v2 - v1) * r
+    return (
+        Fraction(a2, den),
+        Fraction(d1 - a2 * (n1 + n2), den),
+        Fraction(v1 * den - d1 * n1 + a2 * n1 * n2, den),
+    )
 
 
 def fit_quasi_polynomial(

@@ -5,17 +5,23 @@ Each runs as its own `python -m ghk` process and must finish in under
 over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify refuses when a suite hits a work cap, and function refuses a
-tower with too many corner counts.
+tower with too many corner counts.  The counting kernel reads a long run
+of equal steps once, whether it counts the run whole or step by step;
+that is timed in process, under 1 s.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+
+from conftest import floor_sum_count_complement
+from ghk.geometry import Cone2, Corner, Staircase, _count_under
 
 ROOT = Path(__file__).resolve().parent.parent
 D = 10**12
@@ -106,3 +112,28 @@ def test_function_tower_under_the_cap(tmp_path):
     assert results["limit"]["rational"] == "200010000"
     assert results["values"][0] == 200010000
     assert len(results["values"]) == 21
+
+
+@pytest.mark.parametrize("width", [100_003, 1], ids=["wide-step-by-step", "narrow-whole"])
+def test_a_long_run_is_read_once(width):
+    # 10^5 equal steps on a cone of index 3: wide steps are counted one floor
+    # sum each (a run counted whole would take more), a narrow run takes one;
+    # a kernel that scans the run again per step is stopped after 10 s
+    cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
+    corners = [(i * width, 3 * (steps - i)) for i in range(steps + 1)]
+
+    def stop(signum, frame):
+        raise TimeoutError(f"{steps} steps {width} wide took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        start = perf_counter()
+        count = _count_under(cone, corners)
+        elapsed = perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1, f"{steps} steps {width} wide took {elapsed:.2f} s"
+    stair = Staircase(tuple(Corner(s, t) for s, t in corners))
+    assert count == floor_sum_count_complement(cone, Corner(0, 0), stair)

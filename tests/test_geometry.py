@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     grounded,
     progression_count,
     random_cone,
+    random_index_ideal,
     random_staircase,
     shoelace_complement_area,
 )
@@ -22,6 +25,7 @@ from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
+    _count_under,
     _floor_sum,
     _rectangles,
     count_lattice_band,
@@ -52,6 +56,26 @@ def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
         )
     fine = pareto_minimal(list(coarse.corners) + extra)
     return cone, threshold, fine, coarse
+
+
+def run_staircase(rng: random.Random, bits: int) -> Staircase:
+    """Runs of 1 to 60 equal steps, each followed by up to three irregular steps.
+
+    A run's steps are narrow (at most bits columns wide) or wide (more
+    than bits), so _count_under takes every branch on them.
+    """
+    steps = []
+    for _ in range(rng.randint(1, 4)):
+        w = rng.choice([rng.randint(1, bits), rng.randint(bits + 1, 3 * bits + 8)])
+        steps += [(w, rng.randint(1, 12))] * rng.randint(1, 60)
+        for _ in range(rng.randint(0, 3)):
+            steps.append((rng.randint(1, 3 * bits + 8), rng.randint(1, 12)))
+    s, t = rng.randint(0, 5), rng.randint(0, 5) + sum(h for _, h in steps)
+    corners = [Corner(s, t)]
+    for w, h in steps:
+        s, t = s + w, t - h
+        corners.append(Corner(s, t))
+    return Staircase(tuple(corners))
 
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
@@ -307,6 +331,26 @@ class TestCount:
             rects = _rectangles(fine, coarse) + _rectangles(Staircase((threshold,)), coarse)
             wide += any((b - a) % d > d.bit_length() for a, b, _, _ in rects)
         assert wide >= 30
+
+    def test_run_kernel_matches_column_and_floor_sum_oracles(self):
+        # half the cones random, half of index up to 10^12; a run of R equal
+        # steps w wide takes w floor sums when w < R, step by step otherwise
+        rng = random.Random(53)
+        kinds = Counter()
+        for i in range(100):
+            cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
+            bits = cone.det_abs.bit_length()
+            threshold, stair = grounded(run_staircase(rng, bits))
+            count = _count_under(cone, stair.corners)
+            assert count == floor_sum_count_complement(cone, threshold, stair)
+            assert count == column_count_complement(cone, threshold, stair)
+            steps = [(b.s - a.s, a.t - b.t) for a, b in zip(stair.corners, stair.corners[1:])]
+            for (w, _), run in groupby(steps):
+                size = len(list(run))
+                if size > 1:
+                    kinds[w < size, w > bits] += 1
+        # runs counted as a whole and step by step, of narrow and of wide steps
+        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
     def test_box_count_unit_lattice(self):
         stair = pareto_minimal([Corner(2, 0), Corner(0, 3)])

@@ -39,6 +39,22 @@ QUADRANT = Cone2.from_rays((1, 0), (0, 1))
 SKEW = Cone2.from_rays((1, 0), (1, 3))
 
 
+def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
+    """An ideal whose m + 1 corners are one run of equal steps (w, -h).
+
+    (s0 + i * w, t0 - i * h) is the corner of a lattice point for every i
+    when t0 == tau * s0 and h == -tau * w modulo det_abs.
+    """
+    cone = random_cone(rng, 3)
+    _, tau = cone.column_data()
+    d = cone.det_abs
+    w = rng.randint(1, 3)
+    h = (-tau * w) % d or d
+    s0 = rng.randint(0, 3)
+    t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
+    return MonomialIdeal(cone, Staircase(tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))))
+
+
 class TestConstruction:
     def test_gens_sorted_by_corner(self):
         ideal = new_ideal(QUADRANT, [(0, 3), (2, 0)])
@@ -160,6 +176,26 @@ class TestPowers:
             Corner(k * g1.s + (n - k) * g2.s, k * g1.t + (n - k) * g2.t)
             for k in range(n, -1, -1)
         )
+
+    def test_one_run_levels_match_multiset_oracle(self):
+        # the closed form: level k of a run is the run dilated by k
+        rng = random.Random(61)
+        for i in range(18):
+            ideal = one_run_ideal(rng, i % 9)
+            levels = ideals._power_levels(ideal.stair.corners, 6)
+            assert levels[0] == [(0, 0)]
+            for k in range(1, 7):
+                assert levels[k] == list(brute_ordinary_power(ideal, k).stair.corners)
+
+    def test_one_run_gap_lengths_match_box_oracle(self):
+        rng = random.Random(67)
+        for i in range(9):
+            ideal = one_run_ideal(rng, i)
+            lengths = h0_powers(ideal, 6)
+            for n in range(1, 7):
+                brute = brute_ordinary_power(ideal, n)
+                threshold = Corner(*brute.thresholds)
+                assert lengths[n - 1] == brute_count_complement(ideal.cone, threshold, brute.stair)
 
     def test_power_chain_matches_single_powers(self):
         rng = random.Random(71)
