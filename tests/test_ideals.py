@@ -52,7 +52,8 @@ def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
     h = (-tau * w) % d or d
     s0 = rng.randint(0, 3)
     t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
-    return MonomialIdeal(cone, Staircase(tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))))
+    run = tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))
+    return MonomialIdeal(cone, Staircase(run))
 
 
 class TestConstruction:
