@@ -7,10 +7,12 @@ pairs) and a short human summary on stderr.  Exit codes: 0 on success,
 error.  The verify subcommand also exits 1 when some property suite
 fails.
 
-Every request takes one path, run_command.  It loads the input (the
-toric instance, or for reptype its section), calls _cmd_<name>, which
-only computes and returns the results and the summary lines, then
-prints the report and the summary and picks the exit code.
+Every request takes one path, run_command.  Its load step reads and
+checks every input field: the toric instance, or for reptype the index,
+table, multiplicities and weights.  It then calls _cmd_<name>, which
+only computes and returns the results and the summary lines, prints
+the report and the summary, and picks the exit code.  Usage errors
+exit 1 as well, not argparse's 2.
 """
 
 import argparse
@@ -52,6 +54,25 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _read_list(value, read, what: str, kind: str) -> list:
+    """The entries of the JSON list field what, each passed through read.
+
+    The error names the field and the one entry that read refused, never
+    the whole list, which may hold thousands of entries.
+    """
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of {kind}")
+    entries = []
+    for item in value:
+        try:
+            entries.append(read(item))
+        except InputError:  # a nested list names itself
+            raise
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"{what} entries must be {kind}, got {item!r}") from None
+    return entries
+
+
 def _to_int(value) -> int:
     # only ints and integer strings: int() would truncate 3.9 and read true as 1
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -59,79 +80,88 @@ def _to_int(value) -> int:
     return int(value)
 
 
-def _int_pair_list(value, what: str) -> list[tuple[int, int]]:
-    if not isinstance(value, list) or not value:
-        raise InputError(f"{what} must be a nonempty list of [x, y] pairs")
-    pairs = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise InputError(f"{what} entries must be [x, y] pairs, got {item!r}")
-        try:
-            pairs.append((_to_int(item[0]), _to_int(item[1])))
-        except (TypeError, ValueError):
-            raise InputError(f"{what} entries must be integers, got {item!r}") from None
-    return pairs
+def _to_rational(value) -> Fraction:
+    # ints and integer, "p/q" or decimal strings, never a bool or a float; no
+    # exponent, since Fraction("1e100000000") builds a 10^8-digit power first
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(value)
+    return Fraction(value if isinstance(value, str) else _to_int(value))
 
 
-def _instance_from_document(doc: dict) -> ToricInstance:
+def _to_pair(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(value)
+    return _to_int(value[0]), _to_int(value[1])
+
+
+def _to_row(value) -> tuple[int, ...]:
+    return tuple(_read_list(value, _to_int, "table row", "integers"))
+
+
+def _toric_instance(args) -> tuple[ToricInstance, dict]:
+    """The toric instance and its echo, from --family or --file."""
+    if args.family is not None:
+        return parse_family(args.family), {"family": args.family}
+    doc = _load_document(args.file)
     if "cone" not in doc or "generators" not in doc:
         raise InputError('input document needs "cone" and "generators" keys')
     cone_doc = doc["cone"]
     if not isinstance(cone_doc, dict) or "rays" not in cone_doc:
         raise InputError('"cone" must be an object with a "rays" key')
-    rays = _int_pair_list(cone_doc["rays"], "cone.rays")
+    rays = _read_list(cone_doc["rays"], _to_pair, "cone.rays", "[x, y] integer pairs")
     if len(rays) != 2:
         raise InputError("cone.rays must list exactly two rays")
-    gens = _int_pair_list(doc["generators"], "generators")
+    gens = _read_list(doc["generators"], _to_pair, "generators", "[x, y] integer pairs")
     cone = Cone2.from_rays(*rays)
     ideal = new_ideal(cone, gens)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError('"label" must be a string')
-    return ToricInstance(label or "input", ideal)
+    return ToricInstance(label or "input", ideal), doc
 
 
-def _toric_instance(args) -> tuple[ToricInstance, dict]:
-    if args.family is not None:
-        return parse_family(args.family), {"family": args.family}
-    doc = _load_document(args.file)
-    return _instance_from_document(doc), doc
+def _reptype_input(args) -> tuple[tuple, dict]:
+    """(r, table, multiplicities, weights) and the echo, from --file or --r, --u and --v.
 
-
-def _int_list(values, what: str) -> list[int]:
-    try:
-        return [_to_int(v) for v in values]
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be a list of integers, got {values!r}") from None
-
-
-def _parse_rational(value, what: str) -> Fraction:
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise InputError(f'{what} must be an integer or a "p/q" string, got {value!r}')
-
-
-def _reptype_input(args) -> tuple[dict, dict]:
-    """The reptype section and its echo, from --file or from --r, --u and --v."""
+    r is None when the section gives only a table.
+    """
     if args.file is not None:
-        doc = _load_document(args.file)
-        section = doc.get("reptype")
+        echo = _load_document(args.file)
+        section = echo.get("reptype")
         if not isinstance(section, dict):
             raise InputError('input document needs a "reptype" object')
-        return section, doc
-    if args.r is None or args.u is None:
-        raise InputError("reptype needs either --file or both --r and --u")
-    section = {"r": args.r, "multiplicities": _int_list(args.u.split(","), "--u")}
-    if args.v is not None:
-        section["weights"] = [w.strip() for w in args.v.split(",")]
-    return section, {"reptype": section}
+    else:
+        if args.r is None or args.u is None:
+            raise InputError("reptype needs either --file or both --r and --u")
+        mults = _read_list(args.u.split(","), _to_int, "--u", "integers")
+        section = {"r": args.r, "multiplicities": mults}
+        if args.v is not None:
+            section["weights"] = [w.strip() for w in args.v.split(",")]
+        echo = {"reptype": section}
+    r = section.get("r")
+    if r is not None:
+        try:
+            r = _to_int(r)
+        except ValueError:
+            raise InputError(f'"r" must be an integer, got {r!r}') from None
+    if "table" in section:
+        rows = _read_list(section["table"], _to_row, "table", "lists of integers")
+        table = TorTable(tuple(rows))
+    elif r is not None:
+        table = a_tor_table(r)
+    else:
+        raise InputError('reptype needs "r" or an explicit "table"')
+    if "multiplicities" not in section:
+        raise InputError('reptype needs "multiplicities"')
+    mults = _read_list(section["multiplicities"], _to_int, "multiplicities", "integers")
+    if "weights" in section:
+        kind = 'integers or "p/q" strings'
+        weights = _read_list(section["weights"], _to_rational, "weights", kind)
+    elif r is not None:
+        weights = [Fraction(1, r)] * table.dim
+    else:
+        raise InputError('reptype needs "weights" when no "r" is given')
+    return (r, table, mults, weights), echo
 
 
 def _cmd_eghk(instance: ToricInstance, args) -> tuple[dict, list[str]]:
@@ -230,31 +260,8 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     return results, summary
 
 
-def _cmd_reptype(section: dict, args) -> tuple[dict, list[str]]:
-    r = section.get("r")
-    if r is not None:
-        try:
-            r = _to_int(r)
-        except (TypeError, ValueError):
-            raise InputError(f'"r" must be an integer, got {r!r}') from None
-    if "table" in section:
-        rows = section["table"]
-        if not isinstance(rows, list):
-            raise InputError('"table" must be a list of rows')
-        table = TorTable(tuple(tuple(_int_list(row, "table row")) for row in rows))
-    elif r is not None:
-        table = a_tor_table(r)
-    else:
-        raise InputError('reptype needs "r" or an explicit "table"')
-    if "multiplicities" not in section:
-        raise InputError('reptype needs "multiplicities"')
-    mults = _int_list(section["multiplicities"], "multiplicities")
-    if "weights" in section:
-        weights = [_parse_rational(w, "weight") for w in section["weights"]]
-    elif r is not None:
-        weights = [Fraction(1, r)] * table.dim
-    else:
-        raise InputError('reptype needs "weights" when no "r" is given')
+def _cmd_reptype(source: tuple, args) -> tuple[dict, list[str]]:
+    r, table, mults, weights = source
     value = eghk_from_type(mults, weights, table)
     results = {
         "eghk": rational_json(value),
@@ -309,8 +316,20 @@ def _add_toric_input(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="path of a JSON input document")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the code for bad input.
+
+    argparse exits 2, which this CLI keeps for internal errors.
+    Subparsers are built from the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghk",
         description=(
             "Exact generalized Hilbert-Kunz multiplicities of monomial ideals "
@@ -363,9 +382,10 @@ def _parser() -> argparse.ArgumentParser:
 def run_command(argv: Optional[list[str]] = None) -> int:
     """Run one request from argv and return its exit code.
 
-    _cmd_<name>(source, args) gets the section for reptype and the toric
-    instance otherwise, and returns (results, summary lines).  Results
-    with all_passed false (a failed verify suite) exit 1.
+    _cmd_<name>(source, args) gets (r, table, multiplicities, weights)
+    for reptype and the toric instance otherwise, and returns (results,
+    summary lines).  Results with all_passed false (a failed verify
+    suite) exit 1.
     """
     args = _parser().parse_args(argv)
     try:

@@ -91,6 +91,14 @@ def test_reptype_at_the_largest_index(tmp_path):
     assert json.loads(proc.stdout)["results"]["eghk"]["rational"] == "333333/2"
 
 
+def test_weight_exponent_is_refused(tmp_path):
+    # twelve characters that Fraction() reads as 10^100000000, over minutes
+    proc = run_ghk(tmp_path, ["reptype", "--r", "3", "--u", "1,1", "--v", "1e100000000,1"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "weights entries must be" in proc.stderr
+
+
 def test_verify_refuses_a_power_over_the_cap(tmp_path):
     proc = run_ghk(tmp_path, ["verify", "--family", "veronese:600,7"])
     assert proc.returncode == 1

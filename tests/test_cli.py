@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -575,6 +576,16 @@ class TestErrorMapping:
             ({"reptype": {"r": 3, "multiplicities": [1.5, True]}}, "multiplicities"),
             ({"reptype": {"table": [[1, 1], [1, 1.0]], "multiplicities": [1, 0],
                           "weights": ["1/3", "1/3"]}}, "table row"),
+            # a string or an object is not a list, though iterating it yields entries
+            ({"reptype": {"r": 3, "multiplicities": "11"}}, "multiplicities"),
+            ({"reptype": {"r": 3, "multiplicities": {"1": 0, "2": 0}}}, "multiplicities"),
+            ({"reptype": {"table": ["11", "11"], "multiplicities": [1, 1],
+                          "weights": ["1", "1"]}}, "table"),
+            ({"reptype": {"table": [[1]], "multiplicities": "1", "weights": ["1"]}},
+             "multiplicities"),
+            ({"reptype": {"r": 3, "multiplicities": [1, 1], "weights": "12"}}, "weights"),
+            ({"reptype": {"table": [[1]], "multiplicities": [1], "weights": None}},
+             "weights"),
         ],
     )
     def test_non_integer_document_values_rejected(self, capsys, tmp_path, doc, field):
@@ -642,3 +653,28 @@ class TestEntryPoint:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["eghk"]["rational"] == "1/3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["eghk"], ["mystery"], ["eghk", "--family", "a:3,1", "--bogus"]],
+        ids=["no-command", "no-input", "unknown-command", "unknown-option"],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys, monkeypatch):
+        # exit 2 means an internal error; argparse's own error() exits 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghk", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        with pytest.raises(SystemExit) as stock:
+            run_command(argv)
+        assert stock.value.code == 2
+        assert proc.stderr == capsys.readouterr().err
+
+    def test_help_exits_0(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghk", "--help"], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ghk")

@@ -1,8 +1,10 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,8 @@ from ghk.geometry import (
     pareto_minimal,
     staircase_complement_area,
 )
+
+GEOMETRY = Path(__file__).resolve().parent.parent / "src" / "ghk" / "geometry.py"
 
 
 def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
@@ -414,3 +418,40 @@ class TestCount:
                 scaled = Corner(q * threshold.s, q * threshold.t)
                 count = count_lattice_complement(cone, scaled, stair.scale(q))
                 assert abs(Fraction(count, q * q) - area) <= Fraction(bound, q)
+
+
+def band_names(tree: ast.Module) -> dict[str, set[str]]:
+    """The names used by count_lattice_band and each module function it reaches."""
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = {}, ["count_lattice_band"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in bodies:
+            continue
+        seen[name] = {n.id for n in ast.walk(bodies[name]) if isinstance(n, ast.Name)}
+        todo.extend(seen[name])
+    return seen
+
+
+class TestBandGuard:
+    # the band as a difference of two complement counts would make split's
+    # total_gap == sym_vs_ord + ord_vs_frob and verify's additivity tautologies
+    FORBIDDEN = {"_count_under", "count_lattice_complement"}
+
+    def test_band_is_its_own_count(self):
+        names = band_names(ast.parse(GEOMETRY.read_text(encoding="utf-8")))
+        assert "_count_between" in names
+        assert [f for f, used in names.items() if used & self.FORBIDDEN] == []
+
+    def test_guard_catches_a_complement_difference(self):
+        code = (
+            "def _count_under(cone, corners):\n"
+            "    return 0\n"
+            "def _between(cone, lower, upper):\n"
+            "    return _count_under(cone, upper) - _count_under(cone, lower)\n"
+            "def count_lattice_band(cone, threshold, fine, coarse):\n"
+            "    return _between(cone, fine.corners, coarse.corners)\n"
+        )
+        names = band_names(ast.parse(code))
+        assert set(names) == {"count_lattice_band", "_between", "_count_under"}
+        assert [f for f, used in names.items() if used & self.FORBIDDEN] == ["_between"]
