@@ -16,7 +16,8 @@ one product for the full blocks of det_abs columns, a floor sum for
 the columns left over.  A complement is counted straight off the
 corners of its staircase, one run of equal steps at a time: a run of
 more steps than a step has columns costs one floor sum per column of a
-step.
+step.  A band between two staircases is counted one run of like
+rectangles at a time in the same way, with two floor sums per column.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -258,32 +259,61 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     """Lattice points whose corners dominate lower but not upper: the band count.
 
-    normal2 is primitive, so gcd(tau, det_abs) == 1 and any det_abs
-    consecutive columns of a rectangle hold exactly hi - lo points.
-    The fewer than det_abs columns left over are counted one at a time
-    when there are at most det_abs.bit_length() of them, and otherwise
-    by two floor sums, one per horizontal side, in O(log det_abs) steps.
-    The loop stays for the narrow leftovers that ordinary-power staircases
-    are made of: there two floor sums per rectangle cost about 3.5 times
-    as much as the few columns they replace.  Complements go through
+    The band is walked as the rectangles (a, b, lo, hi) of _rectangles,
+    one run at a time, a run being a maximal stretch of R touching
+    rectangles of one width w and one top hi whose bottoms move by one
+    constant delta, as between the q-th ordinary and bracket powers of a
+    one-run ideal.  With a and lo those of the run's first rectangle,
+    column s = a + j * w + x of rectangle j holds
+    (hi - 1 - tau * s) // det_abs - (lo + j * delta - 1 - tau * s) // det_abs
+    points, so each of the w column offsets x takes two floor sums over
+    j = 0 .. R - 1, of slopes -tau * w and delta - tau * w.  That is
+    used when w < R, reading the run once whatever R is.  Otherwise
+    each rectangle is counted on its own: normal2 is primitive, so
+    gcd(tau, det_abs) == 1 and any det_abs consecutive columns hold
+    exactly hi - lo points.  The fewer than det_abs columns left over
+    are counted one at a time when there are at most
+    det_abs.bit_length() of them, and otherwise by two floor sums, one
+    per horizontal side, in O(log det_abs) steps.  The loop stays for
+    the narrow leftovers that ordinary-power staircases are made of:
+    there two floor sums per rectangle cost about 3.5 times as much as
+    the few columns they replace.  Complements go through
     _count_under instead, so this walk stays an independent count that
     the gap split's total_gap == sym_vs_ord + ord_vs_frob can check.
     """
     _, tau = cone.column_data()
     step = cone.det_abs
+    bits = step.bit_length()
     total = 0
-    for a, b, lo, hi in _rectangles(lower, upper):
-        full, rest = divmod(b - a, step)
-        total += full * (hi - lo)
-        a = b - rest
-        if rest > step.bit_length():
-            total += _floor_sum(rest, step, -tau, hi - 1 - tau * a)
-            total -= _floor_sum(rest, step, -tau, lo - 1 - tau * a)
+    # the open run: rectangles (a0 + k * w, a0 + (k + 1) * w, lo0 + k * delta, top) for
+    # k < run, the last one ending at column end on bottom row last
+    a0 = w = lo0 = top = delta = run = end = last = 0
+    # a closing rectangle that touches nothing ends the last run
+    for a, b, lo, hi in _rectangles(lower, upper) + [(None, None, 0, 0)]:
+        if a == end and b - a == w and hi == top and (lo - last == delta or run == 1):
+            end, last, delta, run = b, lo, lo - last, run + 1
             continue
-        while a < b:
-            total += (hi - 1 - tau * a) // step - (lo - 1 - tau * a) // step
-            a += 1
-    return total
+        if w < run:
+            for _ in range(w):
+                total += _floor_sum(run, step, -tau * w, top - 1 - tau * a0)
+                total -= _floor_sum(run, step, delta - tau * w, lo0 - 1 - tau * a0)
+                a0 += 1
+        else:
+            full, rest = divmod(w, step)
+            for _ in range(run):
+                total += full * (top - lo0)
+                s, a0 = a0 + w - rest, a0 + w
+                if rest > bits:
+                    total += _floor_sum(rest, step, -tau, top - 1 - tau * s)
+                    total -= _floor_sum(rest, step, -tau, lo0 - 1 - tau * s)
+                else:
+                    while s < a0:
+                        total += (top - 1 - tau * s) // step - (lo0 - 1 - tau * s) // step
+                        s += 1
+                lo0 += delta
+        if a is None:
+            return total
+        a0, w, lo0, top, run, end, last = a, b - a, lo, hi, 1, b, lo
 
 
 def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:

@@ -125,6 +125,26 @@ class _PowerWorkCap(BadParameters):
     """The refusal of a power DP over _MAX_POWER_WORK steps."""
 
 
+def _run_step(corners: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The step (w, h) when the corners are one run (s0 + i * w, t0 - i * h), else None.
+
+    A single corner is the run with m = 0, of step (0, 0).
+    """
+    (s0, t0), m = corners[0], len(corners) - 1
+    w, h = (corners[1][0] - s0, t0 - corners[1][1]) if m else (0, 0)
+    if all(s - s0 == i * w and t0 - t == i * h for i, (s, t) in enumerate(corners)):
+        return w, h
+    return None
+
+
+def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
+    # the DP's size from the level bound |L_k| <= k * w + 1 (see _power_levels)
+    s0, t0 = corners[0]
+    work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
+    if work > _MAX_POWER_WORK:
+        raise _PowerWorkCap(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
+
+
 def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
 
@@ -143,13 +163,10 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
     entries (a one-entry level costs about that much); above
     _MAX_POWER_WORK steps it raises BadParameters, a run included.
     """
-    s0, t0 = corners[0]
-    work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
-    if work > _MAX_POWER_WORK:
-        raise _PowerWorkCap(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
-    m = len(corners) - 1
-    w, h = (corners[1][0] - s0, t0 - corners[1][1]) if m else (0, 0)
-    if all(s - s0 == i * w and t0 - t == i * h for i, (s, t) in enumerate(corners)):
+    _check_power_work(corners, n)
+    run = _run_step(corners)
+    if run is not None:
+        (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
         return [[(k * s0 + i * w, k * t0 - i * h) for i in range(k * m + 1)] for k in range(n + 1)]
     levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
     for gs, gt in corners:
@@ -162,18 +179,24 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
 def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """The n-th ordinary power, generated by all n-fold sums of generators.
 
-    Built in corner space by _power_levels over all generators but the
-    last (in closed form when they are one run, by the Pareto DP
-    otherwise); the last one only combines with level n - i shifted by
-    i times itself, so levels below n are never formed for it.  The cost
-    is polynomial in n (about s * n^2 * W for s generators and staircase
-    width W) where enumerating the C(n + s - 1, s - 1) multisets is not;
-    a DP above _MAX_POWER_WORK steps raises BadParameters before it
-    starts and stores nothing.  n = 1 returns the ideal itself, a
-    principal ideal is scaled in O(1), and each power is built once per
-    ideal object and kept on it (a kept ideal keeps its powers).  A power
+    When the generators are one run, (s0 + i * w, t0 - i * h) for
+    i = 0 .. m, the power is that run dilated by n, (n * s0 + i * w,
+    n * t0 - i * h) for i = 0 .. n * m, and is written down in O(n * m)
+    with no DP; a principal ideal is the run with m = 0, scaled in O(1).
+    Other powers are built in corner space by _power_levels over all
+    generators but the last (in closed form when they are one run, by
+    the Pareto DP otherwise); the last one only combines with level
+    n - i shifted by i times itself, so levels below n are never formed
+    for it.  The cost is polynomial in n (about s * n^2 * W for s
+    generators and staircase width W) where enumerating the
+    C(n + s - 1, s - 1) multisets is not.  Either way the DP's work
+    estimate over all generators but the last runs first: above
+    _MAX_POWER_WORK steps it raises BadParameters and stores nothing,
+    so a one-run power is refused exactly where the DP would be.  n = 1
+    returns the ideal itself, and each power is built once per ideal
+    object and kept on it (a kept ideal keeps its powers).  A power
     inside a chain already run on the ideal is read off that chain's
-    level n with no DP.  Use power_chain for all powers 1 .. n.
+    level n.  Use power_chain for all powers 1 .. n.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
@@ -188,12 +211,18 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if n < len(ideal._levels):
         return MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in ideal._levels[n])))
-    if len(ideal.stair.corners) == 1:
-        return MonomialIdeal(ideal.cone, ideal.stair.scale(n))
-    *rest, (last_s, last_t) = ideal.stair.corners
-    levels = _power_levels(rest, n)
-    sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
-    return MonomialIdeal(ideal.cone, pareto_minimal(sums))
+    corners = ideal.stair.corners
+    *rest, (last_s, last_t) = corners
+    run = _run_step(corners)
+    if run is None:
+        levels = _power_levels(rest, n)
+        sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
+        return MonomialIdeal(ideal.cone, pareto_minimal(sums))
+    if rest:
+        _check_power_work(rest, n)
+    (s0, t0), (w, h) = corners[0], run
+    dilated = (Corner(n * s0 + i * w, n * t0 - i * h) for i in range(n * len(rest) + 1))
+    return MonomialIdeal(ideal.cone, Staircase(tuple(dilated)))
 
 
 def _chain_levels(ideal: MonomialIdeal, n_max: int) -> list[list[tuple[int, int]]]:

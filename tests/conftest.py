@@ -148,6 +148,15 @@ def brute_ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return new_ideal(ideal.cone, sums)
 
 
+def non_run_ideal() -> MonomialIdeal:
+    """A fresh saturated ideal whose corners (0, 7), (1, 5), (5, 4) are not one run.
+
+    Its single powers go through the power DP, where a one-run ideal's
+    powers are written down; the cone is over (1, 0) and (2, 7).
+    """
+    return new_ideal(Cone2.from_rays((1, 0), (2, 7)), [(1, 0), (1, 1), (2, 5)])
+
+
 def search_torsion_order(ideal: MonomialIdeal, bound: int):
     """Torsion oracle: the least r <= bound whose scaled thresholds have a preimage.
 

@@ -6,8 +6,9 @@ over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify refuses when a suite hits a work cap, and function refuses a
 tower with too many corner counts.  The counting kernel reads a long run
-of equal steps once, whether it counts the run whole or step by step;
-that is timed in process, under 1 s.
+of equal steps once, whether it counts the run whole or step by step,
+and so does the band count over a long run of touching rectangles;
+both are timed in process, under 1 s.
 """
 
 import json
@@ -21,7 +22,7 @@ from time import perf_counter
 import pytest
 
 from conftest import floor_sum_count_complement
-from ghk.geometry import Cone2, Corner, Staircase, _count_under
+from ghk.geometry import Cone2, Corner, Staircase, _count_under, count_lattice_band
 
 ROOT = Path(__file__).resolve().parent.parent
 D = 10**12
@@ -122,6 +123,23 @@ def test_function_tower_under_the_cap(tmp_path):
     assert len(results["values"]) == 21
 
 
+def timed(count, what):
+    """count() and its time in seconds; a count that runs past 10 s is stopped."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"{what} took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        start = perf_counter()
+        result = count()
+        return result, perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("width", [100_003, 1], ids=["wide-step-by-step", "narrow-whole"])
 def test_a_long_run_is_read_once(width):
     # 10^5 equal steps on a cone of index 3: wide steps are counted one floor
@@ -129,19 +147,24 @@ def test_a_long_run_is_read_once(width):
     # a kernel that scans the run again per step is stopped after 10 s
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
     corners = [(i * width, 3 * (steps - i)) for i in range(steps + 1)]
-
-    def stop(signum, frame):
-        raise TimeoutError(f"{steps} steps {width} wide took over 10 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(10)
-    try:
-        start = perf_counter()
-        count = _count_under(cone, corners)
-        elapsed = perf_counter() - start
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert elapsed < 1, f"{steps} steps {width} wide took {elapsed:.2f} s"
+    what = f"{steps} steps {width} wide"
+    count, elapsed = timed(lambda: _count_under(cone, corners), what)
+    assert elapsed < 1, f"{what} took {elapsed:.2f} s"
     stair = Staircase(tuple(Corner(s, t) for s, t in corners))
     assert count == floor_sum_count_complement(cone, Corner(0, 0), stair)
+
+
+@pytest.mark.parametrize("width", [100_003, 1], ids=["wide-by-rectangle", "narrow-whole"])
+def test_a_long_band_run_is_read_once(width):
+    # the band between a run of 10^5 equal steps and its two end corners is
+    # 10^5 - 1 touching rectangles of one top: narrow ones are counted whole
+    # with two floor sums, wide ones one at a time, each in O(1)
+    cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
+    fine = Staircase(tuple(Corner(i * width, 3 * (steps - i)) for i in range(steps + 1)))
+    coarse = Staircase((fine.corners[0], fine.corners[-1]))
+    threshold = Corner(0, 0)
+    what = f"a band of {steps} steps {width} wide"
+    count, elapsed = timed(lambda: count_lattice_band(cone, threshold, fine, coarse), what)
+    assert elapsed < 1, f"{what} took {elapsed:.2f} s"
+    outside = [floor_sum_count_complement(cone, threshold, stair) for stair in (fine, coarse)]
+    assert count == outside[1] - outside[0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import box_scan_points, random_cone, random_ideal
+from conftest import box_scan_points, non_run_ideal, random_cone, random_ideal
 from ghk import checks, ideals
 from ghk.checks import lattice_points_in_corner_box, run_instance_checks
 from ghk.errors import BadParameters
@@ -158,7 +158,7 @@ class TestVerifyWork:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", recording)
-        run_instance_checks(veronese(9, 7).ideal)
-        # n = 2, 3 by the suites, 4 by the gap split, 10 by the epsilon estimate and 9
+        run_instance_checks(non_run_ideal())
+        # n = 2, 3 by the suites, 4 by the gap split, 10 by the epsilon estimate and 7
         # by the torsion factorization; every other call finds the power the ideal keeps
-        assert calls == [2, 3, 4, 10, 9]
+        assert calls == [2, 3, 4, 10, 7]

@@ -82,6 +82,22 @@ def run_staircase(rng: random.Random, bits: int) -> Staircase:
     return Staircase(tuple(corners))
 
 
+def band_runs(rects) -> list[tuple[int, int]]:
+    """(w, R) for each maximal stretch of R touching rectangles w wide under
+    one top whose bottoms move by one constant delta."""
+    runs, prev, delta = [], None, None
+    for a, b, lo, hi in rects:
+        if prev and (prev[1], prev[1] - prev[0], prev[3]) == (a, b - a, hi) and (
+            runs[-1][1] == 1 or lo - prev[2] == delta
+        ):
+            delta = lo - prev[2]
+            runs[-1][1] += 1
+        else:
+            runs.append([b - a, 1])
+        prev = (a, b, lo, hi)
+    return [tuple(r) for r in runs]
+
+
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
 SKEW = Cone2.from_rays((1, 0), (1, 3))
 DUAL = Cone2.from_rays((0, 1), (3, -1))
@@ -354,6 +370,30 @@ class TestCount:
                 if size > 1:
                     kinds[w < size, w > bits] += 1
         # runs counted as a whole and step by step, of narrow and of wide steps
+        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+    def test_band_run_kernel_matches_column_oracle(self):
+        # fine: runs of 1 to 60 equal steps among irregular ones; coarse: a
+        # subset of its corners, so each coarse step covers touching band
+        # rectangles of one top whose bottoms fall by one step's height, cut
+        # wherever the subset cuts the fine runs.  A run of R rectangles w
+        # wide takes 2 w floor sums when w < R, rectangle by rectangle otherwise
+        rng = random.Random(59)
+        kinds = Counter()
+        for i in range(120):
+            cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
+            d, bits = cone.det_abs, cone.det_abs.bit_length()
+            threshold, fine = grounded(run_staircase(rng, bits))
+            cut = rng.choice([0.0, 0.05, 0.3])
+            inner = [c for c in fine.corners[1:-1] if rng.random() < cut]
+            coarse = Staircase((fine.corners[0], *inner, fine.corners[-1]))
+            assert count_lattice_band(
+                cone, threshold, fine, coarse
+            ) == column_count_band(cone, threshold, fine, coarse)
+            for w, size in band_runs(_rectangles(fine, coarse)):
+                if size > 1:
+                    kinds[w < size, w % d > bits] += 1
+        # runs counted whole and rectangle by rectangle, of narrow and of wide leftovers
         assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
     def test_box_count_unit_lattice(self):

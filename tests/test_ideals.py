@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_count_complement,
     brute_ordinary_power,
+    non_run_ideal,
     random_cone,
     random_ideal,
     search_torsion_order,
@@ -54,6 +55,17 @@ def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
     t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
     run = tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))
     return MonomialIdeal(cone, Staircase(run))
+
+
+def unimodular(rng: random.Random) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A random integer matrix of determinant +-1: shears and a swap."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(3):
+        k = rng.randint(-3, 3)
+        a, b, c, d = (a + k * c, b + k * d, c, d) if rng.random() < 0.5 else (a, b, c + k * a, d + k * b)
+    if rng.random() < 0.5:
+        a, b, c, d = c, d, a, b
+    return (a, b), (c, d)
 
 
 class TestConstruction:
@@ -188,6 +200,27 @@ class TestPowers:
             for k in range(1, 7):
                 assert levels[k] == list(brute_ordinary_power(ideal, k).stair.corners)
 
+    def test_one_run_single_powers_match_multiset_oracle(self, monkeypatch):
+        # single powers of a run are the run dilated by n, with no DP, in the
+        # ideal's own lattice coordinates and in two others related by GL2(Z)
+        def no_dp(corners, n):
+            raise AssertionError("a one-run power reached the DP")
+
+        monkeypatch.setattr(ideals, "_power_levels", no_dp)
+        rng = random.Random(79)
+        for i in range(18):
+            ideal = one_run_ideal(rng, i % 9)
+            for mat in [((1, 0), (0, 1))] + [unimodular(rng) for _ in range(2)]:
+                (a, b), (c, d) = mat
+
+                def move(p):
+                    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+                cone = Cone2.from_rays(move(ideal.cone.ray1), move(ideal.cone.ray2))
+                moved = new_ideal(cone, [move(g) for g in ideal.gens])
+                for n in range(2, 7):
+                    assert ordinary_power(moved, n) == brute_ordinary_power(moved, n)
+
     def test_one_run_gap_lengths_match_box_oracle(self):
         rng = random.Random(67)
         for i in range(9):
@@ -251,7 +284,7 @@ class TestPowers:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
-        ideal = veronese(9, 7).ideal
+        ideal = non_run_ideal()
         single = ordinary_power(ideal, 5)
         assert ordinary_power(ideal, 5) is single
         chain = power_chain(ideal, 8)
@@ -259,7 +292,12 @@ class TestPowers:
         assert all(chain[k - 1] is ordinary_power(ideal, k) for k in range(1, 9))
         assert calls == [5, 8]
         # an equal ideal built elsewhere has its own, empty store
-        assert ordinary_power(veronese(9, 7).ideal, 5) is not single
+        assert ordinary_power(non_run_ideal(), 5) is not single
+        assert calls == [5, 8, 5]
+        # a one-run ideal's single powers are written down, with no DP
+        run = veronese(9, 7).ideal
+        for n in (2, 5, 30):
+            ordinary_power(run, n)
         assert calls == [5, 8, 5]
 
     def test_powers_inside_a_counted_chain_need_no_dp(self, monkeypatch):

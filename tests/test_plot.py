@@ -161,7 +161,7 @@ class TestPlotCommand:
         monkeypatch.setattr(ghk.ideals, "_power_levels", counted)
         out = tmp_path / "v.svg"
         code = run_command(
-            ["plot", "--family", "veronese:9,7", "--q-mark", "40", "--out", str(out)]
+            ["plot", "--family", "quadrant:(3,0);(1,1);(0,3)", "--q-mark", "40", "--out", str(out)]
         )
         capsys.readouterr()
         assert code == 0
