@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .ideals import (
     MonomialIdeal,
-    Thresholds,
     TorsionFactorization,
     frobenius_power,
     is_saturated,
@@ -86,7 +85,6 @@ __all__ = [
     "Point",
     "QuasiPolynomial",
     "Staircase",
-    "Thresholds",
     "ToricInstance",
     "TorsionFactorization",
     "TorTable",

@@ -32,10 +32,6 @@ class ToricInstance:
     ideal: MonomialIdeal
     closed_form: Optional[Fraction] = None
 
-    @property
-    def cone(self) -> Cone2:
-        return self.ideal.cone
-
 
 def veronese(r: int, m: int) -> ToricInstance:
     """Veronese instance: cone over (1, 0), (1, r), generators (1, 0) .. (1, m).

@@ -37,7 +37,12 @@ Point = tuple[int, int]
 
 
 class Corner(NamedTuple):
-    """Facet coordinates of a lattice point: s along facet 1, t along facet 2."""
+    """A point of corner space: s along facet 1, t along facet 2.
+
+    The facet coordinates of a lattice point are a Corner, but not every
+    Corner is one: thresholds and their multiples need not be the
+    corners of lattice points.
+    """
 
     s: int
     t: int

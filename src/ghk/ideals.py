@@ -45,13 +45,6 @@ from .geometry import (
 )
 
 
-class Thresholds(NamedTuple):
-    """Componentwise minima of generator corners: the saturation thresholds."""
-
-    c1: int
-    c2: int
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal of a fixed cone, stored as its staircase in corner space.
@@ -85,8 +78,13 @@ class MonomialIdeal:
         return [[(0, 0)]]  # levels 0 .. N of the longest power chain, plain tuples only
 
     @property
-    def thresholds(self) -> Thresholds:
-        return Thresholds(self.stair.min_s, self.stair.min_t)
+    def thresholds(self) -> Corner:
+        """The saturation thresholds: the componentwise minima of the generator corners.
+
+        They are the apex of the threshold quadrant, a point of corner
+        space that need not be the corner of a lattice point.
+        """
+        return Corner(self.stair.min_s, self.stair.min_t)
 
     def contains(self, p: Point) -> bool:
         return self.stair.dominates(self.cone.corner(p))
@@ -258,7 +256,7 @@ def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
 def _gap_count(ideal: MonomialIdeal) -> int:
     # lattice points above the ideal's own thresholds that it misses; a power's
     # thresholds are the base ones times the exponent, so no rescaling is needed
-    return count_lattice_complement(ideal.cone, Corner(*ideal.thresholds), ideal.stair)
+    return count_lattice_complement(ideal.cone, ideal.thresholds, ideal.stair)
 
 
 def is_saturated(ideal: MonomialIdeal) -> bool:

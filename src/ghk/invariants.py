@@ -45,8 +45,7 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     the ideal staircase, measured in the ambient lattice normalization.
     Zero exactly when the saturation is principal.
     """
-    c1, c2 = ideal.thresholds
-    return staircase_complement_area(ideal.cone, Corner(c1, c2), ideal.stair)
+    return staircase_complement_area(ideal.cone, ideal.thresholds, ideal.stair)
 
 
 _MAX_TOWER_WORK = 500_000  # corners counted over the tower, about 1.3 s up to det_abs 10^12
@@ -83,7 +82,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     # the largest count is at most the lattice points of its gap box
     q, stair = p**n_max, ideal.stair
     width, height = q * (stair.max_s - stair.min_s), q * (stair.max_t - stair.min_t)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    digits = sys.get_int_max_str_digits()  # 0 when the limit is switched off
     if digits and _box_points_bound(width, height, ideal.cone.det_abs) >= 10**digits:
         raise BadParameters(
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
@@ -122,8 +121,7 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
         raise BadParameters("q must be a positive integer")
     frob = frobenius_power(ideal, q)
     power = ordinary_power(ideal, q)
-    threshold = Corner(*frob.thresholds)
-    band = count_lattice_band(ideal.cone, threshold, power.stair, frob.stair)
+    band = count_lattice_band(ideal.cone, frob.thresholds, power.stair, frob.stair)
     return GapSplit(_gap_count(frob), _gap_count(power), band)
 
 
@@ -165,9 +163,6 @@ class QuasiPolynomial(NamedTuple):
     def onset(self) -> int:
         return max(c.onset for c in self.classes)
 
-    def leading(self, residue: int) -> Fraction:
-        return self.classes[residue].coeffs[0]
-
 
 def _quadratic_through(pts: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
     (n1, v1), (n2, v2), (n3, v3) = pts
@@ -184,25 +179,21 @@ def _quadratic_through(pts: list[tuple[int, int]]) -> tuple[Fraction, Fraction, 
     )
 
 
-def fit_quasi_polynomial(
-    seq: Sequence[int], period: int, verify_window: int = 5
-) -> QuasiPolynomial:
+def fit_quasi_polynomial(seq: Sequence[int], period: int) -> QuasiPolynomial:
     """Fit an exact quadratic to each residue class of seq and verify it.
 
     seq[i] is the value at n = i, matching the sequences produced by
     h0_powers and ghk_function.  For each residue class modulo period,
     a quadratic is interpolated through the last three entries and must
-    reproduce the last verify_window entries of the class; otherwise
-    NoStabilization reports the failing class.  The per-class onset is
-    the least n from which the fit reproduces every entry.  Requires
+    reproduce the last five entries of the class, a fixed window;
+    otherwise NoStabilization reports the failing class.  The per-class
+    onset is the least n from which the fit reproduces every entry.  Requires
     len(seq) >= 7 * period so each class has enough entries.  Both checks
     read the class's integer third differences, which vanish exactly
     where equally spaced entries lie on one quadratic.
     """
     if period < 1:
         raise BadParameters("period must be a positive integer")
-    if verify_window < 3:
-        raise BadParameters("verify window must be at least 3")
     if len(seq) < 7 * period:
         raise BadParameters(
             f"need at least {7 * period} entries to fit period {period}"
@@ -212,10 +203,9 @@ def fit_quasi_polynomial(
         ns, vals = range(residue, len(seq), period), seq[residue::period]
         quads = zip(vals, vals[1:], vals[2:], vals[3:])
         third = [d - 3 * c + 3 * b - a for a, b, c, d in quads]
-        if any(third[max(0, len(third) + 3 - verify_window):]):
+        if any(third[-2:]):
             raise NoStabilization(
-                f"residue class {residue} does not match its quadratic "
-                f"on the last {verify_window} entries"
+                f"residue class {residue} does not match its quadratic on the last 5 entries"
             )
         coeffs = _quadratic_through(list(zip(ns[-3:], vals[-3:])))
         start = max((k + 1 for k, d in enumerate(third) if d), default=0)
@@ -244,11 +234,9 @@ def newton_multiplicity(ideal: MonomialIdeal) -> int:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], c) <= 0:
             hull.pop()
         hull.append(c)
-    polygon = [Corner(0, 0)] + hull
-    twice = 0
-    for a, b in zip(polygon, polygon[1:] + polygon[:1]):
-        twice += a.s * b.t - b.s * a.t
-    twice = abs(twice)
+    # shoelace over the polygon from the origin along the hull; both edges
+    # through the origin add 0
+    twice = abs(sum(a.s * b.t - b.s * a.t for a, b in zip(hull, hull[1:])))
     if twice % ideal.cone.det_abs != 0:
         raise ContractViolation("Newton area is not an integer multiple of the index")
     return twice // ideal.cone.det_abs

@@ -58,13 +58,6 @@ def _staircase_boundary(stair: Staircase) -> list[Corner]:
     return pts
 
 
-def _gap_rectangles(stair: Staircase) -> list[tuple[int, int, int, int]]:
-    # the cells between the staircase and the quadrant at its minima, which hold the
-    # gap dots: one under each step, down to the last corner's row
-    steps = zip(stair.corners, stair.corners[1:])
-    return [(a, b, stair.min_t, hi) for (a, hi), (b, _) in steps]
-
-
 def _gap_dots(rect: tuple[int, int, int, int], tau: int, step: int) -> list[tuple[int, int]]:
     """The lattice corners (s, t) in [a, b) x [lo, hi), s ascending, then t ascending.
 
@@ -101,7 +94,9 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     q = q_mark or 1
     cone = ideal.cone
     coarse = ideal.stair.scale(q)
-    cells = _gap_rectangles(coarse)
+    threshold = Corner(coarse.min_s, coarse.min_t)
+    # the gap dots lie in the cells between the threshold quadrant and the staircase
+    cells = _rectangles(Staircase((threshold,)), coarse)
     dots = _count_under(cone, coarse.corners)
     if dots > _MAX_GAP_DOTS:
         raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
@@ -113,7 +108,6 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     fine = ordinary_power(ideal, q).stair
     step = cone.det_abs
     to_svg = _corner_to_svg(cone)
-    threshold = Corner(coarse.min_s, coarse.min_t)
 
     pad = 2 * q + step
     s_end = coarse.max_s + pad

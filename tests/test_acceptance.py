@@ -166,7 +166,7 @@ def test_criterion_08_degeneracy():
         vanishes = eghk(ideal) == 0
         principal = len(ideal.gens) == 1
         at_corner = any(
-            c == (thresholds.c1, thresholds.c2) for c in ideal.stair.corners
+            c == (thresholds.s, thresholds.t) for c in ideal.stair.corners
         )
         if not (vanishes == principal == at_corner):
             counterexamples += 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import non_run_ideal
 from ghk import checks, cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
@@ -279,7 +280,8 @@ class TestPowersCommand:
         assert "power 5000 needs about" in err
 
     def test_chain_holds_the_torsion_power(self, capsys, monkeypatch):
-        # I^9 comes out of the chain up to 63, so the torsion factorization builds nothing
+        # the chain up to 63 is the one DP run; veronese:9,7 is one run, so its I^9
+        # is written down with no DP whether or not it is read off the chain
         original, calls = ideals._power_levels, []
 
         def counted(corners, n):
@@ -293,6 +295,30 @@ class TestPowersCommand:
         assert code == 0
         assert report["results"]["torsion"]["order"] == 9
         assert calls == [63]
+
+    def test_chain_holds_the_torsion_power_of_a_non_run_ideal(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # I^7 is not one run, so only the chain read up to 49 keeps it from a
+        # second DP run: without it the runs read [49, 7]
+        ideal = non_run_ideal()
+        doc = {
+            "cone": {"rays": [list(ideal.cone.ray1), list(ideal.cone.ray2)]},
+            "generators": [list(g) for g in ideal.gens],
+        }
+        path = tmp_path / "non_run.json"
+        path.write_text(json.dumps(doc))
+        original, calls = ideals._power_levels, []
+
+        def counted(corners, n):
+            calls.append(n)
+            return original(corners, n)
+
+        monkeypatch.setattr(ideals, "_power_levels", counted)
+        code, report, _ = run_json(capsys, ["powers", "--file", str(path), "--max-n", "49"])
+        assert code == 0
+        assert report["results"]["torsion"]["order"] == 7
+        assert calls == [49]
 
     def test_gap_lengths_build_no_ideal_per_power(self, capsys, monkeypatch):
         # the family ideal, its torsion power I^9 and the shifted primary ideal

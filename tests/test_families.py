@@ -11,7 +11,7 @@ from ghk.invariants import eghk
 class TestVeronese:
     def test_shape(self):
         inst = veronese(3, 1)
-        assert inst.cone.ray2 == (1, 3)
+        assert inst.ideal.cone.ray2 == (1, 3)
         assert inst.ideal.gens == ((1, 0), (1, 1))
         assert inst.label == "veronese:3,1"
 

@@ -253,6 +253,20 @@ class TestArea:
                 cone, threshold, stair
             ) == shoelace_complement_area(cone, threshold, stair)
 
+    def test_threshold_quadrant_cells_are_one_per_step(self):
+        # the threshold quadrant as a one-corner lower staircase: one cell
+        # (s_i, s_{i+1}, min_t, t_i) under each step, in order, none for one corner
+        rng = random.Random(67)
+        steps = Counter()
+        for _ in range(200):
+            stair = random_staircase(rng, max_corners=12, spread=40)
+            threshold = Staircase((Corner(stair.min_s, stair.min_t),))
+            cs = stair.corners
+            cells = [(a.s, b.s, stair.min_t, a.t) for a, b in zip(cs, cs[1:])]
+            assert _rectangles(threshold, stair) == cells
+            steps[len(cells)] += 1
+        assert steps[0] >= 20 and sum(k * n for k, n in steps.items()) >= 200
+
     @settings(max_examples=60)
     @given(
         st.lists(

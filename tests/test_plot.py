@@ -11,7 +11,7 @@ from ghk import svgplot
 from ghk.cli import run_command
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, parse_family, veronese
-from ghk.geometry import Cone2
+from ghk.geometry import Cone2, Corner, Staircase, _rectangles
 from ghk.ideals import new_ideal
 from ghk.svgplot import render_region_svg
 
@@ -46,7 +46,7 @@ class TestRenderedRegions:
         inst = veronese(3, 1)
         svg = render_region_svg(inst.ideal, q_mark=2)
         polys = polygons(svg)
-        det = inst.cone.det_abs
+        det = inst.ideal.cone.det_abs
         # x-space areas reappear scaled by 2 * det^2 under the integer transform
         red = sum(shoelace2(p) for p in polys["region-red"])
         green = sum(shoelace2(p) for p in polys["region-green"])
@@ -61,7 +61,7 @@ class TestRenderedRegions:
         inst = a_singularity(3, 1)
         svg = render_region_svg(inst.ideal)
         polys = polygons(svg)
-        det = inst.cone.det_abs
+        det = inst.ideal.cone.det_abs
         red = sum(shoelace2(p) for p in polys["region-red"])
         assert Fraction(red, 2 * det**2) == Fraction(2, 3)
         assert circles(svg).get("gap-dot", 0) == 0
@@ -94,7 +94,9 @@ class TestRenderedRegions:
         walks = set()
         for ideal, q in cases:
             svg = render_region_svg(ideal, q_mark=q)
-            for a, b, lo, hi in svgplot._gap_rectangles(ideal.stair.scale(q or 1)):
+            coarse = ideal.stair.scale(q or 1)
+            threshold = Staircase((Corner(coarse.min_s, coarse.min_t),))
+            for a, b, lo, hi in _rectangles(threshold, coarse):
                 walks.add("rows" if hi - lo < b - a else "columns")
             with monkeypatch.context() as m:
                 m.setattr(svgplot, "_gap_dots", column_walk_dots)
