@@ -144,6 +144,8 @@ def _reptype_input(args) -> tuple[tuple, dict]:
             r = _to_int(r)
         except ValueError:
             raise InputError(f'"r" must be an integer, got {r!r}') from None
+        if r < 2:
+            raise BadParameters("index r must be at least 2")
     if "table" in section:
         rows = _read_list(section["table"], _to_row, "table", "lists of integers")
         table = TorTable(tuple(rows))

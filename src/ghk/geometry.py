@@ -28,6 +28,7 @@ and results do not depend on evaluation order.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -59,44 +60,34 @@ def _primitive(v: Point) -> Point:
     return (v[0] // g, v[1] // g)
 
 
+def _inward_normal(own: Point, other: Point) -> Point:
+    # own turned a quarter turn toward other
+    n = (-own[1], own[0])
+    return n if dot(n, other) > 0 else (own[1], -own[0])
+
+
 @dataclass(frozen=True)
 class Cone2:
-    """A strongly convex rational cone in the plane.
+    """A strongly convex rational cone in the plane, stored as its two rays.
 
-    ray1 and ray2 are primitive generators, normal1 and normal2 the
-    primitive inward facet normals with <normal1, ray1> = 0 and
-    <normal2, ray2> = 0.  det_abs is |det| of the normal matrix, the
-    index of the facet-coordinate image of Z^2.
-
-    Both mixed pairings <normal1, ray2> and <normal2, ray1> equal
-    det_abs: each ray is a rotation of its normal, and the inward
-    orientation fixes the sign.  __post_init__ checks these identities,
-    so hand-built instances cannot silently break the counting code.
+    ray1 and ray2 must be primitive and independent: __post_init__
+    raises ValueError for a ray that is not primitive and CollinearRays
+    for collinear rays.  Everything else is derived from the rays once,
+    on first use: the primitive inward facet normals normal1 and normal2,
+    with <normal1, ray1> = 0 and <normal2, ray2> = 0; det_abs, the |det|
+    of the rays and the index of the facet-coordinate image of Z^2, which
+    both mixed pairings <normal1, ray2> and <normal2, ray1> equal; and
+    the column lattice u, tau of that image.
     """
 
     ray1: Point
     ray2: Point
-    normal1: Point
-    normal2: Point
-    det_abs: int
 
     def __post_init__(self) -> None:
-        n1, n2 = self.normal1, self.normal2
-        det = n1[0] * n2[1] - n1[1] * n2[0]
-        ok = (
-            abs(det) == self.det_abs
-            and self.det_abs > 0
-            and gcd(*self.ray1) == 1
-            and gcd(*self.ray2) == 1
-            and gcd(*n1) == 1
-            and gcd(*n2) == 1
-            and dot(n1, self.ray1) == 0
-            and dot(n2, self.ray2) == 0
-            and dot(n1, self.ray2) == self.det_abs
-            and dot(n2, self.ray1) == self.det_abs
-        )
-        if not ok:
-            raise ValueError("inconsistent cone data")
+        if gcd(*self.ray1) != 1 or gcd(*self.ray2) != 1:
+            raise ValueError(f"rays {self.ray1} and {self.ray2} must be primitive")
+        if self.det_abs == 0:
+            raise CollinearRays(f"rays {self.ray1} and {self.ray2} are collinear")
 
     @classmethod
     def from_rays(cls, ray1: Point, ray2: Point) -> "Cone2":
@@ -105,46 +96,48 @@ class Cone2:
         Rays are reduced to primitive vectors.  Raises CollinearRays if
         they do not span the plane.
         """
-        r1 = _primitive(tuple(ray1))
-        r2 = _primitive(tuple(ray2))
-        if r1[0] * r2[1] - r1[1] * r2[0] == 0:
-            raise CollinearRays(f"rays {r1} and {r2} are collinear")
+        return cls(_primitive(tuple(ray1)), _primitive(tuple(ray2)))
 
-        def inward_normal(own: Point, other: Point) -> Point:
-            n = (-own[1], own[0])
-            if dot(n, other) < 0:
-                n = (own[1], -own[0])
-            return n
+    @cached_property
+    def det_abs(self) -> int:
+        (a, b), (c, d) = self.ray1, self.ray2
+        return abs(a * d - b * c)
 
-        n1 = inward_normal(r1, r2)
-        n2 = inward_normal(r2, r1)
-        return cls(r1, r2, n1, n2, abs(n1[0] * n2[1] - n1[1] * n2[0]))
+    @cached_property
+    def normal1(self) -> Point:
+        return _inward_normal(self.ray1, self.ray2)
 
-    def corner(self, p: Point) -> Corner:
-        return Corner(dot(self.normal1, p), dot(self.normal2, p))
+    @cached_property
+    def normal2(self) -> Point:
+        return _inward_normal(self.ray2, self.ray1)
 
-    def column_data(self) -> tuple[Point, int]:
-        """Return (u, tau) describing the facet-coordinate image lattice.
+    @cached_property
+    def u(self) -> Point:
+        """A lattice point with <normal1, u> = 1.
 
-        u is a lattice point with <normal1, u> = 1, and tau = <normal2, u>.
-        A pair (s, t) is the corner of a lattice point exactly when
-        t == tau * s (mod det_abs), and then the point is
-        s * u + k * ray1 with k = (t - tau * s) / det_abs.
+        With tau = <normal2, u>, a pair (s, t) is the corner of a lattice
+        point exactly when t == tau * s (mod det_abs), and then the point
+        is s * u + k * ray1 with k = (t - tau * s) / det_abs.
         """
         a, b = self.normal1
         # normal1 is primitive: a is invertible modulo |b|, and b == 0 forces a == +-1
         x = pow(a, -1, abs(b)) if b else a
-        u = (x, (1 - a * x) // b if b else 0)
-        return u, dot(self.normal2, u)
+        return (x, (1 - a * x) // b if b else 0)
+
+    @cached_property
+    def tau(self) -> int:
+        return dot(self.normal2, self.u)
+
+    def corner(self, p: Point) -> Corner:
+        return Corner(dot(self.normal1, p), dot(self.normal2, p))
 
     def preimage(self, c: Corner) -> Optional[Point]:
         """The lattice point with the given corner, or None if there is none."""
-        u, tau = self.column_data()
-        rem = c.t - tau * c.s
+        rem = c.t - self.tau * c.s
         if rem % self.det_abs != 0:
             return None
         k = rem // self.det_abs
-        return (c.s * u[0] + k * self.ray1[0], c.s * u[1] + k * self.ray1[1])
+        return (c.s * self.u[0] + k * self.ray1[0], c.s * self.u[1] + k * self.ray1[1])
 
 
 @dataclass(frozen=True)
@@ -286,7 +279,7 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     _count_under instead, so this walk stays an independent count that
     the gap split's total_gap == sym_vs_ord + ord_vs_frob can check.
     """
-    _, tau = cone.column_data()
+    tau = cone.tau
     step = cone.det_abs
     bits = step.bit_length()
     total = 0
@@ -339,7 +332,7 @@ def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
     det_abs.bit_length() wide, the narrow steps that ordinary-power
     staircases are made of, and one floor sum otherwise.
     """
-    _, tau = cone.column_data()
+    tau = cone.tau
     step = cone.det_abs
     bits = step.bit_length()
     (a, hi), (s_end, lo) = corners[0], corners[-1]

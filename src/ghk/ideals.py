@@ -51,9 +51,9 @@ class MonomialIdeal:
 
     stair holds the corners of the minimal generators, s increasing.
     Every corner must be the corner of a lattice point (t == tau * s
-    modulo det_abs, see Cone2.column_data), otherwise ValueError.  gens,
-    the generators as lattice points in the same order, is derived from
-    the staircase on first use.  Use new_ideal to build an ideal from
+    modulo det_abs, see Cone2.u), otherwise ValueError.  gens, the
+    generators as lattice points in the same order, is derived from the
+    staircase on first use.  Use new_ideal to build an ideal from
     lattice points; it performs the Pareto reduction and the cone check.
     """
 
@@ -61,7 +61,7 @@ class MonomialIdeal:
     stair: Staircase
 
     def __post_init__(self) -> None:
-        _, tau = self.cone.column_data()
+        tau = self.cone.tau
         if any((c.t - tau * c.s) % self.cone.det_abs for c in self.stair.corners):
             raise ValueError("staircase corner is not the corner of a lattice point")
 
@@ -273,7 +273,7 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
     """
     cone = ideal.cone
     c1, c2 = ideal.thresholds
-    _, tau = cone.column_data()
+    tau = cone.tau
     step = cone.det_abs
     feet = [(s, c2 + (tau * s - c2) % step) for s in range(c1, c1 + step)]
     return MonomialIdeal(cone, pareto_minimal(feet))
@@ -312,7 +312,7 @@ def torsion_factorization(
     if bound < 1:
         raise BadParameters("max_order must be a positive integer")
     c1, c2 = ideal.thresholds
-    _, tau = cone.column_data()
+    tau = cone.tau
     r = cone.det_abs // gcd(cone.det_abs, c2 - tau * c1)
     if r > bound:
         raise NotTorsionWithin(f"no torsion order up to {bound} works")

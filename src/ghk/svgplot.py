@@ -1,9 +1,9 @@
 """Deterministic SVG pictures of cone, ideal region, and gap region.
 
 The picture lives in the ambient plane scaled by det_abs times the
-drawn power, which makes every coordinate an exact integer: corner
-coordinates map to the plane through the adjugate of the normal matrix,
-so no rounding ever happens and rendering the same input twice gives
+drawn power, which makes every coordinate an exact integer: det_abs
+times the point with corner (s, t) is s * ray2 + t * ray1, so no
+rounding ever happens and rendering the same input twice gives
 byte-identical output.
 
 Drawn layers, back to front: the ideal region of the shown bracket
@@ -33,14 +33,12 @@ _STYLE = {
 
 
 def _corner_to_svg(cone) -> Callable[[int, int], tuple[int, int]]:
-    n1, n2 = cone.normal1, cone.normal2
-    det = n1[0] * n2[1] - n1[1] * n2[0]
-    sign = 1 if det > 0 else -1
+    # ray2 and ray1 have corners (det_abs, 0) and (0, det_abs), so det_abs
+    # times the point with corner (s, t) is s * ray2 + t * ray1
+    (x1, y1), (x2, y2) = cone.ray1, cone.ray2
 
     def to_svg(s: int, t: int) -> tuple[int, int]:
-        px = sign * (n2[1] * s - n1[1] * t)
-        py = sign * (-n2[0] * s + n1[0] * t)
-        return px, -py
+        return s * x2 + t * x1, -(s * y2 + t * y1)
 
     return to_svg
 
@@ -144,7 +142,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
             f'fill="none" stroke="#1d4ed8" stroke-width="{stroke}"/>'
         )
 
-    _, tau = cone.column_data()
+    tau = cone.tau
     for rect in cells:
         for s, t in _gap_dots(rect, tau, step):
             x, y = to_svg(s, t)

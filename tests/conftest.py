@@ -82,7 +82,7 @@ def progression_count(lo: int, hi: int, residue: int, step: int) -> int:
 
 def column_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
     """Column oracle: one arithmetic progression per column under each step."""
-    _, tau = cone.column_data()
+    tau = cone.tau
     step = cone.det_abs
     total = 0
     for prev, cur in zip(stair.corners, stair.corners[1:]):
@@ -95,7 +95,7 @@ def column_count_band(
     cone: Cone2, threshold: Corner, fine: Staircase, coarse: Staircase
 ) -> int:
     """Column oracle: per column, the progression between the two heights."""
-    _, tau = cone.column_data()
+    tau = cone.tau
     step = cone.det_abs
     total = 0
     for s in range(threshold.s, coarse.max_s):
@@ -130,7 +130,7 @@ def floor_sum_count_complement(cone: Cone2, threshold: Corner, stair: Staircase)
     Column s of a step at height h holds (h - 1 - tau s) // d -
     (threshold.t - 1 - tau s) // d lattice points.
     """
-    _, tau = cone.column_data()
+    tau = cone.tau
     d = cone.det_abs
     total = 0
     for prev, cur in zip(stair.corners, stair.corners[1:]):
@@ -195,6 +195,17 @@ def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
             continue
 
 
+def unimodular(rng: random.Random) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A random integer matrix of determinant +-1: shears and a swap."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(3):
+        k = rng.randint(-3, 3)
+        a, b, c, d = (a + k * c, b + k * d, c, d) if rng.random() < 0.5 else (a, b, c + k * a, d + k * b)
+    if rng.random() < 0.5:
+        a, b, c, d = c, d, a, b
+    return (a, b), (c, d)
+
+
 def random_ideal(
     rng: random.Random, cone: Cone2 = None, n_gens: int = 4, spread: int = 9,
     ray_bound: int = 6,
@@ -219,7 +230,7 @@ def random_index_ideal(rng: random.Random, d_max: int = 10**4) -> MonomialIdeal:
     while gcd(k, d) != 1:
         k = rng.randint(-d, d)
     cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
-    _, tau = cone.column_data()
+    tau = cone.tau
     ss = [rng.randint(0, 3)]
     for _ in range(rng.randint(1, 3)):
         ss.append(ss[-1] + rng.randint(1, 30))

@@ -410,6 +410,17 @@ class TestReptypeCommand:
         code, _, _ = run_json(capsys, ["reptype", "--r", "5", "--u", "1,0"])
         assert code == 1
 
+    @pytest.mark.parametrize("r", [0, 1, -3])
+    def test_index_below_two_rejected_next_to_a_table(self, capsys, tmp_path, r):
+        # the default weights 1 / r divided by zero at r = 0 and exited 2
+        code, report, flag_err = run_json(capsys, ["reptype", "--r", "1", "--u", "1"])
+        assert (code, report) == (1, None)
+        path = tmp_path / "mods.json"
+        path.write_text(json.dumps({"reptype": {"r": r, "table": [[1]], "multiplicities": [1]}}))
+        code, report, err = run_json(capsys, ["reptype", "--file", str(path)])
+        assert (code, report) == (1, None)
+        assert err == flag_err == "error: index r must be at least 2\n"
+
 
 class TestVerifyCommand:
     def test_family_passes(self, capsys):

@@ -21,6 +21,7 @@ from conftest import (
     random_index_ideal,
     random_staircase,
     shoelace_complement_area,
+    unimodular,
 )
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
 from ghk.geometry import (
@@ -133,8 +134,10 @@ class TestCone:
             Cone2.from_rays((0, 0), (1, 0))
 
     def test_inconsistent_hand_built_cone_rejected(self):
-        with pytest.raises(ValueError):
-            Cone2((1, 0), (0, 1), (0, 1), (-1, 0), 1)
+        with pytest.raises(ValueError, match="primitive"):
+            Cone2((2, 0), (0, 1))
+        with pytest.raises(CollinearRays, match="collinear"):
+            Cone2((1, 2), (-1, -2))
 
     def test_corner_examples(self):
         assert QUADRANT.corner((2, 3)) == (3, 2)
@@ -142,11 +145,25 @@ class TestCone:
         assert DUAL.corner((3, -1)) == (3, 0)
 
     def test_mixed_pairings_equal_index(self):
+        # the identities between rays, normals, index and column lattice, on random
+        # cones and their GL2(Z) images, with the rays in both orders
         rng = random.Random(7)
-        for _ in range(50):
-            cone = random_cone(rng)
-            assert dot(cone.normal1, cone.ray2) == cone.det_abs
-            assert dot(cone.normal2, cone.ray1) == cone.det_abs
+        for _ in range(200):
+            base = random_cone(rng, rng.randint(1, 30))
+            (a, b), (c, d) = unimodular(rng)
+            image = [(a * x + b * y, c * x + d * y) for x, y in (base.ray1, base.ray2)]
+            for r1, r2 in ((base.ray1, base.ray2), tuple(image)):
+                for cone in (Cone2(r1, r2), Cone2(r2, r1)):
+                    n1, n2 = cone.normal1, cone.normal2
+                    assert abs(n1[0] * n2[1] - n1[1] * n2[0]) == cone.det_abs == base.det_abs
+                    assert cone.det_abs > 0
+                    assert gcd(*cone.ray1) == gcd(*cone.ray2) == gcd(*n1) == gcd(*n2) == 1
+                    assert dot(n1, cone.ray1) == dot(n2, cone.ray2) == 0
+                    assert dot(n1, cone.ray2) == dot(n2, cone.ray1) == cone.det_abs
+                    assert dot(n1, cone.u) == 1
+                    assert cone.tau == dot(n2, cone.u)
+                    p = (rng.randint(-50, 50), rng.randint(-50, 50))
+                    assert cone.preimage(cone.corner(p)) == p
 
     def test_preimage_round_trip(self):
         rng = random.Random(11)

@@ -12,6 +12,7 @@ from conftest import (
     random_cone,
     random_ideal,
     search_torsion_order,
+    unimodular,
 )
 from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import (
@@ -47,7 +48,7 @@ def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
     when t0 == tau * s0 and h == -tau * w modulo det_abs.
     """
     cone = random_cone(rng, 3)
-    _, tau = cone.column_data()
+    tau = cone.tau
     d = cone.det_abs
     w = rng.randint(1, 3)
     h = (-tau * w) % d or d
@@ -55,17 +56,6 @@ def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
     t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
     run = tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))
     return MonomialIdeal(cone, Staircase(run))
-
-
-def unimodular(rng: random.Random) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A random integer matrix of determinant +-1: shears and a swap."""
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(3):
-        k = rng.randint(-3, 3)
-        a, b, c, d = (a + k * c, b + k * d, c, d) if rng.random() < 0.5 else (a, b, c + k * a, d + k * b)
-    if rng.random() < 0.5:
-        a, b, c, d = c, d, a, b
-    return (a, b), (c, d)
 
 
 class TestConstruction:
@@ -439,7 +429,7 @@ class TestTorsion:
         large = 0
         for _ in range(2000):
             cone = random_cone(rng, rng.randint(1, 50))
-            _, tau = cone.column_data()
+            tau = cone.tau
             d = cone.det_abs
             c1, c2 = rng.randint(0, 2 * d), rng.randint(0, 2 * d)
             # lattice corners in column c1 and in row c2 fix the thresholds

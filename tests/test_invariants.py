@@ -278,7 +278,7 @@ class TestPowerLengths:
             while gcd(k, d) != 1:
                 k = rng.randint(-d, d)
             cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
-            _, tau = cone.column_data()
+            tau = cone.tau
             ss = [rng.randint(0, 3)]
             for _ in range(rng.randint(1, 3)):
                 ss.append(ss[-1] + rng.randint(1, 30))

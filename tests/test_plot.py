@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ghk.ideals
-from conftest import column_walk_dots, random_ideal
+from conftest import column_walk_dots, random_cone, random_ideal
 from ghk import svgplot
 from ghk.cli import run_command
 from ghk.errors import BadParameters
@@ -41,7 +41,29 @@ def shoelace2(pts):
     return abs(total)
 
 
+def adjugate_to_svg(cone, s, t):
+    """det_abs times the point with corner (s, t), y flipped, through the normals' adjugate."""
+    n1, n2 = cone.normal1, cone.normal2
+    det = n1[0] * n2[1] - n1[1] * n2[0]
+    sign = 1 if det > 0 else -1
+    px = sign * (n2[1] * s - n1[1] * t)
+    py = sign * (-n2[0] * s + n1[0] * t)
+    return px, -py
+
+
 class TestRenderedRegions:
+    def test_plane_map_matches_the_adjugate(self):
+        rng = random.Random(17)
+        off_lattice = 0
+        for _ in range(300):
+            cone = random_cone(rng, rng.randint(1, 30))
+            to_svg = svgplot._corner_to_svg(cone)
+            for _ in range(5):
+                s, t = rng.randint(-60, 60), rng.randint(-60, 60)
+                off_lattice += cone.preimage(Corner(s, t)) is None
+                assert to_svg(s, t) == adjugate_to_svg(cone, s, t)
+        assert off_lattice > 500
+
     def test_veronese_band_areas(self):
         inst = veronese(3, 1)
         svg = render_region_svg(inst.ideal, q_mark=2)
