@@ -7,12 +7,19 @@ pairs) and a short human summary on stderr.  Exit codes: 0 on success,
 error.  The verify subcommand also exits 1 when some property suite
 fails.
 
-Every request takes one path, run_command.  Its load step reads and
-checks every input field: the toric instance, or for reptype the index,
-table, multiplicities and weights.  It then calls _cmd_<name>, which
-only computes and returns the results and the summary lines, prints
-the report and the summary, and picks the exit code.  Usage errors
-exit 1 as well, not argparse's 2.
+Every request takes one path, run_command.  It first reads argv with
+_read_argv, from the one table of subcommands and their options,
+_COMMANDS.  That reader takes only well-formed argv: a command, then
+each of its options at most once, by its exact long string, with a
+value.  Anything else (--help, abbreviations, --opt=value, negative
+numbers, every usage error) goes to the argparse parser that
+build_parser makes from the same table, built once per process and only
+when needed; argparse prints help and usage errors, and usage errors
+exit 1, not argparse's 2.  The load step then reads and checks every
+input field: the toric instance, or for reptype the index, table,
+multiplicities and weights.  run_command then calls _cmd_<name>, which
+only computes and returns the results and the summary lines, prints the
+report and the summary, and picks the exit code.
 """
 
 import argparse
@@ -20,7 +27,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .checks import run_instance_checks
 from .errors import BadParameters, ContractViolation, GhkError, InputError, UnboundedRegion
@@ -312,10 +319,94 @@ def _cmd_plot(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     return results, [f"{instance.label}: wrote {args.out} (power scale {q})"]
 
 
-def _add_toric_input(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help='family spec like "veronese:3,1" or "a:5,2"')
-    group.add_argument("--file", help="path of a JSON input document")
+class _Option(NamedTuple):
+    dest: str
+    type: type  # int or str
+    required: bool
+    help: str
+    group: bool = False  # in the required --family/--file choice
+
+
+_TORIC_INPUT = {
+    "--family": _Option(
+        "family", str, False, 'family spec like "veronese:3,1" or "a:5,2"', group=True
+    ),
+    "--file": _Option("file", str, False, "path of a JSON input document", group=True),
+}
+
+# Every subcommand's help and options, in usage-line order: the one place that
+# declares an option.  build_parser makes the argparse parser from it, and
+# _read_argv reads well-formed argv with it.
+_COMMANDS: dict[str, tuple[str, dict[str, _Option]]] = {
+    "eghk": ("exact multiplicity of the quotient", _TORIC_INPUT),
+    "function": ("gap counts along a prime-power tower", {
+        **_TORIC_INPUT,
+        "--prime": _Option("prime", int, True, "characteristic, a prime"),
+        "--max-n": _Option("max_n", int, True, "largest exponent n"),
+    }),
+    "split": ("bracket power gap split at one q", {
+        **_TORIC_INPUT,
+        "--q": _Option("q", int, True, "bracket power exponent"),
+    }),
+    "powers": ("ordinary power lengths, torsion, and fit", {
+        **_TORIC_INPUT,
+        "--max-n": _Option("max_n", int, True, "largest power"),
+        "--period": _Option("period", int, False, "override the fit period"),
+        "--max-order": _Option("max_order", int, False, "torsion order cap (default det_abs)"),
+    }),
+    "reptype": ("multiplicity from a module decomposition", {
+        "--file": _Option("file", str, False, "path of a JSON input document"),
+        "--r": _Option("r", int, False, "index of the type A singularity"),
+        "--u": _Option("u", str, False, "comma-separated module multiplicities"),
+        "--v": _Option("v", str, False, "comma-separated limit weights (rationals)"),
+    }),
+    "verify": ("run the property suites on an input", _TORIC_INPUT),
+    "plot": ("write the region picture as SVG", {
+        **_TORIC_INPUT,
+        "--out": _Option("out", str, True, "output SVG path"),
+        "--q-mark": _Option("q_mark", int, False, "draw the q-th bracket power"),
+    }),
+}
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse returns for well-formed argv, or None to leave argv to it.
+
+    Well-formed is an exact command name, then pairs of one of its exact
+    option strings and a value that does not start with "-", each option
+    at most once, every int value one that int() reads, every required
+    option present and, where the command has the --family/--file
+    choice, exactly one of the two.  Anything else (help, abbreviations,
+    --opt=value, negative numbers, repeats, every usage error) is
+    argparse's to read or to refuse.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    options = command[1]
+    values = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or option.dest in values or value.startswith("-"):
+            return None
+        if option.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[option.dest] = value
+    grouped = chosen = 0
+    for option in options.values():
+        grouped += option.group
+        if option.dest in values:
+            chosen += option.group
+        elif option.required:
+            return None
+        else:
+            values[option.dest] = None
+    if grouped and chosen != 1:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,39 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eghk", help="exact multiplicity of the quotient")
-    _add_toric_input(p)
-
-    p = sub.add_parser("function", help="gap counts along a prime-power tower")
-    _add_toric_input(p)
-    p.add_argument("--prime", type=int, required=True, help="characteristic, a prime")
-    p.add_argument("--max-n", type=int, required=True, help="largest exponent n")
-
-    p = sub.add_parser("split", help="bracket power gap split at one q")
-    _add_toric_input(p)
-    p.add_argument("--q", type=int, required=True, help="bracket power exponent")
-
-    p = sub.add_parser("powers", help="ordinary power lengths, torsion, and fit")
-    _add_toric_input(p)
-    p.add_argument("--max-n", type=int, required=True, help="largest power")
-    p.add_argument("--period", type=int, help="override the fit period")
-    p.add_argument("--max-order", type=int, help="torsion order cap (default det_abs)")
-
-    p = sub.add_parser("reptype", help="multiplicity from a module decomposition")
-    p.add_argument("--file", help="path of a JSON input document")
-    p.add_argument("--r", type=int, help="index of the type A singularity")
-    p.add_argument("--u", help="comma-separated module multiplicities")
-    p.add_argument("--v", help="comma-separated limit weights (rationals)")
-
-    p = sub.add_parser("verify", help="run the property suites on an input")
-    _add_toric_input(p)
-
-    p = sub.add_parser("plot", help="write the region picture as SVG")
-    _add_toric_input(p)
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--q-mark", type=int, help="draw the q-th bracket power")
-
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        group = None
+        for flag, option in options.items():
+            if option.group and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            (group if option.group else p).add_argument(
+                flag, dest=option.dest, type=option.type, required=option.required,
+                help=option.help,
+            )
     return parser
 
 
@@ -389,7 +457,11 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     summary lines).  Results with all_passed false (a failed verify
     suite) exit 1.
     """
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         try:
             load = _reptype_input if args.command == "reptype" else _toric_instance

@@ -94,9 +94,14 @@ class Cone2:
         """Build the cone spanned by two rays (any nonzero integer vectors).
 
         Rays are reduced to primitive vectors.  Raises CollinearRays if
-        they do not span the plane.
+        they do not span the plane, naming the rays as given.
         """
-        return cls(_primitive(tuple(ray1)), _primitive(tuple(ray2)))
+        ray1, ray2 = tuple(ray1), tuple(ray2)
+        reduced = _primitive(ray1), _primitive(ray2)  # a zero ray raises its own message
+        try:
+            return cls(*reduced)
+        except CollinearRays:
+            raise CollinearRays(f"rays {ray1} and {ray2} are collinear") from None
 
     @cached_property
     def det_abs(self) -> int:

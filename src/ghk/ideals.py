@@ -61,8 +61,8 @@ class MonomialIdeal:
     stair: Staircase
 
     def __post_init__(self) -> None:
-        tau = self.cone.tau
-        if any((c.t - tau * c.s) % self.cone.det_abs for c in self.stair.corners):
+        tau, det_abs = self.cone.tau, self.cone.det_abs
+        if any((c.t - tau * c.s) % det_abs for c in self.stair.corners):
             raise ValueError("staircase corner is not the corner of a lattice point")
 
     @cached_property

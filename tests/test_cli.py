@@ -523,6 +523,75 @@ class TestPrintLimit:
         assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
 
 
+OPTION_STRINGS = sorted({flag for _, options in cli._COMMANDS.values() for flag in options})
+WELL_FORMED_VALUES = {
+    int: ("2", "7", "40", " 7 ", "1_0", "+3", "\u0663"),
+    str: ("a:3,1", "veronese:3,1", "input.json", "", "a b", "=", "2"),
+}
+# well-formed values, and every kind the reader must leave to argparse
+ARGV_VALUES = (
+    *WELL_FORMED_VALUES[int], *WELL_FORMED_VALUES[str],
+    "-3", "-1,0", "x", "1.5", "0x10", "- 1", "--", "-h",
+)
+ARGV_NOISE = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "eg", "verif", "help", "-h", "--help", "--"]),
+    st.sampled_from(OPTION_STRINGS),
+    st.sampled_from(OPTION_STRINGS).map(lambda flag: flag[:-1]),  # abbreviations
+    st.builds("{}={}".format, st.sampled_from(OPTION_STRINGS), st.sampled_from(ARGV_VALUES)),
+    st.sampled_from(ARGV_VALUES),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def command_argv(draw) -> tuple[list[str], bool]:
+    """An argv of one command and whether it is well-formed.
+
+    It starts well-formed: the command, each required option once, one of
+    --family and --file where the command takes them, some optional
+    options, valid values, in any order.  Up to two edits then insert,
+    replace or delete a token, or append an option and a value.
+    """
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[name][1]
+    optional = [f for f, o in options.items() if not o.required and not o.group]
+    grouped = [f for f, o in options.items() if o.group]
+    flags = [f for f, o in options.items() if o.required]
+    flags += draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+    flags += [draw(st.sampled_from(grouped))] if grouped else []
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(WELL_FORMED_VALUES[options[flag].type]))]
+    edits = draw(st.integers(0, 2))
+    for _ in range(edits):
+        edit = draw(st.sampled_from(("insert", "replace", "delete", "append")))
+        i = draw(st.integers(0, len(argv) - (edit != "insert")))
+        if edit == "insert":
+            argv.insert(i, draw(ARGV_NOISE))
+        elif edit == "replace":
+            argv[i] = draw(ARGV_NOISE)
+        elif edit == "delete":
+            del argv[i]
+        else:
+            argv += [draw(st.sampled_from(OPTION_STRINGS)), draw(st.sampled_from(ARGV_VALUES))]
+        if not argv:
+            break
+    return argv, edits == 0
+
+
+class TestArgvReader:
+    @seed(1815)
+    @settings(max_examples=500, deadline=None)
+    @given(command_argv())
+    def test_reads_as_argparse_or_defers(self, case):
+        # an argv the reader leaves alone goes to argparse, which reads it or refuses it
+        argv, well_formed = case
+        args = cli._read_argv(argv)
+        assert args is not None or not well_formed
+        if args is not None:
+            assert args == cli._parser().parse_args(argv)
+
+
 class TestDispatch:
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
         built = []
@@ -594,12 +663,15 @@ class TestErrorMapping:
 
     def test_collinear_rays_in_document(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
-        path.write_text(
-            json.dumps({"cone": {"rays": [[1, 2], [2, 4]]}, "generators": [[1, 2]]})
-        )
-        code, _, err = run_json(capsys, ["eghk", "--file", str(path)])
-        assert code == 1
-        assert "collinear" in err
+        for rays, message in [
+            # the rays as given, not as reduced to primitive vectors
+            ([[1, 0], [2, 0]], "rays (1, 0) and (2, 0) are collinear"),
+            ([[1, 2], [-2, -4]], "rays (1, 2) and (-2, -4) are collinear"),
+            ([[0, 0], [1, 0]], "zero vector cannot span a cone"),
+        ]:
+            path.write_text(json.dumps({"cone": {"rays": rays}, "generators": [[1, 2]]}))
+            code, report, err = run_json(capsys, ["eghk", "--file", str(path)])
+            assert (code, report, err) == (1, None, f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "doc, field",

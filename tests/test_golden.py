@@ -2,10 +2,12 @@
 
 Each tests/golden/<name>.json case holds the argv of one ghk command,
 the input files it reads, and the exit code, stdout, stderr and (for
-plot) the SVG it produced when the corpus was captured.  The replay runs
-the command in a scratch directory, so relative paths in argv and in the
-reports are the same on every machine.  After an intended change to a
-report, rewrite the corpus with
+plot) the SVG it produced when the corpus was captured.  A usage error
+records the code argparse exits with.  The replay runs the command in a
+scratch directory, so relative paths in argv and in the reports are the
+same on every machine, and with COLUMNS=200, so argparse writes each
+usage line unwrapped, in every terminal and on every Python version.
+After an intended change to a report, rewrite the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,9 +23,11 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+from ghk import cli
 from ghk.cli import run_command
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,6 +109,13 @@ CASES = {
     "error-max-order-too-small": (
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "2"], {}),
     "error-reptype-dimension": (["reptype", "--r", "4", "--u", "1,0"], {}),
+    # usage errors, written by argparse; --help stays out, its wrapping follows the terminal
+    "usage-unknown-option": (["eghk", "--family", "a:3,1", "--bogus"], {}),
+    "usage-ambiguous-option": (["powers", "--family", "a:7,3", "--max", "5"], {}),
+    "usage-family-and-file": (["eghk", "--family", "a:3,1", "--file", "input.json"], DOCUMENT),
+    "usage-non-integer-q": (["split", "--family", "a:7,3", "--q", "two"], {}),
+    "usage-missing-prime": (["function", "--family", "a:7,3", "--max-n", "2"], {}),
+    "usage-negative-looking-value": (["reptype", "--r", "3", "--u", "-1,0"], {}),
 }
 
 
@@ -113,8 +124,11 @@ def run_case(argv: list[str], files: dict, workdir: Path) -> dict:
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run_command(list(argv))
+    try:
+        with patch.dict(os.environ, COLUMNS="200"), redirect_stdout(out), redirect_stderr(err):
+            code = run_command(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     record = {
         "argv": list(argv),
         "files": files,
@@ -138,6 +152,20 @@ def test_replay(name, tmp_path, monkeypatch):
     assert golden["argv"] == CASES[name][0] and golden["files"] == CASES[name][1]
     monkeypatch.chdir(tmp_path)
     assert run_case(golden["argv"], golden["files"], tmp_path) == golden
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_argparse_reads_every_argv_alike(name, tmp_path, monkeypatch):
+    # the same bytes and exit code when argparse, not the option table, reads the argv
+    argv, files = CASES[name]
+    runs = []
+    for reader in (cli._read_argv, lambda argv: None):
+        monkeypatch.setattr(cli, "_read_argv", reader)
+        workdir = tmp_path / str(len(runs))
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        runs.append(run_case(argv, files, workdir))
+    assert runs[0] == runs[1]
 
 
 def _capture(names: list[str]) -> None:
