@@ -3,14 +3,15 @@
 The oracle answers the defining question about the limit closure
 directly, without the threshold shortcut: translating the cone to a
 point p, is everything far out in the translate already inside the
-ideal region?  It scans actual lattice points (one exact integer
+ideal region?  It walks actual lattice points: one exact integer
 interval per line of the ambient plane, along the axis with fewer
-lines, not by the arithmetic-progression counting the fast path uses)
-and tests membership by direct comparison against the generator
-corners.  Far means three corner boxes: a fundamental window beyond
-the maximal generator corners and one deep box across each boundary
-strip, which decides the strip's tails because membership is monotone
-along columns and rows.
+lines, not by the arithmetic-progression counting the fast path uses.
+Along a line it steps the corner by one addition per coordinate,
+listing no points, and compares each corner directly against the
+generator corners shifted by p's.  Far means three corner boxes: a
+fundamental window beyond the maximal generator corners and one deep
+box across each boundary strip, which decides the strip's tails
+because membership is monotone along columns and rows.
 
 run_instance_checks bundles the oracle with the scaling, additivity,
 and convergence properties into a pass/fail report for one instance.
@@ -19,7 +20,9 @@ estimates the scan work first and refuses above _MAX_VERIFY_WORK.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BadParameters, GhkError
@@ -41,12 +44,6 @@ from .invariants import (
     ghk_function,
     newton_multiplicity,
 )
-
-
-def in_ideal_naive(ideal: MonomialIdeal, p: Point) -> bool:
-    """Membership by direct domination against each generator corner."""
-    c = ideal.cone.corner(p)
-    return any(c.s >= w.s and c.t >= w.t for w in map(ideal.cone.corner, ideal.gens))
 
 
 def threshold_membership(ideal: MonomialIdeal, p: Point) -> bool:
@@ -72,18 +69,28 @@ def _spans(cone: Cone2, w: int, h: int) -> tuple[int, int]:
     return abs(a2) * w + abs(a1) * h, abs(b2) * w + abs(b1) * h
 
 
-def _line_scan(n1: Point, n2: Point, box: tuple[int, int, int, int]) -> list[Point]:
-    # the points with corners <n1, p>, <n2, p> in the box, one vertical line x at a time
+def _lines(n1: Point, n2: Point, box: tuple[int, int, int, int]):
+    # (x, y_lo, y_hi) per vertical line x: its points (x, y) with corners <n1, p>, <n2, p>
+    # in the box are those with y_lo <= y <= y_hi; nothing for an empty box
     (a1, b1), (a2, b2), (s_lo, s_hi, t_lo, t_hi) = n1, n2, box
+    if s_hi <= s_lo or t_hi <= t_lo:
+        return
     det = a1 * b2 - b1 * a2
     # det times the x-coordinates of the parallelogram's vertices
     xs = [b2 * s - b1 * t for s in (s_lo, s_hi) for t in (t_lo, t_hi)]
-    pts = []
     for x in range(min(n // det for n in xs), max(-(-n // det) for n in xs) + 1):
         bounds = [_y_bounds(a1, b1, x, s_lo, s_hi), _y_bounds(a2, b2, x, t_lo, t_hi)]
         lows, highs = zip(*(r for r in bounds if r is not None))
-        pts.extend((x, y) for y in range(max(lows), min(highs) + 1))
-    return pts
+        yield x, max(lows), min(highs)
+
+
+def _scan_normals(cone: Cone2, box: tuple[int, int, int, int]) -> tuple[bool, Point, Point]:
+    # whether the box is scanned along rows, and the normals _lines takes for that
+    (a1, b1), (a2, b2) = cone.normal1, cone.normal2
+    rows, columns = _spans(cone, box[1] - box[0], box[3] - box[2])
+    if rows < columns:
+        return True, (b1, a1), (b2, a2)
+    return False, (a1, b1), (a2, b2)
 
 
 def lattice_points_in_corner_box(
@@ -98,14 +105,25 @@ def lattice_points_in_corner_box(
     fewer, then sorting) costs O(lines + points).  It does not rely on
     the column progression structure the fast counting uses.
     """
-    if s_hi <= s_lo or t_hi <= t_lo:
-        return []
-    (a1, b1), (a2, b2) = cone.normal1, cone.normal2
-    rows, columns = _spans(cone, s_hi - s_lo, t_hi - t_lo)
     box = (s_lo, s_hi, t_lo, t_hi)
-    if rows < columns:
-        return sorted((x, y) for y, x in _line_scan((b1, a1), (b2, a2), box))
-    return _line_scan((a1, b1), (a2, b2), box)
+    by_rows, n1, n2 = _scan_normals(cone, box)
+    pts = [(x, y) for x, lo, hi in _lines(n1, n2, box) for y in range(lo, hi + 1)]
+    return sorted((x, y) for y, x in pts) if by_rows else pts
+
+
+def _box_covered(cone: Cone2, box: tuple[int, int, int, int], shifted) -> bool:
+    # every lattice point of the box has its corner above one of the shifted corners;
+    # walks each line's corners, one step of <n1, e>, <n2, e> per point
+    _, n1, n2 = _scan_normals(cone, box)
+    (a1, b1), (a2, b2) = n1, n2
+    for x, lo, hi in _lines(n1, n2, box):
+        s, t = a1 * x + b1 * lo, a2 * x + b2 * lo
+        for _ in range(lo, hi + 1):
+            if not any(s >= ws and t >= wt for ws, wt in shifted):
+                return False
+            s += b1
+            t += b2
+    return True
 
 
 def saturation_region_oracle(ideal: MonomialIdeal, p: Point) -> bool:
@@ -116,7 +134,9 @@ def saturation_region_oracle(ideal: MonomialIdeal, p: Point) -> bool:
     by monotonicity), and one deep box across the low-s strip and one
     across the low-t strip (membership along a column or row is
     monotone, so a box det_abs deep decides every tail of the strip).
-    Returns False as soon as some box holds a point left outside.
+    A point g of a box is covered when corner(p) + corner(g) dominates
+    some generator corner.  Returns False as soon as some box holds a
+    point left outside.
     """
     cone = ideal.cone
     d = cone.det_abs
@@ -126,16 +146,11 @@ def saturation_region_oracle(ideal: MonomialIdeal, p: Point) -> bool:
     t2 = max(c.t for c in corners)
     deep_s = t1 + max(0, -pc.s)
     deep_t = t2 + max(0, -pc.t)
-
-    def covered(g: Point) -> bool:
-        c = cone.corner((p[0] + g[0], p[1] + g[1]))
-        return any(c.s >= w.s and c.t >= w.t for w in corners)
-
+    shifted = [(c.s - pc.s, c.t - pc.t) for c in corners]
     # the window, then the low-s and the low-t strip, each scanned only if the last passed
     window = (t1, t1 + d, t2, t2 + d)
     boxes = [window, (0, t1, deep_t, deep_t + d), (deep_s, deep_s + d, 0, t2)]
-    scans = (lattice_points_in_corner_box(cone, *box) for box in boxes)
-    return all(all(map(covered, points)) for points in scans)
+    return all(_box_covered(cone, box, shifted) for box in boxes)
 
 
 _WITNESS_STEPS = 8  # translates of a witness ray checked
@@ -148,18 +163,22 @@ def witness_ray_outside(ideal: MonomialIdeal, p: Point) -> bool:
     Moving along the facet ray that keeps the deficient corner constant
     can never reach the ideal region; checks the first few steps.
     """
-    c = ideal.cone.corner(p)
+    cone = ideal.cone
+    s, t = cone.corner(p)
     c1, c2 = ideal.thresholds
-    if c.s < c1:
-        ray = ideal.cone.ray1
-    elif c.t < c2:
-        ray = ideal.cone.ray2
+    if s < c1:
+        ray = cone.ray1
+    elif t < c2:
+        ray = cone.ray2
     else:
         return False
-    return not any(
-        in_ideal_naive(ideal, (p[0] + k * ray[0], p[1] + k * ray[1]))
-        for k in range(_WITNESS_STEPS)
-    )
+    step = cone.corner(ray)
+    corners = [cone.corner(g) for g in ideal.gens]
+    for _ in range(_WITNESS_STEPS):
+        if any(s >= w.s and t >= w.t for w in corners):
+            return False
+        s, t = s + step.s, t + step.t
+    return True
 
 
 class CheckResult(NamedTuple):
@@ -169,14 +188,34 @@ class CheckResult(NamedTuple):
 
 
 def _probe_points(ideal: MonomialIdeal, rng: random.Random, want: int) -> list[Point]:
+    """want points drawn from the box around the thresholds, or all of them if no more.
+
+    The same points, and the same state of rng after, as rng.sample of
+    the box's sorted points.  A box scanned along columns comes sorted,
+    so only its lines are listed: sample reads its population by index
+    alone, and each drawn index is placed by bisecting the line ends.
+    """
+    cone = ideal.cone
     c1, c2 = ideal.thresholds
-    pad = 2 * ideal.cone.det_abs + 2
+    pad = 2 * cone.det_abs + 2
     box = (c1 - pad, c1 + pad + 1, c2 - pad, c2 + pad + 1)
-    pool = lattice_points_in_corner_box(ideal.cone, *box)
-    return pool if len(pool) <= want else rng.sample(pool, want)
+    by_rows, n1, n2 = _scan_normals(cone, box)
+    if by_rows:
+        pool = lattice_points_in_corner_box(cone, *box)
+        return pool if len(pool) <= want else rng.sample(pool, want)
+    lines = [line for line in _lines(n1, n2, box) if line[2] >= line[1]]
+    ends = list(accumulate(hi - lo + 1 for _, lo, hi in lines))
+    if not ends or ends[-1] <= want:
+        return [(x, y) for x, lo, hi in lines for y in range(lo, hi + 1)]
+    picks = []
+    for i in rng.sample(range(ends[-1]), want):
+        k = bisect_right(ends, i)
+        x, _, hi = lines[k]
+        picks.append((x, hi + 1 - ends[k] + i))
+    return picks
 
 
-_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, 0.6 to 1.7 s of work
+_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, 0.2 to 1.2 s of work
 
 
 def _box_work(cone: Cone2, w: int, h: int) -> int:

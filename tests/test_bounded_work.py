@@ -4,8 +4,9 @@ Each runs as its own `python -m ghk` process and must finish in under
 2 s with its stated exit code and result: the counts take a floor sum
 over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
-verify refuses when a suite hits a work cap, and function refuses a
-tower with too many corner counts.  The counting kernel reads a long run
+verify walks its box scans up to the scan cap and refuses past it or
+when a suite hits a work cap, and function refuses a tower with too
+many corner counts.  The counting kernel reads a long run
 of equal steps once, whether it counts the run whole or step by step,
 and so does the band count over a long run of touching rectangles;
 both are timed in process, under 1 s.
@@ -105,6 +106,24 @@ def test_verify_refuses_a_power_over_the_cap(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "power 600 needs about 3819900 DP steps" in proc.stderr
+
+
+def scan_cap_input(d):
+    # verify's box scans grow with the index d of the cone over (1, 0) and (1, d)
+    return {"cone": {"rays": [[1, 0], [1, d]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
+
+
+def test_verify_at_the_largest_index_under_the_scan_cap(tmp_path):
+    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(17853))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["all_passed"] is True
+
+
+def test_verify_over_the_scan_cap_is_refused(tmp_path):
+    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(17854))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "verify needs about 1000016 scan steps, over 1000000" in proc.stderr
 
 
 def test_function_tower_over_the_cap_is_refused(tmp_path):

@@ -1,10 +1,25 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import box_scan_points, non_run_ideal, random_cone, random_ideal
+from conftest import (
+    box_scan_points,
+    non_run_ideal,
+    point_saturation_oracle,
+    point_witness_ray,
+    random_cone,
+    random_ideal,
+    random_index_ideal,
+)
 from ghk import checks, ideals
-from ghk.checks import lattice_points_in_corner_box, run_instance_checks
+from ghk.checks import (
+    lattice_points_in_corner_box,
+    run_instance_checks,
+    saturation_region_oracle,
+    witness_ray_outside,
+)
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, veronese
 from ghk.geometry import Cone2
@@ -89,22 +104,136 @@ class TestCornerBoxScan:
                 assert lattice_points_in_corner_box(cone, *box) == box_scan_points(cone, *box)
 
 
+SKEWED = [((1, 0), (40, 1)), ((0, 1), (1, 40))]
+
+
+def probe_box(ideal) -> tuple[int, int, int, int]:
+    # the corner box _probe_points draws from, 2 * det_abs + 2 around the thresholds
+    c1, c2 = ideal.thresholds
+    pad = 2 * ideal.cone.det_abs + 2
+    return c1 - pad, c1 + pad + 1, c2 - pad, c2 + pad + 1
+
+
+def random_probe(rng: random.Random, ideal):
+    # a lattice point with corners from below -threshold - 2d up past 2 * threshold + 2d
+    cone, (c1, c2) = ideal.cone, ideal.thresholds
+    d = cone.det_abs
+    s = rng.randint(-c1 - 2 * d - 2, 2 * c1 + 2 * d)
+    t = rng.randint(-c2 - 2 * d - 2, 2 * c2 + 2 * d)
+    k = (t - cone.tau * s) // d
+    (u0, u1), (r0, r1) = cone.u, cone.ray1
+    return s * u0 + k * r0, s * u1 + k * r1
+
+
+class TestOracleWalk:
+    def test_matches_the_point_by_point_oracle(self, monkeypatch):
+        directions, walk = set(), checks._box_covered
+
+        def recording(cone, box, shifted):
+            directions.add(checks._scan_normals(cone, box)[0])
+            return walk(cone, box, shifted)
+
+        monkeypatch.setattr(checks, "_box_covered", recording)
+        rng = random.Random(89)
+        cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(200)]
+        cases += [random_index_ideal(rng, d_max) for d_max in [10**4] * 8 + [500] * 32]
+        for rays in SKEWED:
+            cone = Cone2.from_rays(*rays)
+            cases += [random_ideal(rng, cone, spread=rng.randint(9, 60)) for _ in range(30)]
+        outcomes, witnesses, negative = set(), set(), False
+        for ideal in cases:
+            probes = checks._probe_points(ideal, rng, 3)
+            probes += [random_probe(rng, ideal) for _ in range(3)]
+            for p in probes:
+                c = ideal.cone.corner(p)
+                negative |= c.s < 0 or c.t < 0
+                inside = saturation_region_oracle(ideal, p)
+                assert inside == point_saturation_oracle(ideal, p), (ideal, p)
+                outcomes.add(inside)
+                outside = witness_ray_outside(ideal, p)
+                assert outside == point_witness_ray(ideal, p), (ideal, p)
+                witnesses.add(outside)
+        assert len(cases) >= 300
+        assert outcomes == witnesses == directions == {True, False}
+        assert negative
+
+    def test_probes_draw_as_a_sample_of_the_sorted_pool(self):
+        # the same points and the same rng state after, for pools both <= want and > want
+        rng = random.Random(97)
+        cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(40)]
+        cases += [random_ideal(rng, Cone2.from_rays(*rays)) for rays in SKEWED for _ in range(5)]
+        cases += [random_index_ideal(rng, 300) for _ in range(10)]
+        seen = set()
+        for ideal in cases:
+            box = probe_box(ideal)
+            pool = lattice_points_in_corner_box(ideal.cone, *box)
+            by_rows = checks._scan_normals(ideal.cone, box)[0]
+            for want in {1, 8, len(pool) - 1, len(pool), len(pool) + 1} - {0}:
+                seed = rng.getrandbits(32)
+                ours, reference = random.Random(seed), random.Random(seed)
+                expected = pool if len(pool) <= want else reference.sample(pool, want)
+                assert checks._probe_points(ideal, ours, want) == expected
+                assert ours.getstate() == reference.getstate()
+                seen.add((by_rows, len(pool) <= want))
+        assert seen == {(rows, whole) for rows in (True, False) for whole in (True, False)}
+
+
+CHECKS = Path(checks.__file__)
+
+
+def oracle_names(tree: ast.Module) -> dict[str, set[str]]:
+    """The names and attributes used by saturation_region_oracle and each function it reaches."""
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = {}, ["saturation_region_oracle"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in bodies:
+            continue
+        nodes = list(ast.walk(bodies[name]))
+        seen[name] = {n.id for n in nodes if isinstance(n, ast.Name)}
+        seen[name] |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        todo.extend(seen[name])
+    return seen
+
+
+class TestOracleGuard:
+    # the oracle is the slow side of verify's saturation suite: thresholds, the
+    # staircase or the counting kernel inside it would check the fast path against itself
+    FORBIDDEN = {
+        "stair", "thresholds", "dominates", "height", "threshold_membership",
+        "_count_under", "_floor_sum",
+    }
+
+    def test_oracle_is_independent_of_the_fast_path(self):
+        names = oracle_names(ast.parse(CHECKS.read_text(encoding="utf-8")))
+        assert {"saturation_region_oracle", "_box_covered", "_lines", "_y_bounds"} <= set(names)
+        assert [f for f, used in names.items() if used & self.FORBIDDEN] == []
+
+    def test_guard_catches_a_threshold_shortcut(self):
+        code = (
+            "def threshold_membership(ideal, p):\n"
+            "    return ideal.thresholds\n"
+            "def _covered(ideal, c):\n"
+            "    return ideal.stair.dominates(c)\n"
+            "def saturation_region_oracle(ideal, p):\n"
+            "    return _covered(ideal, ideal.cone.corner(p))\n"
+        )
+        names = oracle_names(ast.parse(code))
+        assert set(names) == {"saturation_region_oracle", "_covered"}
+        assert [f for f, used in names.items() if used & self.FORBIDDEN] == ["_covered"]
+
+
 class TestVerifyWork:
     def test_estimate_bounds_the_scanned_points(self, monkeypatch):
-        bounds, points = [], []
-        scan_line, scan_box = checks._y_bounds, checks.lattice_points_in_corner_box
+        # every scan walks _lines: one step per line, and one per point of the line
+        work, scan_lines = [], checks._lines
 
-        def counting_line(*args):
-            bounds.append(1)
-            return scan_line(*args)
+        def counting_lines(*args):
+            for x, lo, hi in scan_lines(*args):
+                work.append(1 + max(0, hi - lo + 1))
+                yield x, lo, hi
 
-        def counting_box(*args):
-            found = scan_box(*args)
-            points.append(len(found))
-            return found
-
-        monkeypatch.setattr(checks, "_y_bounds", counting_line)
-        monkeypatch.setattr(checks, "lattice_points_in_corner_box", counting_box)
+        monkeypatch.setattr(checks, "_lines", counting_lines)
         rng = random.Random(73)
         cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(12)]
         cases += [a_singularity(r, m).ideal for r, m in ((5, 2), (7, 3), (12, 5), (31, 9))]
@@ -116,11 +245,9 @@ class TestVerifyWork:
             new_ideal(Cone2.from_rays((0, 1), (1, 40)), [(0, 7), (1, 43), (3, 120)]),
         ]
         for ideal in cases:
-            bounds.clear()
-            points.clear()
+            work.clear()
             assert all(c.passed for c in run_instance_checks(ideal))
-            # each line walked asks for the y-bounds of both corners
-            assert bounds and len(bounds) // 2 + sum(points) <= checks._scan_work(ideal, 8)
+            assert work and sum(work) <= checks._scan_work(ideal, 8)
 
     def test_cap_boundary(self, monkeypatch):
         ideal = a_singularity(7, 3).ideal
