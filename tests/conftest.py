@@ -7,8 +7,8 @@ per column, and a Euclid-like floor sum per staircase step), so
 agreement is a real two-sided check and not an arithmetic identity.
 The fit and pairing oracles evaluate in Fractions term by term, where
 the library works in integers and builds one rational at the end.  The
-region and witness-ray oracles list every point and take the corner of
-each translate afresh, where the library steps corners by addition.
+region oracle lists every point and takes the corner of each translate
+afresh, where the library steps corners by addition.
 """
 
 import random
@@ -53,12 +53,6 @@ def box_scan_points(cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> 
     return pts
 
 
-def in_ideal_naive(ideal: MonomialIdeal, p) -> bool:
-    """Membership by direct domination against each generator corner."""
-    c = ideal.cone.corner(p)
-    return any(c.s >= w.s and c.t >= w.t for w in map(ideal.cone.corner, ideal.gens))
-
-
 def point_saturation_oracle(ideal: MonomialIdeal, p) -> bool:
     """Region oracle point by point: each box point listed and translated by p.
 
@@ -84,21 +78,6 @@ def point_saturation_oracle(ideal: MonomialIdeal, p) -> bool:
     boxes = [window, (0, t1, deep_t, deep_t + d), (deep_s, deep_s + d, 0, t2)]
     scans = (lattice_points_in_corner_box(cone, *box) for box in boxes)
     return all(all(map(covered, points)) for points in scans)
-
-
-def point_witness_ray(ideal: MonomialIdeal, p) -> bool:
-    """Witness-ray oracle: the first 8 translates p + k * ray tested by in_ideal_naive."""
-    c = ideal.cone.corner(p)
-    c1, c2 = ideal.thresholds
-    if c.s < c1:
-        ray = ideal.cone.ray1
-    elif c.t < c2:
-        ray = ideal.cone.ray2
-    else:
-        return False
-    return not any(
-        in_ideal_naive(ideal, (p[0] + k * ray[0], p[1] + k * ray[1])) for k in range(8)
-    )
 
 
 def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:

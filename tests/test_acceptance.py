@@ -13,7 +13,6 @@ from ghk.checks import (
     _probe_points,
     saturation_region_oracle,
     threshold_membership,
-    witness_ray_outside,
 )
 from ghk.families import a_singularity, veronese
 from ghk.ideals import saturation
@@ -201,7 +200,7 @@ def test_criterion_10_region_membership_oracle():
         for p in _probe_points(ideal, rng, 6):
             fast = threshold_membership(ideal, p)
             slow = saturation_region_oracle(ideal, p)
-            if fast != slow or (not fast and not witness_ray_outside(ideal, p)):
+            if fast != slow:
                 disagreements += 1
             probes += 1
     conclude(

@@ -126,6 +126,24 @@ def test_verify_over_the_scan_cap_is_refused(tmp_path):
     assert "verify needs about 1000016 scan steps, over 1000000" in proc.stderr
 
 
+def transposed_scan_cap_input(d):
+    # the same cone with x and y swapped: its probe box is scanned along rows, not columns
+    return {"cone": {"rays": [[0, 1], [d, 1]]}, "generators": [[0, 1], [1, 1], [1, 2]]}
+
+
+def test_verify_row_scanned_at_the_largest_index_under_the_scan_cap(tmp_path):
+    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(17853))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["all_passed"] is True
+
+
+def test_verify_row_scanned_over_the_scan_cap_is_refused(tmp_path):
+    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(17854))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "verify needs about 1000016 scan steps, over 1000000" in proc.stderr
+
+
 def test_function_tower_over_the_cap_is_refused(tmp_path):
     proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "2000"], QUADRANT)
     assert proc.returncode == 1

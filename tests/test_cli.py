@@ -455,6 +455,24 @@ class TestVerifyCommand:
         assert "FAIL torsion-roundtrip: BadParameters: max_order" in err
         assert err.endswith("9/10 suites passed\n")
 
+    @pytest.mark.parametrize(
+        "fast",
+        [
+            lambda ideal, p: True,
+            lambda ideal, p: ideal.cone.corner(p).s >= ideal.thresholds[0],
+        ],
+        ids=["always-inside", "ignores-t"],
+    )
+    def test_wrong_threshold_test_fails_the_saturation_suite(self, capsys, monkeypatch, fast):
+        # the oracle is the slow side of the suite: a wrong fast side must not pass it
+        monkeypatch.setattr(checks, "threshold_membership", fast)
+        code, report, err = run_json(capsys, ["verify", "--family", "a:7,3"])
+        assert code == 1
+        assert report["results"]["all_passed"] is False
+        failed = [c["name"] for c in report["results"]["checks"] if not c["passed"]]
+        assert failed == ["saturation-oracle"]
+        assert "FAIL saturation-oracle: oracle disagrees at" in err
+
     def test_large_index_finishes(self, capsys, tmp_path):
         # index 6401: the box scans of the oracle used to take minutes here
         doc = {"cone": {"rays": [[1, 0], [1, 6401]]}, "generators": [[1, 0], [1, 1], [2, 1]]}
