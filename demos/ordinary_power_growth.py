@@ -30,19 +30,20 @@ e_primary = newton_multiplicity(torsion.primary)
 predicted = Fraction(e_primary, 2 * torsion.order**2)
 print("newton multiplicity of primary part:", e_primary, "-> predicted leading", predicted)
 
-# period-5 fitting wants a longer run than the default estimate window
+# period-5 fitting wants a longer run than the default estimate window;
+# values[m] is h0(I^(m+1)), so the fit below is in m = n - 1 (an open item in ROADMAP.md)
 values = h0_powers(ideal, 40)
-print("h0 sequence:", values[:12], "...")
+print("h0 sequence from n = 1:", values[:12], "...")
 
 fit = fit_quasi_polynomial(values, torsion.order)
-print("stabilizes from n =", fit.onset)
+print("stabilizes from m = n - 1 =", fit.onset)
 for cls in fit.classes:
-    print(f"  class n = {cls.residue} mod {fit.period}: coeffs {[str(c) for c in cls.coeffs]} from n >= {cls.onset}")
+    print(f"  class m = {cls.residue} mod {fit.period}: coeffs {[str(c) for c in cls.coeffs]} from m >= {cls.onset}")
     assert cls.coeffs[0] == predicted
 
 # every fitted class must reproduce the tail exactly
-for n in range(fit.onset, len(values)):
-    assert fit.evaluate(n) == values[n]
+for m in range(fit.onset, len(values)):
+    assert fit.evaluate(m) == values[m]
 
 estimate = epsilon_estimate(ideal, 30)
 print("normalized growth estimate h0(30)/900 =", estimate, "<= multiplicity", eghk(ideal))

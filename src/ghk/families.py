@@ -15,17 +15,15 @@ classical colength computations.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BadParameters
 from .geometry import Cone2, Point
 from .ideals import MonomialIdeal, new_ideal
 
 
-@dataclass(frozen=True)
-class ToricInstance:
+class ToricInstance(NamedTuple):
     """A labeled cone-plus-ideal pair, with a closed form when one is known."""
 
     label: str

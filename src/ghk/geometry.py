@@ -26,9 +26,7 @@ and results do not depend on evaluation order.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -66,28 +64,38 @@ def _inward_normal(own: Point, other: Point) -> Point:
     return n if dot(n, other) > 0 else (own[1], -own[0])
 
 
-@dataclass(frozen=True)
 class Cone2:
     """A strongly convex rational cone in the plane, stored as its two rays.
 
-    ray1 and ray2 must be primitive and independent: __post_init__
+    ray1 and ray2 must be primitive and independent: the constructor
     raises ValueError for a ray that is not primitive and CollinearRays
-    for collinear rays.  Everything else is derived from the rays once,
-    on first use: the primitive inward facet normals normal1 and normal2,
+    for collinear rays.  Everything else is derived from the rays at
+    construction: the primitive inward facet normals normal1 and normal2,
     with <normal1, ray1> = 0 and <normal2, ray2> = 0; det_abs, the |det|
     of the rays and the index of the facet-coordinate image of Z^2, which
     both mixed pairings <normal1, ray2> and <normal2, ray1> equal; and
-    the column lattice u, tau of that image.
+    the column lattice of that image.  u is a lattice point with
+    <normal1, u> = 1; with tau = <normal2, u>, a pair (s, t) is the
+    corner of a lattice point exactly when t == tau * s (mod det_abs),
+    and then the point is s * u + k * ray1 with k = (t - tau * s) / det_abs.
+    Two cones are equal when their rays are.
     """
 
-    ray1: Point
-    ray2: Point
+    __slots__ = ("ray1", "ray2", "normal1", "normal2", "det_abs", "u", "tau")
 
-    def __post_init__(self) -> None:
-        if gcd(*self.ray1) != 1 or gcd(*self.ray2) != 1:
-            raise ValueError(f"rays {self.ray1} and {self.ray2} must be primitive")
+    def __init__(self, ray1: Point, ray2: Point) -> None:
+        if gcd(*ray1) != 1 or gcd(*ray2) != 1:
+            raise ValueError(f"rays {ray1} and {ray2} must be primitive")
+        self.ray1, self.ray2 = ray1, ray2
+        self.det_abs = abs(ray1[0] * ray2[1] - ray1[1] * ray2[0])
         if self.det_abs == 0:
-            raise CollinearRays(f"rays {self.ray1} and {self.ray2} are collinear")
+            raise CollinearRays(f"rays {ray1} and {ray2} are collinear")
+        a, b = self.normal1 = _inward_normal(ray1, ray2)
+        self.normal2 = _inward_normal(ray2, ray1)
+        # normal1 is primitive: a is invertible modulo |b|, and b == 0 forces a == +-1
+        x = pow(a, -1, abs(b)) if b else a
+        self.u = (x, (1 - a * x) // b if b else 0)
+        self.tau = dot(self.normal2, self.u)
 
     @classmethod
     def from_rays(cls, ray1: Point, ray2: Point) -> "Cone2":
@@ -103,35 +111,14 @@ class Cone2:
         except CollinearRays:
             raise CollinearRays(f"rays {ray1} and {ray2} are collinear") from None
 
-    @cached_property
-    def det_abs(self) -> int:
-        (a, b), (c, d) = self.ray1, self.ray2
-        return abs(a * d - b * c)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Cone2) and (self.ray1, self.ray2) == (other.ray1, other.ray2)
 
-    @cached_property
-    def normal1(self) -> Point:
-        return _inward_normal(self.ray1, self.ray2)
+    def __hash__(self) -> int:
+        return hash((self.ray1, self.ray2))
 
-    @cached_property
-    def normal2(self) -> Point:
-        return _inward_normal(self.ray2, self.ray1)
-
-    @cached_property
-    def u(self) -> Point:
-        """A lattice point with <normal1, u> = 1.
-
-        With tau = <normal2, u>, a pair (s, t) is the corner of a lattice
-        point exactly when t == tau * s (mod det_abs), and then the point
-        is s * u + k * ray1 with k = (t - tau * s) / det_abs.
-        """
-        a, b = self.normal1
-        # normal1 is primitive: a is invertible modulo |b|, and b == 0 forces a == +-1
-        x = pow(a, -1, abs(b)) if b else a
-        return (x, (1 - a * x) // b if b else 0)
-
-    @cached_property
-    def tau(self) -> int:
-        return dot(self.normal2, self.u)
+    def __repr__(self) -> str:
+        return f"Cone2(ray1={self.ray1!r}, ray2={self.ray2!r})"
 
     def corner(self, p: Point) -> Corner:
         return Corner(dot(self.normal1, p), dot(self.normal2, p))
@@ -145,22 +132,32 @@ class Cone2:
         return (c.s * self.u[0] + k * self.ray1[0], c.s * self.u[1] + k * self.ray1[1])
 
 
-@dataclass(frozen=True)
 class Staircase:
     """A finite antichain of corners, sorted with s increasing and t decreasing.
 
     The staircase describes the region of corners that dominate (are
-    componentwise >=) at least one of its members.
+    componentwise >=) at least one of its members.  Two staircases are
+    equal when their corners are.
     """
 
-    corners: tuple[Corner, ...]
+    __slots__ = ("corners",)
 
-    def __post_init__(self) -> None:
-        if not self.corners:
+    def __init__(self, corners: tuple[Corner, ...]) -> None:
+        if not corners:
             raise EmptyInput("a staircase needs at least one corner")
-        for prev, cur in zip(self.corners, self.corners[1:]):
+        for prev, cur in zip(corners, corners[1:]):
             if not (prev.s < cur.s and prev.t > cur.t):
                 raise ValueError("staircase corners must be a sorted antichain")
+        self.corners = corners
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Staircase) and self.corners == other.corners
+
+    def __hash__(self) -> int:
+        return hash(self.corners)
+
+    def __repr__(self) -> str:
+        return f"Staircase(corners={self.corners!r})"
 
     @property
     def min_s(self) -> int:

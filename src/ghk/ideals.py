@@ -21,8 +21,6 @@ admits a whole ray of translates outside the ideal region, so only the
 two facet thresholds matter.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -45,37 +43,46 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal of a fixed cone, stored as its staircase in corner space.
 
     stair holds the corners of the minimal generators, s increasing.
     Every corner must be the corner of a lattice point (t == tau * s
-    modulo det_abs, see Cone2.u), otherwise ValueError.  gens, the
+    modulo det_abs, see Cone2), otherwise ValueError.  gens, the
     generators as lattice points in the same order, is derived from the
-    staircase on first use.  Use new_ideal to build an ideal from
-    lattice points; it performs the Pareto reduction and the cone check.
+    staircase on first use.  Two ideals are equal when their cones and
+    staircases are; the powers an ideal keeps are not part of it.  Use
+    new_ideal to build an ideal from lattice points; it performs the
+    Pareto reduction and the cone check.
     """
 
-    cone: Cone2
-    stair: Staircase
+    __slots__ = ("cone", "stair", "_gens", "_powers", "_levels", "__weakref__")
 
-    def __post_init__(self) -> None:
-        tau, det_abs = self.cone.tau, self.cone.det_abs
-        if any((c.t - tau * c.s) % det_abs for c in self.stair.corners):
+    def __init__(self, cone: Cone2, stair: Staircase) -> None:
+        tau, det_abs = cone.tau, cone.det_abs
+        if any((c.t - tau * c.s) % det_abs for c in stair.corners):
             raise ValueError("staircase corner is not the corner of a lattice point")
+        self.cone, self.stair, self._gens = cone, stair, None
+        # ordinary powers by n >= 2: the ideal under 1 would be a cycle
+        self._powers: dict[int, MonomialIdeal] = {}
+        # levels 0 .. N of the longest power chain, plain tuples only
+        self._levels: list[list[tuple[int, int]]] = [[(0, 0)]]
 
-    @cached_property
+    def __eq__(self, other: object) -> bool:
+        same_type = isinstance(other, MonomialIdeal)
+        return same_type and (self.cone, self.stair) == (other.cone, other.stair)
+
+    def __hash__(self) -> int:
+        return hash((self.cone, self.stair))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(cone={self.cone!r}, stair={self.stair!r})"
+
+    @property
     def gens(self) -> tuple[Point, ...]:
-        return tuple(self.cone.preimage(c) for c in self.stair.corners)
-
-    @cached_property
-    def _powers(self) -> dict[int, "MonomialIdeal"]:
-        return {}  # ordinary powers by n >= 2: the ideal under 1 would be a cycle
-
-    @cached_property
-    def _levels(self) -> list[list[tuple[int, int]]]:
-        return [[(0, 0)]]  # levels 0 .. N of the longest power chain, plain tuples only
+        if self._gens is None:
+            self._gens = tuple(self.cone.preimage(c) for c in self.stair.corners)
+        return self._gens
 
     @property
     def thresholds(self) -> Corner:

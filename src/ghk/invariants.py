@@ -182,8 +182,11 @@ def _quadratic_through(pts: list[tuple[int, int]]) -> tuple[Fraction, Fraction, 
 def fit_quasi_polynomial(seq: Sequence[int], period: int) -> QuasiPolynomial:
     """Fit an exact quadratic to each residue class of seq and verify it.
 
-    seq[i] is the value at n = i, matching the sequences produced by
-    h0_powers and ghk_function.  For each residue class modulo period,
+    seq[i] is read as the value at n = i.  That matches ghk_function,
+    whose sequence starts at n = 0, but not h0_powers, whose entry i is
+    h0 of the (i + 1)-th power: a fit of h0_powers is in m = n - 1, and
+    its residues, onsets and two lower coefficients are those of m (an
+    open item in ROADMAP.md).  For each residue class modulo period,
     a quadratic is interpolated through the last three entries and must
     reproduce the last five entries of the class, a fixed window;
     otherwise NoStabilization reports the failing class.  The per-class

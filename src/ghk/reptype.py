@@ -9,7 +9,6 @@ indecomposables are r - 1 cokernels with Tor table
 min(i, j, r - i, r - j) and equal limit weights 1 / r.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -19,24 +18,30 @@ from typing import Sequence
 from .errors import AsymmetricTable, BadParameters, DimensionMismatch
 
 
-@dataclass(frozen=True)
 class TorTable:
     """A symmetric table of nonnegative pairing lengths, 1-indexed."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
         if n == 0:
             raise BadParameters("a pairing table needs at least one row")
-        if any(len(row) != n for row in self.entries):
+        if any(len(row) != n for row in entries):
             raise BadParameters("pairing table must be square")
-        if any(min(row) < 0 for row in self.entries):
+        if any(min(row) < 0 for row in entries):
             raise BadParameters("pairing lengths must be nonnegative")
-        e = self.entries
+        e = entries
         if not all(tuple(row) == col for row, col in zip(e, zip(*e))):
             i, j = next((i, j) for i in range(n) for j in range(i) if e[i][j] != e[j][i])
             raise AsymmetricTable(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TorTable) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @property
     def dim(self) -> int:

@@ -349,3 +349,11 @@ def column_walk_dots(rect, tau: int, step: int) -> list:
     """Dot oracle: the lattice corners of a rectangle, one column at a time."""
     a, b, lo, hi = rect
     return [(s, t) for s in range(a, b) for t in range(lo + (tau * s - lo) % step, hi, step)]
+
+
+def assert_value_type(make, other) -> None:
+    """Two values built separately by make() are equal and hash alike; other is unequal."""
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != other and other != a

@@ -1,11 +1,13 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from decimal import ROUND_DOWN, Inexact, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -175,13 +177,13 @@ class TestFunctionCommand:
 
     def test_tower_builds_one_ideal(self, capsys, monkeypatch):
         # only the family ideal: every bracket power up to 2^40 is counted off its corners
-        original, built = MonomialIdeal.__post_init__, []
+        original, built = MonomialIdeal.__init__, []
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            original(self)
+            original(self, *args)
 
-        monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+        monkeypatch.setattr(MonomialIdeal, "__init__", counted)
         code, report, _ = run_json(
             capsys, ["function", "--family", "a:7,3", "--prime", "2", "--max-n", "40"]
         )
@@ -322,13 +324,13 @@ class TestPowersCommand:
 
     def test_gap_lengths_build_no_ideal_per_power(self, capsys, monkeypatch):
         # the family ideal, its torsion power I^9 and the shifted primary ideal
-        original, built = MonomialIdeal.__post_init__, []
+        original, built = MonomialIdeal.__init__, []
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            original(self)
+            original(self, *args)
 
-        monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+        monkeypatch.setattr(MonomialIdeal, "__init__", counted)
         code, report, _ = run_json(
             capsys, ["powers", "--family", "veronese:9,7", "--max-n", "63"]
         )
@@ -798,6 +800,18 @@ class TestEntryPoint:
             run_command(argv)
         assert stock.value.code == 2
         assert proc.stderr == capsys.readouterr().err
+
+    def test_import_loads_no_code_generation_modules(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        # only what the import adds: site may load some of these before it
+        code = "import sys; old = set(sys.modules); import ghk.cli; print(*set(sys.modules) - old)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "ghk.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
     def test_help_exits_0(self):
         proc = subprocess.run(

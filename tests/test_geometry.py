@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_value_type,
     brute_count_complement,
     column_count_band,
     column_count_complement,
@@ -120,6 +121,11 @@ class TestCone:
         assert DUAL.normal2 == (1, 3)
         assert DUAL.det_abs == 3
 
+    def test_equal_rays_make_equal_cones(self):
+        assert_value_type(lambda: Cone2((1, 0), (1, 3)), Cone2((1, 3), (1, 0)))
+        assert Cone2.from_rays((2, 0), (1, 3)) == Cone2((1, 0), (1, 3))
+        assert repr(SKEW) == f"Cone2(ray1={SKEW.ray1}, ray2={SKEW.ray2})"
+
     def test_rays_reduced_to_primitive(self):
         cone = Cone2.from_rays((2, 0), (0, 5))
         assert cone.ray1 == (1, 0)
@@ -189,6 +195,11 @@ class TestCone:
 
 
 class TestStaircase:
+    def test_equal_corners_make_equal_staircases(self):
+        corners = (Corner(0, 9), Corner(2, 5), Corner(5, 2))
+        assert_value_type(lambda: Staircase(tuple(corners)), Staircase(corners[1:]))
+        assert repr(Staircase(corners[2:])) == "Staircase(corners=(Corner(s=5, t=2),))"
+
     def test_pareto_drops_dominated(self):
         stair = pareto_minimal([Corner(0, 3), Corner(1, 2), Corner(2, 2)])
         assert stair.corners == (Corner(0, 3), Corner(1, 2))

@@ -1,11 +1,11 @@
 import gc
 import random
 import weakref
-from dataclasses import fields
 
 import pytest
 
 from conftest import (
+    assert_value_type,
     brute_count_complement,
     brute_ordinary_power,
     non_run_ideal,
@@ -89,10 +89,27 @@ class TestConstruction:
         assert ideal.gens == ((0, 0),)
 
     def test_stored_as_cone_and_staircase_only(self):
-        assert [f.name for f in fields(MonomialIdeal)] == ["cone", "stair"]
+        public = [name for name in MonomialIdeal.__slots__ if not name.startswith("_")]
+        assert public == ["cone", "stair"]
         ideal = MonomialIdeal(SKEW, Staircase((Corner(0, 6), Corner(1, 5))))
         assert ideal == new_ideal(SKEW, ideal.gens)
         assert tuple(SKEW.corner(g) for g in ideal.gens) == ideal.stair.corners
+
+    def test_equal_staircases_make_equal_ideals(self):
+        corners = (Corner(0, 6), Corner(1, 5))
+        assert_value_type(
+            lambda: MonomialIdeal(Cone2((1, 0), (1, 3)), Staircase(corners)),
+            MonomialIdeal(SKEW, Staircase(corners[:1])),
+        )
+        ideal = MonomialIdeal(SKEW, Staircase(corners[1:]))
+        assert repr(ideal) == f"MonomialIdeal(cone={SKEW!r}, stair={ideal.stair!r})"
+
+    def test_kept_powers_are_not_part_of_the_value(self):
+        ideal = veronese(9, 7).ideal
+        ordinary_power(ideal, 4)
+        power_chain(ideal, 6)
+        fresh = MonomialIdeal(ideal.cone, ideal.stair)
+        assert ideal == fresh and hash(ideal) == hash(fresh)
 
     def test_corner_off_the_image_lattice_rejected(self):
         # SKEW has det_abs 3 and a corner (0, t) needs t divisible by 3

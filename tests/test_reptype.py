@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairing_oracle, tor_table_oracle
+from conftest import assert_value_type, pairing_oracle, tor_table_oracle
 from ghk.errors import AsymmetricTable, BadParameters, DimensionMismatch
 from ghk.reptype import TorTable, a_tor_table, eghk_a, eghk_from_type
 
 
 class TestTable:
+    def test_equal_entries_make_equal_tables(self):
+        assert_value_type(lambda: TorTable(((1, 2), (2, 1))), TorTable(((1, 2), (2, 2))))
+        assert a_tor_table(5) == TorTable(tor_table_oracle(5))
+
     def test_index_three(self):
         assert a_tor_table(3).entries == ((1, 1), (1, 1))
 
