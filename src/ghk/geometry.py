@@ -16,8 +16,11 @@ one product for the full blocks of det_abs columns, a floor sum for
 the columns left over.  A complement is counted straight off the
 corners of its staircase, one run of equal steps at a time: a run of
 more steps than a step has columns costs one floor sum per column of a
-step.  A band between two staircases is counted one run of like
-rectangles at a time in the same way, with two floor sums per column.
+step.  A staircase that is one such run, as every ordinary power of a
+one-run ideal is, is counted off its first corner, step and length
+without being listed.  A band between two staircases is counted one
+run of like rectangles at a time in the same way, with two floor sums
+per column.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -363,6 +366,22 @@ def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
             w, h, run = b - a, hi - t, 1
         a, hi = b, t
     return total
+
+
+def _count_run(cone: Cone2, s0: int, t0: int, w: int, h: int, r: int) -> int:
+    """_count_under of the run (s0 + i * w, t0 - i * h), i = 0 .. r.
+
+    When w < r the run is not listed: _count_under's own run arithmetic,
+    one floor sum for the bottom row t0 - r * h and one per column offset,
+    reads straight off s0, t0, w, h and r.  Otherwise the run is listed
+    and _count_under walks its steps one by one.
+    """
+    if w >= r:
+        return _count_under(cone, [(s0 + i * w, t0 - i * h) for i in range(r + 1)])
+    tau, step = cone.tau, cone.det_abs
+    c = t0 - 1 - tau * s0  # t0 - 1 - tau * s at the run's first column
+    tops = sum(_floor_sum(r, step, -h - tau * w, c - tau * x) for x in range(w))
+    return tops - _floor_sum(r * w, step, -tau, c - r * h)
 
 
 def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) -> Fraction:

@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import (
     Corner,
     _box_points_bound,
+    _count_run,
     _count_under,
     count_lattice_band,
     staircase_complement_area,
@@ -31,7 +32,9 @@ from .geometry import (
 from .ideals import (
     MonomialIdeal,
     _chain_levels,
+    _check_power_work,
     _gap_count,
+    _run_step,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -129,13 +132,24 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """Local cohomology lengths of the quotients by ordinary powers, n = 1 .. n_max.
 
     Entry n - 1 counts lattice points above n times the thresholds that
-    the n-th ordinary power misses.  All lengths are counted straight off
-    the levels of one power chain, kept on the ideal, without building
-    the powers as ideals: level n's last corner is on the t threshold
-    and its first on the s threshold.
+    the n-th ordinary power misses.  No power is built as an ideal.  When
+    the generators are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m,
+    the n-th power is that run dilated by n, and _count_run counts it
+    straight off (n * s0, n * t0), (w, h) and n * m with no levels: w + 1
+    floor sums once n * m > w, O(n * w * log det_abs) for the n powers.
+    Other lengths are counted off the levels of one power chain, kept on
+    the ideal: level n's last corner is on the t threshold and its first
+    on the s threshold.  Both ways raise BadParameters as power_chain
+    does, for n_max < 1 and then above the DP's work estimate.
     """
-    levels = _chain_levels(ideal, n_max)
-    return [_count_under(ideal.cone, lv) for lv in levels[1:n_max + 1]]
+    corners = ideal.stair.corners
+    run = _run_step(corners)
+    if run is None or n_max < 1:  # _chain_levels refuses n_max < 1
+        levels = _chain_levels(ideal, n_max)
+        return [_count_under(ideal.cone, lv) for lv in levels[1:n_max + 1]]
+    _check_power_work(corners, n_max)
+    (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
+    return [_count_run(ideal.cone, k * s0, k * t0, w, h, k * m) for k in range(1, n_max + 1)]
 
 
 class ClassFit(NamedTuple):

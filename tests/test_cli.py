@@ -282,8 +282,8 @@ class TestPowersCommand:
         assert "power 5000 needs about" in err
 
     def test_chain_holds_the_torsion_power(self, capsys, monkeypatch):
-        # the chain up to 63 is the one DP run; veronese:9,7 is one run, so its I^9
-        # is written down with no DP whether or not it is read off the chain
+        # veronese:9,7 is one run, so its gap lengths are counted off the dilated
+        # runs and its I^9 is written down, with no DP and no levels
         original, calls = ideals._power_levels, []
 
         def counted(corners, n):
@@ -296,7 +296,7 @@ class TestPowersCommand:
         )
         assert code == 0
         assert report["results"]["torsion"]["order"] == 9
-        assert calls == [63]
+        assert calls == []
 
     def test_chain_holds_the_torsion_power_of_a_non_run_ideal(
         self, capsys, monkeypatch, tmp_path
@@ -337,6 +337,15 @@ class TestPowersCommand:
         assert code == 0
         assert len(report["results"]["values"]) == 63
         assert len(built) <= 3
+
+    def test_one_run_refusal_follows_the_dp_estimate(self, capsys):
+        # one-run gap lengths build no levels, yet are refused where the DP would be
+        code, report, _ = run_json(capsys, ["powers", "--family", "veronese:9,7", "--max-n", "264"])
+        assert code == 0
+        assert len(report["results"]["values"]) == 264
+        code, report, err = run_json(capsys, ["powers", "--family", "veronese:9,7", "--max-n", "265"])
+        assert (code, report) == (1, None)
+        assert err == "error: power 265 needs about 1003820 DP steps, over 1000000\n"
 
     def test_large_index_torsion_order_costs_one_power(self, capsys, tmp_path):
         # torsion order 2000003: refused by the power work cap, with no search up to it

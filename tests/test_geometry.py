@@ -29,6 +29,7 @@ from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
+    _count_run,
     _count_under,
     _floor_sum,
     _rectangles,
@@ -413,6 +414,30 @@ class TestCount:
                     kinds[w < size, w > bits] += 1
         # runs counted as a whole and step by step, of narrow and of wide steps
         assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+    def test_run_count_matches_listed_run_and_oracles(self):
+        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted unlisted when
+        # w < r and listed otherwise, r = 0 being a principal ideal's power;
+        # half the cones random, half of index up to 10^12
+        rng = random.Random(59)
+        kinds = Counter()
+        for i in range(160):
+            small = i % 2 == 0
+            cone = random_cone(rng) if small else random_index_ideal(rng, d_max=10**12).cone
+            r = rng.choice([0, rng.randint(1, 8), rng.randint(9, 60)])
+            w = rng.randint(1, 12) if r else 0
+            h = rng.choice([rng.randint(1, 12), rng.randint(1, 3 * cone.det_abs)]) if r else 0
+            s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
+            stair = Staircase(tuple(Corner(s0 + k * w, t0 - k * h) for k in range(r + 1)))
+            threshold, _ = grounded(stair)
+            count = _count_run(cone, s0, t0, w, h, r)
+            assert count == _count_under(cone, stair.corners)
+            assert count == floor_sum_count_complement(cone, threshold, stair)
+            if small and r * w * t0 <= 20_000:
+                assert count == brute_count_complement(cone, threshold, stair)
+                kinds["brute"] += 1
+            kinds["principal" if r == 0 else "listed" if w >= r else "unlisted"] += 1
+        assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
 
     def test_band_run_kernel_matches_column_oracle(self):
         # fine: runs of 1 to 60 equal steps among irregular ones; coarse: a

@@ -8,11 +8,14 @@ import pytest
 
 from conftest import (
     brute_count_complement,
+    brute_ordinary_power,
     column_count_complement,
     fit_oracle,
     floor_sum_count_complement,
+    random_cone,
     random_ideal,
     random_index_ideal,
+    unimodular,
 )
 from ghk import ideals, invariants
 from ghk.errors import (
@@ -21,8 +24,8 @@ from ghk.errors import (
     NotMPrimary,
     NotSaturated,
 )
-from ghk.families import a_singularity, quadrant, veronese
-from ghk.geometry import Cone2, Corner, Staircase, count_lattice_complement
+from ghk.families import a_singularity, parse_family, quadrant, veronese
+from ghk.geometry import Cone2, Corner, Staircase, _count_under, count_lattice_complement
 from ghk.ideals import (
     MonomialIdeal,
     _gap_count,
@@ -301,6 +304,57 @@ class TestPowerLengths:
                 steps = zip(power.stair.corners, power.stair.corners[1:])
                 wide += any(b.s - a.s > bits for a, b in steps)
         assert wide >= 30
+
+    def test_one_run_lengths_match_multiset_oracle(self, monkeypatch):
+        # runs of two and three corners in their own lattice coordinates and in
+        # two others related by GL2(Z), counted with no DP and no stored levels
+        def no_dp(corners, n):
+            raise AssertionError("one-run gap lengths reached the DP")
+
+        rng = random.Random(89)
+        for i in range(16):
+            cone = random_cone(rng, 3)
+            d, tau, m = cone.det_abs, cone.tau, 1 + i % 2
+            w = rng.randint(1, 3)
+            h = (-tau * w) % d or d
+            s0 = rng.randint(0, 3)
+            t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
+            run = [cone.preimage(Corner(s0 + k * w, t0 - k * h)) for k in range(m + 1)]
+            for (a, b), (c, e) in [((1, 0), (0, 1))] + [unimodular(rng) for _ in range(2)]:
+
+                def move(p):
+                    return (a * p[0] + b * p[1], c * p[0] + e * p[1])
+
+                moved = Cone2.from_rays(move(cone.ray1), move(cone.ray2))
+                fresh = new_ideal(moved, [move(g) for g in run])
+                assert len(fresh.stair.corners) == m + 1
+                brute = [_gap_count(brute_ordinary_power(fresh, k)) for k in range(1, 7)]
+                with monkeypatch.context() as patched:
+                    patched.setattr(ideals, "_power_levels", no_dp)
+                    assert h0_powers(fresh, 6) == brute
+                assert fresh._levels == [[(0, 0)]]
+
+    @pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7", "quadrant:(3,0);(1,1);(0,2)"])
+    def test_lengths_match_the_level_walk(self, family):
+        # one-run families (a:7,3, veronese:9,7) against the levels they no
+        # longer build, beside a non-run family that still builds them
+        ideal = parse_family(family).ideal
+        levels = ideals._power_levels(ideal.stair.corners, 84)
+        walk = [_count_under(ideal.cone, lv) for lv in levels[1:]]
+        assert h0_powers(parse_family(family).ideal, 84) == walk
+
+    def test_one_run_refusals_keep_their_order_and_messages(self, monkeypatch):
+        # the run count still takes the DP's estimate, refused at power 265
+        ideal = veronese(9, 7).ideal
+        assert len(h0_powers(ideal, 264)) == 264
+        refused = "^power 265 needs about 1003820 DP steps, over 1000000$"
+        with pytest.raises(BadParameters, match=refused):
+            h0_powers(ideal, 265)
+        # n_max < 1 is refused first, even under a work cap that refuses everything
+        monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
+        for n_max in (0, -3):
+            with pytest.raises(BadParameters, match="^n_max must be a positive integer$"):
+                h0_powers(ideal, n_max)
 
     def test_refused_chain_stores_nothing(self, monkeypatch):
         ideal = veronese(9, 7).ideal
