@@ -43,6 +43,16 @@ DOCUMENT = {
         }
     )
 }
+# conftest.non_run_ideal: saturated, and its corners (0, 7), (1, 5), (5, 4) are not one run
+NONRUN = {
+    "nonrun.json": json.dumps(
+        {
+            "label": "nonrun",
+            "cone": {"rays": [[1, 0], [2, 7]]},
+            "generators": [[1, 0], [1, 1], [2, 5]],
+        }
+    )
+}
 REPTYPE = {
     "reptype.json": json.dumps(
         {
@@ -97,6 +107,10 @@ CASES = {
     "quadrant-powers-period": (
         ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),
     "file-powers": (["powers", "--file", "input.json", "--max-n", "35"], DOCUMENT),
+    # saturated and not one run: the gap lengths, then the torsion power I^7 off the DP
+    "nonrun-powers": (["powers", "--file", "nonrun.json", "--max-n", "49"], NONRUN),
+    "nonrun-split": (["split", "--file", "nonrun.json", "--q", "3"], NONRUN),
+    "nonrun-verify": (["verify", "--file", "nonrun.json"], NONRUN),
     "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
     "a7-reptype": (["reptype", "--r", "7", "--u", "0,0,1,0,0,1"], {}),
     "file-reptype": (["reptype", "--file", "reptype.json"], REPTYPE),
