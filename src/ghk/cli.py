@@ -13,20 +13,19 @@ _COMMANDS.  That reader takes only well-formed argv: a command, then
 each of its options at most once, by its exact long string, with a
 value.  Anything else (--help, abbreviations, --opt=value, negative
 numbers, every usage error) goes to the argparse parser that
-build_parser makes from the same table, built once per process and only
-when needed; argparse prints help and usage errors, and usage errors
-exit 1, not argparse's 2.  The load step then reads and checks every
-input field: the toric instance, or for reptype the index, table,
-multiplicities and weights.  run_command then calls _cmd_<name>, which
-only computes and returns the results and the summary lines, prints the
-report and the summary, and picks the exit code.
+build_parser makes from the same table, built only for such argv;
+argparse prints help and usage errors, and usage errors exit 1, not
+argparse's 2.  The load step then reads and checks every input field:
+the toric instance, or for reptype the index, table, multiplicities and
+weights.  run_command then calls _cmd_<name>, which only computes and
+returns the results and the summary lines, prints the report and the
+summary, and picks the exit code.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple, Optional
 
 from .checks import run_instance_checks
@@ -443,12 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process; argparse keeps no state between parse_args calls
-    return build_parser()
-
-
 def run_command(argv: Optional[list[str]] = None) -> int:
     """Run one request from argv and return its exit code.
 
@@ -461,7 +454,7 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         try:
             load = _reptype_input if args.command == "reptype" else _toric_instance

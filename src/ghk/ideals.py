@@ -8,9 +8,7 @@ agree).  The corner map is linear and injective, so the generators as
 lattice points are a derived view, and sums of generators are sums of
 corners: bracket powers, ordinary powers, saturation and torsion
 shifts are all built on corners alone.  Each ideal object keeps the
-ordinary powers built of it and, as plain (s, t) pairs, the levels of
-the longest power chain run on it, so each is built once; no state is
-global.
+ordinary powers built of it, so each is built once; no state is global.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -56,7 +54,7 @@ class MonomialIdeal:
     Pareto reduction and the cone check.
     """
 
-    __slots__ = ("cone", "stair", "_gens", "_powers", "_levels", "__weakref__")
+    __slots__ = ("cone", "stair", "_gens", "_powers", "__weakref__")
 
     def __init__(self, cone: Cone2, stair: Staircase) -> None:
         tau, det_abs = cone.tau, cone.det_abs
@@ -65,8 +63,6 @@ class MonomialIdeal:
         self.cone, self.stair, self._gens = cone, stair, None
         # ordinary powers by n >= 2: the ideal under 1 would be a cycle
         self._powers: dict[int, MonomialIdeal] = {}
-        # levels 0 .. N of the longest power chain, plain tuples only
-        self._levels: list[list[tuple[int, int]]] = [[(0, 0)]]
 
     def __eq__(self, other: object) -> bool:
         same_type = isinstance(other, MonomialIdeal)
@@ -199,9 +195,8 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     _MAX_POWER_WORK steps it raises BadParameters and stores nothing,
     so a one-run power is refused exactly where the DP would be.  n = 1
     returns the ideal itself, and each power is built once per ideal
-    object and kept on it (a kept ideal keeps its powers).  A power
-    inside a chain already run on the ideal is read off that chain's
-    level n.  Use power_chain for all powers 1 .. n.
+    object and kept on it (a kept ideal keeps its powers).  Use
+    power_chain for all powers 1 .. n.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
@@ -214,8 +209,6 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    if n < len(ideal._levels):
-        return MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in ideal._levels[n])))
     corners = ideal.stair.corners
     *rest, (last_s, last_t) = corners
     run = _run_step(corners)
@@ -231,32 +224,30 @@ def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _chain_levels(ideal: MonomialIdeal, n_max: int) -> list[list[tuple[int, int]]]:
-    """The staircases of I^0 .. I^N as plain (s, t) pairs, N >= n_max.
+    """The staircases of I^0 .. I^n_max as plain (s, t) pairs, from one DP run.
 
     Folding every generator through _power_levels leaves level k equal
-    to the k-th power's staircase.  The ideal keeps the levels of the
-    longest chain run on it, so the DP runs only when that chain is
-    shorter than n_max; a chain refused by the work cap stores nothing.
-    Raises BadParameters for n_max < 1 and above the DP's work cap.
+    to the k-th power's staircase.  Nothing is stored: each call runs
+    the DP.  Raises BadParameters for n_max < 1 and above the DP's work
+    cap.
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
-    levels = ideal._levels
-    if len(levels) <= n_max:
-        levels[:] = _power_levels(ideal.stair.corners, n_max)
-    return levels
+    return _power_levels(ideal.stair.corners, n_max)
 
 
 def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
     """The ordinary powers I^1 .. I^n_max, from one pass of the power DP.
 
-    The chain costs about as much as ordinary_power(ideal, n_max) alone,
-    and none if the ideal already holds a chain that long.  Entry k - 1
-    is ordinary_power(ideal, k), read off the chain's level k when the
-    ideal does not hold that power yet.  Raises BadParameters for
-    n_max < 1 and above the DP's work cap.
+    The chain costs about as much as ordinary_power(ideal, n_max) alone.
+    Entry k - 1 is ordinary_power(ideal, k): a power the ideal does not
+    hold yet is read off the chain's level k and kept on the ideal.
+    Raises BadParameters for n_max < 1 and above the DP's work cap.
     """
-    _chain_levels(ideal, n_max)
+    levels, powers = _chain_levels(ideal, n_max), ideal._powers
+    for k in range(2, n_max + 1):
+        if k not in powers:
+            powers[k] = MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in levels[k])))
     return [ordinary_power(ideal, k) for k in range(1, n_max + 1)]
 
 

@@ -137,16 +137,16 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     the n-th power is that run dilated by n, and _count_run counts it
     straight off (n * s0, n * t0), (w, h) and n * m with no levels: w + 1
     floor sums once n * m > w, O(n * w * log det_abs) for the n powers.
-    Other lengths are counted off the levels of one power chain, kept on
-    the ideal: level n's last corner is on the t threshold and its first
-    on the s threshold.  Both ways raise BadParameters as power_chain
-    does, for n_max < 1 and then above the DP's work estimate.
+    Other lengths are counted off the levels of one power chain, run
+    afresh and not kept: level n's last corner is on the t threshold and
+    its first on the s threshold.  Both ways raise BadParameters as
+    power_chain does, for n_max < 1 and then above the DP's work
+    estimate.
     """
     corners = ideal.stair.corners
     run = _run_step(corners)
     if run is None or n_max < 1:  # _chain_levels refuses n_max < 1
-        levels = _chain_levels(ideal, n_max)
-        return [_count_under(ideal.cone, lv) for lv in levels[1:n_max + 1]]
+        return [_count_under(ideal.cone, lv) for lv in _chain_levels(ideal, n_max)[1:]]
     _check_power_work(corners, n_max)
     (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
     return [_count_run(ideal.cone, k * s0, k * t0, w, h, k * m) for k in range(1, n_max + 1)]

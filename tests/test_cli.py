@@ -298,11 +298,9 @@ class TestPowersCommand:
         assert report["results"]["torsion"]["order"] == 9
         assert calls == []
 
-    def test_chain_holds_the_torsion_power_of_a_non_run_ideal(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        # I^7 is not one run, so only the chain read up to 49 keeps it from a
-        # second DP run: without it the runs read [49, 7]
+    def test_non_run_torsion_power_is_a_second_dp(self, capsys, monkeypatch, tmp_path):
+        # the gap lengths run the chain DP to 49 and keep no levels; I^7 is not
+        # one run, so the torsion factorization builds it by a second, small DP
         ideal = non_run_ideal()
         doc = {
             "cone": {"rays": [list(ideal.cone.ray1), list(ideal.cone.ray2)]},
@@ -320,7 +318,7 @@ class TestPowersCommand:
         code, report, _ = run_json(capsys, ["powers", "--file", str(path), "--max-n", "49"])
         assert code == 0
         assert report["results"]["torsion"]["order"] == 7
-        assert calls == [49]
+        assert calls == [49, 7]
 
     def test_gap_lengths_build_no_ideal_per_power(self, capsys, monkeypatch):
         # the family ideal, its torsion power I^9 and the shifted primary ideal
@@ -609,20 +607,24 @@ def command_argv(draw) -> tuple[list[str], bool]:
 
 
 class TestArgvReader:
+    @pytest.fixture(scope="class")
+    def parser(self):
+        return cli.build_parser()
+
     @seed(1815)
     @settings(max_examples=500, deadline=None)
-    @given(command_argv())
-    def test_reads_as_argparse_or_defers(self, case):
+    @given(case=command_argv())
+    def test_reads_as_argparse_or_defers(self, parser, case):
         # an argv the reader leaves alone goes to argparse, which reads it or refuses it
         argv, well_formed = case
         args = cli._read_argv(argv)
         assert args is not None or not well_formed
         if args is not None:
-            assert args == cli._parser().parse_args(argv)
+            assert args == parser.parse_args(argv)
 
 
 class TestDispatch:
-    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+    def test_parser_built_only_for_argv_left_to_argparse(self, capsys, monkeypatch):
         built = []
         original = cli.build_parser
 
@@ -631,7 +633,6 @@ class TestDispatch:
             return original()
 
         monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
         for argv in (
             ["eghk", "--family", "a:3,1"],
             ["function", "--family", "a:3,1", "--prime", "2", "--max-n", "2"],
@@ -640,10 +641,11 @@ class TestDispatch:
             ["eghk", "--family", "mystery:1"],
         ):
             run_command(argv)
+        assert built == []
         with pytest.raises(SystemExit):
             run_command(["eghk"])
         capsys.readouterr()
-        assert len(built) == 1
+        assert built == [1]
 
     def test_command_replaced_after_first_call_is_dispatched(self, capsys, monkeypatch):
         assert run_command(["eghk", "--family", "a:3,1"]) == 0

@@ -332,7 +332,7 @@ class TestPowerLengths:
                 with monkeypatch.context() as patched:
                     patched.setattr(ideals, "_power_levels", no_dp)
                     assert h0_powers(fresh, 6) == brute
-                assert fresh._levels == [[(0, 0)]]
+                assert fresh._powers == {}
 
     @pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7", "quadrant:(3,0);(1,1);(0,2)"])
     def test_lengths_match_the_level_walk(self, family):

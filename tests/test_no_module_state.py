@@ -1,10 +1,9 @@
 """Guard for request isolation: the package keeps no results at module level.
 
 Scans the syntax tree of every module in src/ghk for global statements
-and for functools cache and lru_cache decorators.  The one allowed
-cache is cli's argument parser, built once per process.  Computed
-results, such as the ordinary powers of an ideal, live on the object
-they belong to and die with it.
+and for functools cache and lru_cache decorators; none is allowed.
+Computed results, such as the ordinary powers of an ideal, live on the
+object they belong to and die with it.
 """
 
 import ast
@@ -14,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ghk"
 CACHES = {"cache", "lru_cache"}
-ALLOWED = {"cli.py": ["@cache on _parser"]}
+ALLOWED: dict[str, list[str]] = {}
 
 
 def _decorator_name(node: ast.expr) -> str:
