@@ -53,6 +53,18 @@ NONRUN = {
         }
     )
 }
+# an explicit table with no "r", and weights given as a fraction and as a decimal
+TABLE = {
+    "table.json": json.dumps(
+        {
+            "reptype": {
+                "table": [[2, 1], [1, 2]],
+                "multiplicities": [1, 1],
+                "weights": ["1/3", "0.25"],
+            }
+        }
+    )
+}
 REPTYPE = {
     "reptype.json": json.dumps(
         {
@@ -114,6 +126,8 @@ CASES = {
     "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
     "a7-reptype": (["reptype", "--r", "7", "--u", "0,0,1,0,0,1"], {}),
     "file-reptype": (["reptype", "--file", "reptype.json"], REPTYPE),
+    "a5-reptype-weights": (["reptype", "--r", "5", "--u", "1,0,2,0", "--v", "1/5,1/3,1/5,1/7"], {}),
+    "file-reptype-table": (["reptype", "--file", "table.json"], TABLE),
     "error-composite-prime": (
         ["function", "--family", "a:7,3", "--prime", "9", "--max-n", "2"], {}),
     "error-split-unsaturated": (["split", "--family", QUADRANT, "--q", "3"], {}),
@@ -123,6 +137,13 @@ CASES = {
     "error-max-order-too-small": (
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "2"], {}),
     "error-reptype-dimension": (["reptype", "--r", "4", "--u", "1,0"], {}),
+    # refusals by the power DP's work estimate, for one-run and non-run ideals
+    "error-powers-cap-run": (["powers", "--family", "veronese:9,7", "--max-n", "265"], {}),
+    "error-split-cap-run": (["split", "--family", "veronese:9,7", "--q", "306"], {}),
+    "error-powers-cap-nonrun": (["powers", "--file", "nonrun.json", "--max-n", "1000"], NONRUN),
+    "error-split-cap-nonrun": (["split", "--file", "nonrun.json", "--q", "2000"], NONRUN),
+    "error-verify-cap": (["verify", "--family", "veronese:600,7"], {}),
+    "error-powers-max-n-zero": (["powers", "--file", "nonrun.json", "--max-n", "0"], NONRUN),
     # usage errors, written by argparse; --help stays out, its wrapping follows the terminal
     "usage-unknown-option": (["eghk", "--family", "a:3,1", "--bogus"], {}),
     "usage-ambiguous-option": (["powers", "--family", "a:7,3", "--max", "5"], {}),
