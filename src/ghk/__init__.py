@@ -42,7 +42,6 @@ from .ideals import (
     is_saturated,
     new_ideal,
     ordinary_power,
-    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ordinary_power",
     "pareto_minimal",
     "parse_family",
-    "power_chain",
     "quadrant",
     "render_region_svg",
     "saturation",

@@ -7,8 +7,9 @@ dominate that staircase (corner domination and monomial divisibility
 agree).  The corner map is linear and injective, so the generators as
 lattice points are a derived view, and sums of generators are sums of
 corners: bracket powers, ordinary powers, saturation and torsion
-shifts are all built on corners alone.  Each ideal object keeps the
-ordinary powers built of it, so each is built once; no state is global.
+shifts are all built on corners alone.  ordinary_power keeps each
+power it builds on the ideal object, so each is built once; no state is
+global.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -139,7 +140,12 @@ def _run_step(corners: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
 
 
 def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
-    # the DP's size from the level bound |L_k| <= k * w + 1 (see _power_levels)
+    """Refuse a power DP over _MAX_POWER_WORK steps, in O(len(corners)).
+
+    The size comes from the level bound |L_k| <= k * w + 1 (see
+    _power_levels), with a level's list and call overhead counted as
+    eight entries.  _build_power and h0_powers each run it first.
+    """
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
     if work > _MAX_POWER_WORK:
@@ -159,12 +165,9 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
     Pareto-reduced before the next corner comes in.  The entries of a
     level have distinct s and distinct t, so level k has at most
     k * w + 1 of them, w the smaller span of the corners folded in so
-    far.  That bound sizes the DP in O(len(corners)) before any level
-    is built, counting a level's list and call overhead as eight
-    entries (a one-entry level costs about that much); above
-    _MAX_POWER_WORK steps it raises BadParameters, a run included.
+    far; _check_power_work sizes the DP by that bound, and callers run
+    it first.
     """
-    _check_power_work(corners, n)
     run = _run_step(corners)
     if run is not None:
         (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
@@ -195,8 +198,8 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     _MAX_POWER_WORK steps it raises BadParameters and stores nothing,
     so a one-run power is refused exactly where the DP would be.  n = 1
     returns the ideal itself, and each power is built once per ideal
-    object and kept on it (a kept ideal keeps its powers).  Use
-    power_chain for all powers 1 .. n.
+    object and kept on it (a kept ideal keeps its powers); this is the
+    only writer of that store.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
@@ -211,44 +214,16 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     corners = ideal.stair.corners
     *rest, (last_s, last_t) = corners
+    if rest:
+        _check_power_work(rest, n)
     run = _run_step(corners)
     if run is None:
         levels = _power_levels(rest, n)
         sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
         return MonomialIdeal(ideal.cone, pareto_minimal(sums))
-    if rest:
-        _check_power_work(rest, n)
     (s0, t0), (w, h) = corners[0], run
     dilated = (Corner(n * s0 + i * w, n * t0 - i * h) for i in range(n * len(rest) + 1))
     return MonomialIdeal(ideal.cone, Staircase(tuple(dilated)))
-
-
-def _chain_levels(ideal: MonomialIdeal, n_max: int) -> list[list[tuple[int, int]]]:
-    """The staircases of I^0 .. I^n_max as plain (s, t) pairs, from one DP run.
-
-    Folding every generator through _power_levels leaves level k equal
-    to the k-th power's staircase.  Nothing is stored: each call runs
-    the DP.  Raises BadParameters for n_max < 1 and above the DP's work
-    cap.
-    """
-    if n_max < 1:
-        raise BadParameters("n_max must be a positive integer")
-    return _power_levels(ideal.stair.corners, n_max)
-
-
-def power_chain(ideal: MonomialIdeal, n_max: int) -> list[MonomialIdeal]:
-    """The ordinary powers I^1 .. I^n_max, from one pass of the power DP.
-
-    The chain costs about as much as ordinary_power(ideal, n_max) alone.
-    Entry k - 1 is ordinary_power(ideal, k): a power the ideal does not
-    hold yet is read off the chain's level k and kept on the ideal.
-    Raises BadParameters for n_max < 1 and above the DP's work cap.
-    """
-    levels, powers = _chain_levels(ideal, n_max), ideal._powers
-    for k in range(2, n_max + 1):
-        if k not in powers:
-            powers[k] = MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in levels[k])))
-    return [ordinary_power(ideal, k) for k in range(1, n_max + 1)]
 
 
 def _gap_count(ideal: MonomialIdeal) -> int:

@@ -31,9 +31,9 @@ from .geometry import (
 )
 from .ideals import (
     MonomialIdeal,
-    _chain_levels,
     _check_power_work,
     _gap_count,
+    _power_levels,
     _run_step,
     frobenius_power,
     is_saturated,
@@ -137,17 +137,20 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     the n-th power is that run dilated by n, and _count_run counts it
     straight off (n * s0, n * t0), (w, h) and n * m with no levels: w + 1
     floor sums once n * m > w, O(n * w * log det_abs) for the n powers.
-    Other lengths are counted off the levels of one power chain, run
-    afresh and not kept: level n's last corner is on the t threshold and
-    its first on the s threshold.  Both ways raise BadParameters as
-    power_chain does, for n_max < 1 and then above the DP's work
-    estimate.
+    Other lengths are counted off the levels of one _power_levels run
+    over every generator, run afresh and not kept: level n is the n-th
+    power's staircase, its last corner on the t threshold and its first
+    on the s threshold.  Raises BadParameters for n_max < 1 and then,
+    before the run test, above the DP's work estimate over every
+    generator.
     """
+    if n_max < 1:
+        raise BadParameters("n_max must be a positive integer")
     corners = ideal.stair.corners
-    run = _run_step(corners)
-    if run is None or n_max < 1:  # _chain_levels refuses n_max < 1
-        return [_count_under(ideal.cone, lv) for lv in _chain_levels(ideal, n_max)[1:]]
     _check_power_work(corners, n_max)
+    run = _run_step(corners)
+    if run is None:
+        return [_count_under(ideal.cone, lv) for lv in _power_levels(corners, n_max)[1:]]
     (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
     return [_count_run(ideal.cone, k * s0, k * t0, w, h, k * m) for k in range(1, n_max + 1)]
 

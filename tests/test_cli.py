@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import non_run_ideal
-from ghk import checks, cli, ideals
+from ghk import checks, cli, ideals, invariants
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json, report_json
@@ -281,7 +281,7 @@ class TestPowersCommand:
         assert report is None
         assert "power 5000 needs about" in err
 
-    def test_chain_holds_the_torsion_power(self, capsys, monkeypatch):
+    def test_one_run_powers_and_torsion_power_run_no_dp(self, capsys, monkeypatch):
         # veronese:9,7 is one run, so its gap lengths are counted off the dilated
         # runs and its I^9 is written down, with no DP and no levels
         original, calls = ideals._power_levels, []
@@ -291,6 +291,7 @@ class TestPowersCommand:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
+        monkeypatch.setattr(invariants, "_power_levels", counted)
         code, report, _ = run_json(
             capsys, ["powers", "--family", "veronese:9,7", "--max-n", "63"]
         )
@@ -299,7 +300,7 @@ class TestPowersCommand:
         assert calls == []
 
     def test_non_run_torsion_power_is_a_second_dp(self, capsys, monkeypatch, tmp_path):
-        # the gap lengths run the chain DP to 49 and keep no levels; I^7 is not
+        # the gap lengths run the DP over all corners to 49 and keep no levels; I^7 is not
         # one run, so the torsion factorization builds it by a second, small DP
         ideal = non_run_ideal()
         doc = {
@@ -315,6 +316,7 @@ class TestPowersCommand:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
+        monkeypatch.setattr(invariants, "_power_levels", counted)
         code, report, _ = run_json(capsys, ["powers", "--file", str(path), "--max-n", "49"])
         assert code == 0
         assert report["results"]["torsion"]["order"] == 7

@@ -114,7 +114,7 @@ CASES = {
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
     "veronese97-powers-period": (
         ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
-    # 63 powers of an 8-generator ideal, read off one power chain
+    # 63 gap lengths of an 8-generator ideal that is one run: counted off the dilated runs
     "veronese97-powers-deep": (["powers", "--family", "veronese:9,7", "--max-n", "63"], {}),
     "quadrant-powers-period": (
         ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),

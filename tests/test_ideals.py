@@ -24,14 +24,13 @@ from ghk.errors import (
 )
 from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
-from ghk import ideals
+from ghk import ideals, invariants
 from ghk.ideals import (
     MonomialIdeal,
     frobenius_power,
     is_saturated,
     new_ideal,
     ordinary_power,
-    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -106,8 +105,8 @@ class TestConstruction:
 
     def test_kept_powers_are_not_part_of_the_value(self):
         ideal = veronese(9, 7).ideal
-        ordinary_power(ideal, 4)
-        power_chain(ideal, 6)
+        for n in (4, 6):
+            ordinary_power(ideal, n)
         fresh = MonomialIdeal(ideal.cone, ideal.stair)
         assert ideal == fresh and hash(ideal) == hash(fresh)
 
@@ -174,13 +173,14 @@ class TestPowers:
             row = max(lines.values(), key=len)
             wide = new_ideal(ideal.cone, rng.sample(row, min(6, len(row))))
             for base in (ideal, wide):
-                chain = power_chain(base, 6)
+                # the DP over every generator, against the single-power path
+                levels = ideals._power_levels(base.stair.corners, 6)
                 for n in range(1, 7):
                     # an equal ideal with no stored powers runs the single-power DP
                     power = ordinary_power(MonomialIdeal(base.cone, base.stair), n)
                     brute = brute_ordinary_power(base, n)
                     assert power.stair == brute.stair
-                    assert chain[n - 1].stair == brute.stair
+                    assert levels[n] == list(brute.stair.corners)
                     assert power.gens == brute.gens
                     corners = tuple(base.cone.corner(g) for g in power.gens)
                     assert corners == power.stair.corners
@@ -242,26 +242,18 @@ class TestPowers:
         rng = random.Random(71)
         bases = [random_ideal(rng, n_gens=6) for _ in range(6)] + [veronese(9, 7).ideal]
         for base in bases:
-            chain = power_chain(base, 40)
-            assert len(chain) == 40
-            for k, power in enumerate(chain, 1):
-                assert power == ordinary_power(MonomialIdeal(base.cone, base.stair), k)
-
-    def test_power_chain_of_length_one_is_the_ideal(self):
-        ideal = veronese(9, 7).ideal
-        assert power_chain(ideal, 1) == [ideal]
-
-    @pytest.mark.parametrize("n_max", [0, -2])
-    def test_power_chain_bad_length(self, n_max):
-        with pytest.raises(BadParameters, match="positive"):
-            power_chain(a_singularity(3, 1).ideal, n_max)
+            levels = ideals._power_levels(base.stair.corners, 40)
+            assert len(levels) == 41
+            for k in range(1, 41):
+                power = ordinary_power(MonomialIdeal(base.cone, base.stair), k)
+                assert levels[k] == list(power.stair.corners)
 
     def test_principal_power_is_scaled(self):
         ideal = quadrant([(2, 3)]).ideal
         n = 10**9
         assert ordinary_power(ideal, n).stair == ideal.stair.scale(n)
 
-    @pytest.mark.parametrize("build", [ordinary_power, power_chain])
+    @pytest.mark.parametrize("build", [ordinary_power, h0_powers])
     def test_work_cap_is_exact(self, build, monkeypatch):
         # a fresh ideal for each call: a stored power is not estimated again
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
@@ -294,18 +286,15 @@ class TestPowers:
         ideal = non_run_ideal()
         single = ordinary_power(ideal, 5)
         assert ordinary_power(ideal, 5) is single
-        chain = power_chain(ideal, 8)
-        assert chain[4] is single
-        assert all(chain[k - 1] is ordinary_power(ideal, k) for k in range(1, 9))
-        assert calls == [5, 8]
+        assert calls == [5]
         # an equal ideal built elsewhere has its own, empty store
         assert ordinary_power(non_run_ideal(), 5) is not single
-        assert calls == [5, 8, 5]
+        assert calls == [5, 5]
         # a one-run ideal's single powers are written down, with no DP
         run = veronese(9, 7).ideal
         for n in (2, 5, 30):
             ordinary_power(run, n)
-        assert calls == [5, 8, 5]
+        assert calls == [5, 5]
 
     def test_powers_inside_a_counted_chain_need_no_dp(self, monkeypatch):
         original, calls = ideals._power_levels, []
@@ -315,22 +304,22 @@ class TestPowers:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
+        monkeypatch.setattr(invariants, "_power_levels", counted)
         ideal = veronese(9, 7).ideal
         longer = h0_powers(ideal, 63)
         assert h0_powers(ideal, 8) == longer[:8]
-        chain = power_chain(ideal, 8)
-        ninth = ordinary_power(ideal, 9)
-        # the one-run gap lengths run no DP; the chain is the one DP run
-        assert calls == [8]
-        assert all(chain[k - 1] is ordinary_power(ideal, k) for k in range(1, 9))
+        powers = [ordinary_power(ideal, k) for k in range(1, 10)]
+        # the one-run gap lengths and single powers run no DP
+        assert calls == []
+        assert longer[:9] == [ideals._gap_count(power) for power in powers]
+        assert all(powers[k - 1] is ordinary_power(ideal, k) for k in range(1, 10))
         fresh = veronese(9, 7).ideal
-        assert chain == [ordinary_power(fresh, k) for k in range(1, 9)]
-        assert ninth == ordinary_power(fresh, 9)
+        assert powers == [ordinary_power(fresh, k) for k in range(1, 10)]
 
     def test_ideal_with_powers_dies_without_the_collector(self):
         ideal = veronese(9, 7).ideal
-        ordinary_power(ideal, 4)
-        power_chain(ideal, 6)
+        for n in (4, 6):
+            ordinary_power(ideal, n)
         ref = weakref.ref(ideal)
         gc.disable()
         try:

@@ -12,6 +12,7 @@ from conftest import (
     column_count_complement,
     fit_oracle,
     floor_sum_count_complement,
+    non_run_ideal,
     random_cone,
     random_ideal,
     random_index_ideal,
@@ -33,7 +34,6 @@ from ghk.ideals import (
     is_saturated,
     new_ideal,
     ordinary_power,
-    power_chain,
     saturation,
     torsion_factorization,
 )
@@ -294,8 +294,10 @@ class TestPowerLengths:
         for base in bases:
             n_max = rng.randint(1, 40)
             values = h0_powers(base, n_max)
-            # an equal ideal with no stored levels builds every power as an ideal
-            chain = power_chain(MonomialIdeal(base.cone, base.stair), n_max)
+            # every power built as an ideal off the levels of the DP over all corners
+            levels = ideals._power_levels(base.stair.corners, n_max)
+            chain = [MonomialIdeal(base.cone, Staircase(tuple(Corner(*c) for c in lv)))
+                     for lv in levels[1:]]
             assert values == [_gap_count(power) for power in chain]
             bits = base.cone.det_abs.bit_length()
             for value, power in zip(values, chain):
@@ -331,6 +333,7 @@ class TestPowerLengths:
                 brute = [_gap_count(brute_ordinary_power(fresh, k)) for k in range(1, 7)]
                 with monkeypatch.context() as patched:
                     patched.setattr(ideals, "_power_levels", no_dp)
+                    patched.setattr(invariants, "_power_levels", no_dp)
                     assert h0_powers(fresh, 6) == brute
                 assert fresh._powers == {}
 
@@ -350,11 +353,13 @@ class TestPowerLengths:
         refused = "^power 265 needs about 1003820 DP steps, over 1000000$"
         with pytest.raises(BadParameters, match=refused):
             h0_powers(ideal, 265)
-        # n_max < 1 is refused first, even under a work cap that refuses everything
+        # n_max < 1 is refused first, even under a work cap that refuses everything,
+        # on a run and on an ideal that is not one; at -30 the estimate is positive
         monkeypatch.setattr(ideals, "_MAX_POWER_WORK", 0)
-        for n_max in (0, -3):
-            with pytest.raises(BadParameters, match="^n_max must be a positive integer$"):
-                h0_powers(ideal, n_max)
+        for base in (ideal, non_run_ideal()):
+            for n_max in (0, -3, -30):
+                with pytest.raises(BadParameters, match="^n_max must be a positive integer$"):
+                    h0_powers(base, n_max)
 
     def test_refused_chain_stores_nothing(self, monkeypatch):
         ideal = veronese(9, 7).ideal
