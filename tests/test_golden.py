@@ -53,6 +53,26 @@ NONRUN = {
         }
     )
 }
+# rays (1, 0), (40, 1): every oracle box is scanned along rows, and one normal has y = 0
+SKEW = {
+    "skew.json": json.dumps(
+        {
+            "label": "skew",
+            "cone": {"rays": [[1, 0], [40, 1]]},
+            "generators": [[7, 0], [43, 1], [120, 3]],
+        }
+    )
+}
+# rays (-2, 1), (0, -1): the scans meet normals with b1 < 0 beside b2 < 0 and b2 = 0
+NEGATIVE = {
+    "negative.json": json.dumps(
+        {
+            "label": "negative",
+            "cone": {"rays": [[-2, 1], [0, -1]]},
+            "generators": [[-2, 1], [-3, 0], [-6, 1]],
+        }
+    )
+}
 # an explicit table with no "r", and weights given as a fraction and as a decimal
 TABLE = {
     "table.json": json.dumps(
@@ -123,6 +143,8 @@ CASES = {
     "nonrun-powers": (["powers", "--file", "nonrun.json", "--max-n", "49"], NONRUN),
     "nonrun-split": (["split", "--file", "nonrun.json", "--q", "3"], NONRUN),
     "nonrun-verify": (["verify", "--file", "nonrun.json"], NONRUN),
+    "skew-verify": (["verify", "--file", "skew.json"], SKEW),
+    "negative-verify": (["verify", "--file", "negative.json"], NEGATIVE),
     "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
     "a7-reptype": (["reptype", "--r", "7", "--u", "0,0,1,0,0,1"], {}),
     "file-reptype": (["reptype", "--file", "reptype.json"], REPTYPE),
