@@ -6,12 +6,15 @@ point p, is everything far out in the translate already inside the
 ideal region?  It walks actual lattice points: one exact integer
 interval per line of the ambient plane, along the axis with fewer
 lines, not by the arithmetic-progression counting the fast path uses.
-Along a line it steps the corner by one addition per coordinate,
-listing no points, and compares each corner directly against the
-generator corners shifted by p's.  Far means three corner boxes: a
-fundamental window beyond the maximal generator corners and one deep
-box across each boundary strip, which decides the strip's tails
-because membership is monotone along columns and rows.
+Each line's interval is a few floor divisions in closed form.  Along a
+line it steps the corner by one addition per coordinate, listing no
+points, and compares each corner, shifted by p's, directly against the
+generator corners.  Far means three corner boxes: a fundamental window
+beyond the maximal generator corners and one deep box across each
+boundary strip, which decides the strip's tails because membership is
+monotone along columns and rows.  One call answers a list of points and
+lists each box's lines once: the window is the same for every point,
+and a strip the same for every point of the same depth.
 
 run_instance_checks bundles the oracle with the scaling, additivity,
 and convergence properties into a pass/fail report for one instance.
@@ -51,35 +54,41 @@ def threshold_membership(ideal: MonomialIdeal, p: Point) -> bool:
     return c.s >= c1 and c.t >= c2
 
 
-def _y_bounds(a: int, b: int, x: int, lo: int, hi: int):
-    """Inclusive range of the y with lo <= a * x + b * y < hi, or None for every y."""
-    lo, hi = lo - a * x, hi - a * x
-    if b > 0:
-        return -(-lo // b), -(-hi // b) - 1
-    if b < 0:
-        return hi // b + 1, lo // b
-    return None if lo <= 0 < hi else (1, 0)
-
-
 def _spans(cone: Cone2, w: int, h: int) -> tuple[int, int]:
     # det_abs times the y- and the x-extent of a w x h corner box's preimage
     (a1, b1), (a2, b2) = cone.normal1, cone.normal2
     return abs(a2) * w + abs(a1) * h, abs(b2) * w + abs(b1) * h
 
 
-def _lines(n1: Point, n2: Point, box: tuple[int, int, int, int]):
+def _lines(n1: Point, n2: Point, box: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
     # (x, y_lo, y_hi) per vertical line x: its points (x, y) with corners <n1, p>, <n2, p>
-    # in the box are those with y_lo <= y <= y_hi; nothing for an empty box
+    # in the box are those with y_lo <= y <= y_hi; no lines for an empty box
     (a1, b1), (a2, b2), (s_lo, s_hi, t_lo, t_hi) = n1, n2, box
     if s_hi <= s_lo or t_hi <= t_lo:
-        return
+        return []
     det = a1 * b2 - b1 * a2
     # det times the x-coordinates of the parallelogram's vertices
     xs = [b2 * s - b1 * t for s in (s_lo, s_hi) for t in (t_lo, t_hi)]
-    for x in range(min(n // det for n in xs), max(-(-n // det) for n in xs) + 1):
-        bounds = [_y_bounds(a1, b1, x, s_lo, s_hi), _y_bounds(a2, b2, x, t_lo, t_hi)]
-        lows, highs = zip(*(r for r in bounds if r is not None))
-        yield x, max(lows), min(highs)
+    x_lo, x_hi = min(n // det for n in xs), max(-(-n // det) for n in xs) + 1
+    # each side lo <= a * x + b * y < hi with b > 0 is y_lo = (lo + b - 1 - a * x) // b and
+    # y_hi = (hi - 1 - a * x) // b; a primitive normal with b == 0 has a == +-1 and clips x
+    sides = []
+    for a, b, lo, hi in ((a1, b1, s_lo, s_hi), (a2, b2, t_lo, t_hi)):
+        if b < 0 or b == 0 > a:
+            a, b, lo, hi = -a, -b, 1 - hi, 1 - lo
+        if b:
+            sides.append((a, b, lo + b - 1, hi - 1))
+        else:
+            x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
+    if len(sides) == 1:
+        (a, b, lo, hi), = sides
+        return [(x, (lo - a * x) // b, (hi - a * x) // b) for x in range(x_lo, x_hi)]
+    (a1, b1, lo1, hi1), (a2, b2, lo2, hi2) = sides
+    return [
+        (x, max((lo1 - a1 * x) // b1, (lo2 - a2 * x) // b2),
+         min((hi1 - a1 * x) // b1, (hi2 - a2 * x) // b2))
+        for x in range(x_lo, x_hi)
+    ]
 
 
 def _scan_normals(cone: Cone2, box: tuple[int, int, int, int]) -> tuple[bool, Point, Point]:
@@ -109,46 +118,51 @@ def lattice_points_in_corner_box(
     return sorted((x, y) for y, x in pts) if by_rows else pts
 
 
-def _box_covered(cone: Cone2, box: tuple[int, int, int, int], shifted) -> bool:
-    # every lattice point of the box has its corner above one of the shifted corners;
-    # walks each line's corners, one step of <n1, e>, <n2, e> per point
-    _, n1, n2 = _scan_normals(cone, box)
-    (a1, b1), (a2, b2) = n1, n2
-    for x, lo, hi in _lines(n1, n2, box):
-        s, t = a1 * x + b1 * lo, a2 * x + b2 * lo
-        for _ in range(lo, hi + 1):
-            if not any(s >= ws and t >= wt for ws, wt in shifted):
-                return False
-            s += b1
-            t += b2
-    return True
+def saturation_region_oracle(ideal: MonomialIdeal, points: list[Point]) -> list[bool]:
+    """Brute-force test, for each point p, that p + cone is eventually inside the ideal region.
 
-
-def saturation_region_oracle(ideal: MonomialIdeal, p: Point) -> bool:
-    """Brute-force test that p + cone is eventually inside the ideal region.
-
-    Scans three corner boxes: a fundamental window past the maximal
-    generator corners (coverage there propagates to every deeper point
-    by monotonicity), and one deep box across the low-s strip and one
-    across the low-t strip (membership along a column or row is
-    monotone, so a box det_abs deep decides every tail of the strip).
-    A point g of a box is covered when corner(p) + corner(g) dominates
-    some generator corner.  Returns False as soon as some box holds a
-    point left outside.
+    Scans three corner boxes per point: a fundamental window past the
+    maximal generator corners (coverage there propagates to every
+    deeper point by monotonicity), and one deep box across the low-s
+    strip and one across the low-t strip (membership along a column or
+    row is monotone, so a box det_abs deep decides every tail of the
+    strip).  A point g of a box is covered when corner(p) + corner(g)
+    dominates some generator corner; p is outside as soon as some box
+    holds a point left uncovered.  Each box is listed once per call, as
+    lines: the window is shared by every point, and a strip by every
+    point with the same depth.
     """
     cone = ideal.cone
     d = cone.det_abs
-    pc = cone.corner(p)
     corners = [cone.corner(g) for g in ideal.gens]
-    t1 = max(c.s for c in corners)
-    t2 = max(c.t for c in corners)
-    deep_s = t1 + max(0, -pc.s)
-    deep_t = t2 + max(0, -pc.t)
-    shifted = [(c.s - pc.s, c.t - pc.t) for c in corners]
-    # the window, then the low-s and the low-t strip, each scanned only if the last passed
+    t1 = max(s for s, _ in corners)
+    t2 = max(t for _, t in corners)
     window = (t1, t1 + d, t2, t2 + d)
-    boxes = [window, (0, t1, deep_t, deep_t + d), (deep_s, deep_s + d, 0, t2)]
-    return all(_box_covered(cone, box, shifted) for box in boxes)
+    scans = {}
+
+    def covered(box: tuple[int, int, int, int], ps: int, pt: int) -> bool:
+        # walks each line's corners, shifted by (ps, pt), one step of <n1, e>, <n2, e> per point
+        if box not in scans:
+            _, n1, n2 = _scan_normals(cone, box)
+            scans[box] = list(_lines(n1, n2, box)), n1, n2
+        lines, (a1, b1), (a2, b2) = scans[box]
+        for x, lo, hi in lines:
+            s, t = a1 * x + b1 * lo + ps, a2 * x + b2 * lo + pt
+            for _ in range(lo, hi + 1):
+                if not any(s >= cs and t >= ct for cs, ct in corners):
+                    return False
+                s += b1
+                t += b2
+        return True
+
+    def inside(p: Point) -> bool:
+        ps, pt = cone.corner(p)
+        deep_s, deep_t = t1 + max(0, -ps), t2 + max(0, -pt)
+        # the window, then the low-s and the low-t strip, each scanned only if the last passed
+        boxes = [window, (0, t1, deep_t, deep_t + d), (deep_s, deep_s + d, 0, t2)]
+        return all(covered(box, ps, pt) for box in boxes)
+
+    return [inside(p) for p in points]
 
 
 _PROBES = 8  # points sampled per probe suite
@@ -255,9 +269,8 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
 
     def saturation_oracle() -> str:
         pts = _probe_points(ideal, rng, _PROBES)
-        for p in pts:
+        for p, slow in zip(pts, saturation_region_oracle(ideal, pts)):
             fast = threshold_membership(ideal, p)
-            slow = saturation_region_oracle(ideal, p)
             assert fast == slow, f"oracle disagrees at {p}: fast={fast} slow={slow}"
         return f"{len(pts)} probes"
 

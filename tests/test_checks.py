@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from ghk.checks import (
     saturation_region_oracle,
 )
 from ghk.errors import BadParameters
-from ghk.families import a_singularity, veronese
+from ghk.families import a_singularity, parse_family, veronese
 from ghk.geometry import Cone2
 from ghk.ideals import new_ideal
 
@@ -73,6 +74,19 @@ class TestCornerBoxScan:
             first, second = (lattice_points_in_corner_box(cone, *half) for half in halves)
             assert sorted(first + second) == whole
 
+    def test_every_sign_pair_of_the_scan_normals(self):
+        # the y components b1, b2 of the normals _lines takes: each side of a box is
+        # bounded in y for b > 0 and b < 0, and clips the lines' x range for b == 0
+        rng = random.Random(103)
+        signs = set()
+        for _ in range(400):
+            cone = random_cone(rng, rng.randint(1, 3))
+            box = random_box(rng, 12)
+            _, (_, b1), (_, b2) = checks._scan_normals(cone, box)
+            signs.add(((b1 > 0) - (b1 < 0), (b2 > 0) - (b2 < 0)))
+            assert lattice_points_in_corner_box(cone, *box) == box_scan_points(cone, *box)
+        assert signs == {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)} - {(0, 0)}
+
     @pytest.mark.parametrize("rays", [((1, 0), (40, 1)), ((0, 1), (1, 40))])
     def test_each_scan_direction_matches_box_scan(self, rays):
         cone = Cone2.from_rays(*rays)
@@ -125,32 +139,85 @@ def random_probe(rng: random.Random, ideal):
 
 class TestOracleWalk:
     def test_matches_the_point_by_point_oracle(self, monkeypatch):
-        directions, walk = set(), checks._box_covered
+        scanned, normals = [], checks._scan_normals
 
-        def recording(cone, box, shifted):
-            directions.add(checks._scan_normals(cone, box)[0])
-            return walk(cone, box, shifted)
+        def recording(cone, box):
+            scan = normals(cone, box)
+            scanned.append(scan[0])
+            return scan
 
-        monkeypatch.setattr(checks, "_box_covered", recording)
+        monkeypatch.setattr(checks, "_scan_normals", recording)
         rng = random.Random(89)
         cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(200)]
         cases += [random_index_ideal(rng, d_max) for d_max in [10**4] * 8 + [500] * 32]
         for rays in SKEWED:
             cone = Cone2.from_rays(*rays)
             cases += [random_ideal(rng, cone, spread=rng.randint(9, 60)) for _ in range(30)]
-        outcomes, negative = set(), False
+        outcomes, directions, negative = set(), set(), False
         for ideal in cases:
             probes = checks._probe_points(ideal, rng, 3)
             probes += [random_probe(rng, ideal) for _ in range(3)]
             for p in probes:
                 c = ideal.cone.corner(p)
                 negative |= c.s < 0 or c.t < 0
-                inside = saturation_region_oracle(ideal, p)
-                assert inside == point_saturation_oracle(ideal, p), (ideal, p)
-                outcomes.add(inside)
+            # only the oracle's own boxes count towards the scan directions
+            scanned.clear()
+            answers = saturation_region_oracle(ideal, probes)
+            directions.update(scanned)
+            assert answers == [point_saturation_oracle(ideal, p) for p in probes], ideal
+            outcomes.update(answers)
         assert len(cases) >= 300
         assert outcomes == directions == {True, False}
         assert negative
+
+    def test_one_call_answers_shuffled_repeated_and_negative_probes(self, monkeypatch):
+        listed, scan_lines = [], checks._lines
+
+        def recording(n1, n2, box):
+            listed.append(box)
+            return scan_lines(n1, n2, box)
+
+        monkeypatch.setattr(checks, "_lines", recording)
+        rng = random.Random(101)
+        strips, outcomes = 0, set()
+        for _ in range(80):
+            ideal = random_ideal(rng, ray_bound=rng.randint(1, 8))
+            probes = checks._probe_points(ideal, rng, 4)
+            probes += [random_probe(rng, ideal) for _ in range(6)]
+            probes += rng.choices(probes, k=4)
+            rng.shuffle(probes)
+            listed.clear()
+            answers = saturation_region_oracle(ideal, probes)
+            boxes = list(listed)
+            assert answers == [point_saturation_oracle(ideal, p) for p in probes], ideal
+            assert len(set(boxes)) == len(boxes), ideal
+            # the window and the strips below probes of several depths, in one call
+            strips = max(strips, len(boxes) - 1)
+            outcomes.update(answers)
+        assert strips > 2
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("spec", ["a:7,3", "veronese:9,7", "quadrant:(3,0);(1,1);(0,2)"])
+    def test_verify_lists_no_oracle_box_twice(self, spec, monkeypatch):
+        calls, scan_lines, oracle = [], checks._lines, checks.saturation_region_oracle
+
+        def counting(n1, n2, box):
+            if calls:
+                calls[-1][n1, n2, box] += 1
+            return scan_lines(n1, n2, box)
+
+        def tracking(ideal, points):
+            # the probe pools list their boxes before; count only the oracle's own
+            calls.append(Counter())
+            return oracle(ideal, points)
+
+        monkeypatch.setattr(checks, "_lines", counting)
+        monkeypatch.setattr(checks, "saturation_region_oracle", tracking)
+        assert all(c.passed for c in run_instance_checks(parse_family(spec).ideal))
+        # one call for the 8 probes: the window and each strip depth listed once
+        [listed] = calls
+        assert len(listed) >= 2
+        assert max(listed.values()) == 1
 
     def test_probes_draw_as_a_sample_of_the_sorted_pool(self):
         # the same points and the same rng state after, for pools both <= want and > want
@@ -201,7 +268,7 @@ class TestOracleGuard:
 
     def test_oracle_is_independent_of_the_fast_path(self):
         names = oracle_names(ast.parse(CHECKS.read_text(encoding="utf-8")))
-        assert {"saturation_region_oracle", "_box_covered", "_lines", "_y_bounds"} <= set(names)
+        assert {"saturation_region_oracle", "_scan_normals", "_lines", "_spans"} <= set(names)
         assert [f for f, used in names.items() if used & self.FORBIDDEN] == []
 
     def test_guard_catches_a_threshold_shortcut(self):
