@@ -74,7 +74,7 @@ def _lines(n1: Point, n2: Point, box: tuple[int, int, int, int]) -> list[tuple[i
     # y_hi = (hi - 1 - a * x) // b; a primitive normal with b == 0 has a == +-1 and clips x
     sides = []
     for a, b, lo, hi in ((a1, b1, s_lo, s_hi), (a2, b2, t_lo, t_hi)):
-        if b < 0 or b == 0 > a:
+        if b < 0 or (b == 0 and a < 0):
             a, b, lo, hi = -a, -b, 1 - hi, 1 - lo
         if b:
             sides.append((a, b, lo + b - 1, hi - 1))
