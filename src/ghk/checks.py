@@ -144,6 +144,7 @@ def saturation_region_oracle(ideal: MonomialIdeal, points: list[Point]) -> list[
         # walks each line's corners, shifted by (ps, pt), one step of <n1, e>, <n2, e> per point
         if box not in scans:
             _, n1, n2 = _scan_normals(cone, box)
+            # a list, never an iterator: every point that reaches the box walks it again
             scans[box] = list(_lines(n1, n2, box)), n1, n2
         lines, (a1, b1), (a2, b2) = scans[box]
         for x, lo, hi in lines:
