@@ -4,7 +4,9 @@ Rationals print as correctly rounded decimal strings that do not depend
 on the caller's decimal context.  Reports print through report_json,
 which writes the bytes of the standard json.dumps with an indent of 2
 and sorted keys at the speed of the C string encoder: CPython runs its
-pure-Python encoder whenever an indent is set.
+pure-Python encoder whenever an indent is set.  The writer makes one
+call per dict and list; their exact str and int items, the leaves of
+almost every report, are written inside that call.
 """
 
 import json
@@ -37,10 +39,10 @@ def rational_json(value: Fraction) -> dict:
 def report_json(value) -> str:
     """The standard json.dumps of value, indent 2 and keys sorted, byte for byte.
 
-    Dicts (str keys only, written in sorted order), lists, tuples, str,
-    int, bool and None are written here, strings through the C
-    encode_basestring_ascii and ints through int.__repr__, so an int past
-    the interpreter's digit limit raises the same ValueError.  Any other
+    Dicts (str keys only, items written in sorted order), lists, tuples,
+    str, int, bool and None are written here, strings through the C
+    encode_basestring_ascii and ints through int's own repr, so an int
+    past the interpreter's digit limit raises the same ValueError.  Any other
     value (a float echoed from an input document, NaN and infinities
     included) goes to json.dumps, which also raises the TypeError for a
     value JSON cannot hold.
@@ -49,6 +51,36 @@ def report_json(value) -> str:
 
 
 def _encode(value, newline: str) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key)
+            + ": "
+            + (
+                encode_basestring_ascii(item)
+                if type(item) is str
+                else repr(item)
+                if type(item) is int
+                else _encode(item, inner)
+            )
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(item)
+            if type(item) is str
+            else repr(item)
+            if type(item) is int
+            else _encode(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -59,18 +91,4 @@ def _encode(value, newline: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
-            for key in sorted(value)
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(value)

@@ -63,7 +63,10 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     length over 4096, or (n_max + 1) times the corner count over
     _MAX_TOWER_WORK raises BadParameters before the primality test; so
     does a count that could pass the interpreter's int-to-str digit limit,
-    before any counting.  The input ideal was validated when it was built,
+    before any counting.  That check is a bit-length test: a bound of at
+    most 3 * digits bits is below 8^digits, so the power of ten is built
+    only for a bound over 3 * digits bits, and the check costs the same
+    under any limit.  The input ideal was validated when it was built,
     so each q is counted by _count_under straight off the base corners
     scaled by q (the staircase of frobenius_power(ideal, q)), without
     building that power as an ideal.
@@ -85,8 +88,9 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     # the largest count is at most the lattice points of its gap box
     q, stair = p**n_max, ideal.stair
     width, height = q * (stair.max_s - stair.min_s), q * (stair.max_t - stair.min_t)
+    bound = _box_points_bound(width, height, ideal.cone.det_abs)
     digits = sys.get_int_max_str_digits()  # 0 when the limit is switched off
-    if digits and _box_points_bound(width, height, ideal.cone.det_abs) >= 10**digits:
+    if digits and bound.bit_length() > 3 * digits and bound >= 10**digits:
         raise BadParameters(
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from decimal import ROUND_DOWN, Inexact, localcontext
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,18 +59,42 @@ class TestFormatting:
         assert rational_json(Fraction(5)) == {"rational": "5", "decimal": "5"}
 
 
+class Rank(IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class Count(int):
+    # json writes int.__repr__ of an int subclass, never its own repr or str
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+class Label(str):
+    def __repr__(self):
+        return "Label()"
+
+
+INTS = st.integers() | st.integers(min_value=1 - 10**4300, max_value=10**4300 - 1)
 JSON_SCALARS = (
     st.none()
     | st.booleans()
-    | st.integers()
-    | st.integers(min_value=1 - 10**4300, max_value=10**4300 - 1)
+    | INTS
     | st.floats()
     | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
     | st.text()
     | st.text(alphabet=st.characters(max_codepoint=0x2f))
+    | st.sampled_from([Rank.LOW, Rank.HIGH, True, False])
+    | st.integers().map(Count)
+    | st.text().map(Label)
 )
 JSON_VALUES = st.recursive(
-    JSON_SCALARS,
+    # all-int lists and rational dicts, whose every item the writer writes inline
+    JSON_SCALARS
+    | st.lists(INTS, max_size=6)
+    | st.fixed_dictionaries({"decimal": st.text(), "rational": st.text()}),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
@@ -85,7 +110,13 @@ class TestReportWriter:
         assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_same_errors_as_stdlib(self):
-        for bad in ({"n": [10**4300]}, (1, {"x": object()}), object()):
+        for bad in (
+            {"n": [10**4300]},
+            (1, {"x": object()}),
+            object(),
+            [0, -1, 10**4300, 2],
+            {"pair": ("x", object())},
+        ):
             with pytest.raises((ValueError, TypeError)) as expected:
                 json.dumps(bad, indent=2, sort_keys=True)
             with pytest.raises(expected.type, match=re.escape(str(expected.value))):
@@ -174,6 +205,27 @@ class TestFunctionCommand:
         code, report, _ = run_json(capsys, argv + ["10"])
         assert code == 0
         assert report["results"]["values"][0] == 10**3200
+
+    def test_counts_past_the_default_limit_print_with_the_limit_off(self, capsys, tmp_path):
+        # the count at q = 1 is 10^4400, 4401 digits
+        doc = {"cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[10**2200, 0], [0, 10**2200]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = ["function", "--file", str(path), "--prime", "2", "--max-n", "0"]
+        code, report, err = run_json(capsys, argv)
+        assert (code, report) == (1, None)
+        assert err == (
+            "error: gap counts up to q = 2^0 may pass 4300 digits, "
+            "the limit for printing an integer\n"
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, report, _ = run_json(capsys, argv)
+            assert code == 0
+            assert report["results"]["values"][0] == 10**4400
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_tower_builds_one_ideal(self, capsys, monkeypatch):
         # only the family ideal: every bracket power up to 2^40 is counted off its corners

@@ -19,6 +19,7 @@ from conftest import (
     unimodular,
 )
 from ghk import ideals, invariants
+from ghk.cli import run_command
 from ghk.errors import (
     BadParameters,
     NoStabilization,
@@ -200,6 +201,18 @@ class TestGhkFunction:
             assert ghk_function(new_ideal(QUADRANT, [(n, 0), (0, n)]), 2, 0) == [n * n]
             with pytest.raises(BadParameters, match=r"up to q = 2\^0 may pass 640 digits"):
                 ghk_function(new_ideal(QUADRANT, [(n + 1, 0), (0, n + 1)]), 2, 0)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_check_does_not_grow_with_the_limit(self):
+        # building 10^limit for every tower took about 2 s at a limit of 4,000,000
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4_000_000)
+        try:
+            start = perf_counter()
+            assert ghk_function(a_singularity(7, 3).ideal, 2, 5) == [0, 6, 26, 108, 438, 1754]
+            assert perf_counter() - start < 0.5
+            assert run_command(["verify", "--family", "a:7,3"]) == 0
         finally:
             sys.set_int_max_str_digits(limit)
 
