@@ -39,10 +39,10 @@ def rational_json(value: Fraction) -> dict:
 def report_json(value) -> str:
     """The standard json.dumps of value, indent 2 and keys sorted, byte for byte.
 
-    Dicts (str keys only, items written in sorted order), lists, tuples,
-    str, int, bool and None are written here, strings through the C
-    encode_basestring_ascii and ints through int's own repr, so an int
-    past the interpreter's digit limit raises the same ValueError.  Any other
+    Dicts (str keys only, written in sorted order), lists, tuples, str,
+    int, bool and None are written here, strings through the C
+    encode_basestring_ascii and ints through int.__repr__, so an int past
+    the interpreter's digit limit raises the same ValueError.  Any other
     value (a float echoed from an input document, NaN and infinities
     included) goes to json.dumps, which also raises the TypeError for a
     value JSON cannot hold.
