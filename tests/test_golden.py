@@ -132,6 +132,8 @@ CASES = {
     "a73-powers-period": (["powers", "--family", "a:7,3", "--max-n", "98", "--period", "14"], {}),
     "a73-powers-max-order": (
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
+    # tower's longest band: 201 ordinary-power corners against a two-corner bracket power
+    "a58-split-deep": (["split", "--family", "a:58,28", "--q", "200"], {}),
     "veronese97-powers-period": (
         ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
     # 63 gap lengths of an 8-generator ideal that is one run: counted off the dilated runs
