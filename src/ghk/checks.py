@@ -49,9 +49,9 @@ from .invariants import (
 
 def threshold_membership(ideal: MonomialIdeal, p: Point) -> bool:
     """The fast limit-closure test: both corners weakly above the thresholds."""
-    c = ideal.cone.corner(p)
+    s, t = ideal.cone.corner(p)
     c1, c2 = ideal.thresholds
-    return c.s >= c1 and c.t >= c2
+    return s >= c1 and t >= c2
 
 
 def _spans(cone: Cone2, w: int, h: int) -> tuple[int, int]:
@@ -264,7 +264,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
             if frob.stair.dominates(c):
                 assert ordn.stair.dominates(c), f"bracket power point {p} not in power"
             if ordn.stair.dominates(c):
-                assert c.s >= q * c1 and c.t >= q * c2, f"power point {p} below thresholds"
+                assert c[0] >= q * c1 and c[1] >= q * c2, f"power point {p} below thresholds"
             checked += 1
         return f"{checked} points at q = {q}"
 

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 from .checks import run_instance_checks
 from .errors import BadParameters, ContractViolation, GhkError, InputError, UnboundedRegion
 from .families import ToricInstance, parse_family
-from .fmt import exact_decimal, rational_json, report_json
+from .fmt import rational_json, report_json
 from .geometry import Cone2
 from .ideals import is_saturated, new_ideal, ordinary_power, torsion_factorization
 from .invariants import (
@@ -184,7 +184,7 @@ def _cmd_eghk(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     }
     if instance.closed_form is not None:
         results["closed_form"] = rational_json(instance.closed_form)
-    return results, [f"{instance.label}: e_gHK = {value} = {exact_decimal(value)}"]
+    return results, [f"{instance.label}: e_gHK = {value} = {results['eghk']['decimal']}"]
 
 
 def _cmd_function(instance: ToricInstance, args) -> tuple[dict, list[str]]:
@@ -204,7 +204,7 @@ def _cmd_function(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     return results, [
         f"{instance.label}: gap counts at q = {args.prime}^0 .. "
         f"{args.prime}^{args.max_n}: {values}",
-        f"limit of count / q^2 is {limit} = {exact_decimal(limit)}",
+        f"limit of count / q^2 is {limit} = {results['limit']['decimal']}",
     ]
 
 
@@ -279,7 +279,7 @@ def _cmd_reptype(source: tuple, args) -> tuple[dict, list[str]]:
     }
     if r is not None:
         results["r"] = r
-    return results, [f"module pairing gives e_gHK = {value} = {exact_decimal(value)}"]
+    return results, [f"module pairing gives e_gHK = {value} = {results['eghk']['decimal']}"]
 
 
 def _cmd_verify(instance: ToricInstance, args) -> tuple[dict, list[str]]:

@@ -2,7 +2,8 @@
 
 A strongly convex rational cone in the plane has two primitive inward
 facet normals.  Pairing a lattice point against the two normals gives
-its facet coordinates, here called a Corner.  The cone itself maps onto
+its facet coordinates, here called its corner: a plain (s, t) tuple of
+two ints, as is every corner of a staircase.  The cone itself maps onto
 the first quadrant, any translate of the cone maps onto an axis-aligned
 quadrant, and the exponent region of a monomial ideal maps onto the set
 of points weakly above a finite staircase.  That reduction is what lets
@@ -39,11 +40,14 @@ Point = tuple[int, int]
 
 
 class Corner(NamedTuple):
-    """A point of corner space: s along facet 1, t along facet 2.
+    """A point of corner space with named fields: s along facet 1, t along facet 2.
 
-    The facet coordinates of a lattice point are a Corner, but not every
-    Corner is one: thresholds and their multiples need not be the
-    corners of lattice points.
+    It is a tuple, so it equals, hashes and unpacks like the plain pair
+    (s, t), and every function here accepts it wherever a corner is
+    expected.  The library returns one only for an ideal's thresholds,
+    which need not be the corner of a lattice point; every other corner
+    it builds, Cone2.corner and staircase corners included, is a plain
+    tuple, read by unpacking or by index.
     """
 
     s: int
@@ -123,33 +127,37 @@ class Cone2:
     def __repr__(self) -> str:
         return f"Cone2(ray1={self.ray1!r}, ray2={self.ray2!r})"
 
-    def corner(self, p: Point) -> Corner:
-        return Corner(dot(self.normal1, p), dot(self.normal2, p))
+    def corner(self, p: Point) -> tuple[int, int]:
+        (a1, b1), (a2, b2), (x, y) = self.normal1, self.normal2, p
+        return (a1 * x + b1 * y, a2 * x + b2 * y)
 
-    def preimage(self, c: Corner) -> Optional[Point]:
+    def preimage(self, c: tuple[int, int]) -> Optional[Point]:
         """The lattice point with the given corner, or None if there is none."""
-        rem = c.t - self.tau * c.s
+        s, t = c
+        rem = t - self.tau * s
         if rem % self.det_abs != 0:
             return None
         k = rem // self.det_abs
-        return (c.s * self.u[0] + k * self.ray1[0], c.s * self.u[1] + k * self.ray1[1])
+        return (s * self.u[0] + k * self.ray1[0], s * self.u[1] + k * self.ray1[1])
 
 
 class Staircase:
     """A finite antichain of corners, sorted with s increasing and t decreasing.
 
-    The staircase describes the region of corners that dominate (are
-    componentwise >=) at least one of its members.  Two staircases are
-    equal when their corners are.
+    corners is a tuple of (s, t) pairs, kept as given: the library
+    builds them as plain tuples, and Corner inputs make an equal
+    staircase.  The staircase describes the region of corners that
+    dominate (are componentwise >=) at least one of its members.  Two
+    staircases are equal when their corners are.
     """
 
     __slots__ = ("corners",)
 
-    def __init__(self, corners: tuple[Corner, ...]) -> None:
+    def __init__(self, corners: tuple[tuple[int, int], ...]) -> None:
         if not corners:
             raise EmptyInput("a staircase needs at least one corner")
-        for prev, cur in zip(corners, corners[1:]):
-            if not (prev.s < cur.s and prev.t > cur.t):
+        for (s0, t0), (s1, t1) in zip(corners, corners[1:]):
+            if not (s0 < s1 and t0 > t1):
                 raise ValueError("staircase corners must be a sorted antichain")
         self.corners = corners
 
@@ -164,47 +172,49 @@ class Staircase:
 
     @property
     def min_s(self) -> int:
-        return self.corners[0].s
+        return self.corners[0][0]
 
     @property
     def min_t(self) -> int:
-        return self.corners[-1].t
+        return self.corners[-1][1]
 
     @property
     def max_s(self) -> int:
-        return self.corners[-1].s
+        return self.corners[-1][0]
 
     @property
     def max_t(self) -> int:
-        return self.corners[0].t
+        return self.corners[0][1]
 
     def height(self, s: int) -> Optional[int]:
         """Least t such that (s, t) dominates the staircase, or None."""
-        idx = bisect_right(self.corners, s, key=lambda c: c.s)
-        return self.corners[idx - 1].t if idx else None
+        # a corner (s', t') sorts below (s + 1,) exactly when s' <= s
+        idx = bisect_right(self.corners, (s + 1,))
+        return self.corners[idx - 1][1] if idx else None
 
-    def dominates(self, c: Corner) -> bool:
-        h = self.height(c.s)
-        return h is not None and c.t >= h
+    def dominates(self, c: tuple[int, int]) -> bool:
+        s, t = c
+        h = self.height(s)
+        return h is not None and t >= h
 
     def scale(self, k: int) -> "Staircase":
-        return Staircase(tuple(Corner(k * c.s, k * c.t) for c in self.corners))
+        return Staircase(tuple([(k * s, k * t) for s, t in self.corners]))
 
 
 def _pareto_front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Minimal elements of a finite set of (s, t) pairs, s increasing, t decreasing.
 
-    Works on plain tuples, so a caller that reduces many candidate sets
-    builds a Corner only for the pairs it finally keeps.
+    Each pair kept is the input pair object itself: nothing is copied.
     """
     kept: list[tuple[int, int]] = []
-    for s, t in sorted(pairs):
-        if not kept or t < kept[-1][1]:
-            kept.append((s, t))
+    for pair in sorted(pairs):
+        if not kept or pair[1] < least:
+            kept.append(pair)
+            least = pair[1]
     return kept
 
 
-def pareto_minimal(corners: Iterable[Corner]) -> Staircase:
+def pareto_minimal(corners: Iterable[tuple[int, int]]) -> Staircase:
     """Reduce a finite set of corners to its antichain of minimal elements.
 
     Raises EmptyInput on an empty collection.
@@ -212,7 +222,7 @@ def pareto_minimal(corners: Iterable[Corner]) -> Staircase:
     kept = _pareto_front(corners)
     if not kept:
         raise EmptyInput("no corners given")
-    return Staircase(tuple(Corner(s, t) for s, t in kept))
+    return Staircase(tuple(kept))
 
 
 def _box_points_bound(w: int, h: int, d: int) -> int:
@@ -223,10 +233,11 @@ def _box_points_bound(w: int, h: int, d: int) -> int:
 def _require_bounded(threshold: Corner, stair: Staircase) -> None:
     # the region between threshold quadrant and staircase is bounded exactly
     # when the staircase touches both threshold lines
-    if stair.min_s != threshold.s or stair.min_t != threshold.t:
+    s, t = threshold
+    if stair.min_s != s or stair.min_t != t:
         raise UnboundedRegion(
             f"staircase minima {(stair.min_s, stair.min_t)} do not meet "
-            f"threshold {tuple(threshold)}; the complement has infinite area"
+            f"threshold {(s, t)}; the complement has infinite area"
         )
 
 
@@ -236,7 +247,7 @@ def _rectangles(lower: Staircase, upper: Staircase) -> list[tuple[int, int, int,
     Columns are cut at every corner of either staircase.  The region must
     be bounded: lower.min_s >= upper.min_s and lower.min_t >= upper.min_t.
     """
-    steps = [(c.s, 0, c.t) for c in upper.corners] + [(c.s, 1, c.t) for c in lower.corners]
+    steps = [(s, 0, t) for s, t in upper.corners] + [(s, 1, t) for s, t in lower.corners]
     steps.sort()
     heights = [None, None]
     rects = []
@@ -394,7 +405,8 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     """
     _require_bounded(threshold, stair)
     steps = zip(stair.corners, stair.corners[1:])
-    cells = sum((b - a) * (hi - threshold.t) for (a, hi), (b, _) in steps)
+    lo = threshold[1]
+    cells = sum((b - a) * (hi - lo) for (a, hi), (b, _) in steps)
     return Fraction(cells, cone.det_abs)
 
 

@@ -59,7 +59,7 @@ class MonomialIdeal:
 
     def __init__(self, cone: Cone2, stair: Staircase) -> None:
         tau, det_abs = cone.tau, cone.det_abs
-        if any((c.t - tau * c.s) % det_abs for c in stair.corners):
+        if any((t - tau * s) % det_abs for s, t in stair.corners):
             raise ValueError("staircase corner is not the corner of a lattice point")
         self.cone, self.stair, self._gens = cone, stair, None
         # ordinary powers by n >= 2: the ideal under 1 would be a cycle
@@ -106,8 +106,8 @@ def new_ideal(cone: Cone2, gens: Iterable[Point]) -> MonomialIdeal:
         raise EmptyInput("an ideal needs at least one generator")
     corners = []
     for p in pts:
-        c = cone.corner(p)
-        if c.s < 0 or c.t < 0:
+        s, t = c = cone.corner(p)
+        if s < 0 or t < 0:
             raise GeneratorOutsideCone(f"generator {p} lies outside the cone")
         corners.append(c)
     return MonomialIdeal(cone, pareto_minimal(corners))
@@ -222,7 +222,7 @@ def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
         return MonomialIdeal(ideal.cone, pareto_minimal(sums))
     (s0, t0), (w, h) = corners[0], run
-    dilated = (Corner(n * s0 + i * w, n * t0 - i * h) for i in range(n * len(rest) + 1))
+    dilated = [(n * s0 + i * w, n * t0 - i * h) for i in range(n * len(rest) + 1)]
     return MonomialIdeal(ideal.cone, Staircase(tuple(dilated)))
 
 
@@ -289,9 +289,9 @@ def torsion_factorization(
     r = cone.det_abs // gcd(cone.det_abs, c2 - tau * c1)
     if r > bound:
         raise NotTorsionWithin(f"no torsion order up to {bound} works")
-    u = cone.preimage(Corner(r * c1, r * c2))
+    u = cone.preimage((r * c1, r * c2))
     power = ordinary_power(ideal, r)
-    shifted = tuple(Corner(s - r * c1, t - r * c2) for s, t in power.stair.corners)
+    shifted = tuple([(s - r * c1, t - r * c2) for s, t in power.stair.corners])
     primary = MonomialIdeal(cone, Staircase(shifted))
     if primary.thresholds != (0, 0):
         raise ContractViolation("shifted power does not have zero thresholds")

@@ -22,7 +22,6 @@ from .errors import (
     NotSaturated,
 )
 from .geometry import (
-    Corner,
     _box_points_bound,
     _count_run,
     _count_under,
@@ -250,17 +249,17 @@ def newton_multiplicity(ideal: MonomialIdeal) -> int:
             "the quotient is not finite length"
         )
 
-    def cross(o: Corner, a: Corner, b: Corner) -> int:
-        return (a.s - o.s) * (b.t - o.t) - (a.t - o.t) * (b.s - o.s)
+    def cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    hull: list[Corner] = []
+    hull: list[tuple[int, int]] = []
     for c in ideal.stair.corners:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], c) <= 0:
             hull.pop()
         hull.append(c)
     # shoelace over the polygon from the origin along the hull; both edges
     # through the origin add 0
-    twice = abs(sum(a.s * b.t - b.s * a.t for a, b in zip(hull, hull[1:])))
+    twice = abs(sum(s0 * t1 - s1 * t0 for (s0, t0), (s1, t1) in zip(hull, hull[1:])))
     if twice % ideal.cone.det_abs != 0:
         raise ContractViolation("Newton area is not an integer multiple of the index")
     return twice // ideal.cone.det_abs

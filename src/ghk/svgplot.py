@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .errors import BadParameters
 from .fmt import exact_decimal
-from .geometry import Corner, Staircase, _count_under, _rectangles
+from .geometry import Staircase, _count_under, _rectangles
 from .ideals import MonomialIdeal, ordinary_power
 
 _MAX_GAP_DOTS = 100_000  # each gap dot is one circle element of about 70 bytes
@@ -48,10 +48,10 @@ def _polygon(points: list[tuple[int, int]], cls: str) -> str:
     return f'<polygon class="{cls}" fill="{_STYLE[cls]}" points="{coords}"/>'
 
 
-def _staircase_boundary(stair: Staircase) -> list[Corner]:
+def _staircase_boundary(stair: Staircase) -> list[tuple[int, int]]:
     pts = [stair.corners[0]]
     for prev, cur in zip(stair.corners, stair.corners[1:]):
-        pts.append(Corner(cur.s, prev.t))
+        pts.append((cur[0], prev[1]))
         pts.append(cur)
     return pts
 
@@ -92,7 +92,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     q = q_mark or 1
     cone = ideal.cone
     coarse = ideal.stair.scale(q)
-    threshold = Corner(coarse.min_s, coarse.min_t)
+    threshold = (coarse.min_s, coarse.min_t)
     # the gap dots lie in the cells between the threshold quadrant and the staircase
     cells = _rectangles(Staircase((threshold,)), coarse)
     dots = _count_under(cone, coarse.corners)
@@ -113,9 +113,9 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
 
     parts: list[str] = []
 
-    w_points = [Corner(coarse.min_s, t_end)]
+    w_points = [(coarse.min_s, t_end)]
     w_points += _staircase_boundary(coarse)
-    w_points += [Corner(s_end, coarse.min_t), Corner(s_end, t_end)]
+    w_points += [(s_end, coarse.min_t), (s_end, t_end)]
     parts.append(_polygon([to_svg(*c) for c in w_points], "region-w"))
 
     if len(fine.corners) > 1 or fine.corners[0] != threshold:
@@ -123,11 +123,11 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
         parts.append(_polygon([to_svg(*c) for c in red_points], "region-red"))
 
     for a, b, low, high in _rectangles(fine, coarse):
-        rect = [Corner(a, low), Corner(b, low), Corner(b, high), Corner(a, high)]
+        rect = [(a, low), (b, low), (b, high), (a, high)]
         parts.append(_polygon([to_svg(*c) for c in rect], "region-green"))
 
     stroke = exact_decimal(Fraction(step * q, 6))
-    for corner_end in (Corner(0, t_end), Corner(s_end, 0)):
+    for corner_end in ((0, t_end), (s_end, 0)):
         x, y = to_svg(*corner_end)
         parts.append(
             f'<line class="ray-line" x1="0" y1="0" x2="{x}" y2="{y}" '

@@ -47,8 +47,8 @@ def box_scan_points(cone: Cone2, s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> 
     pts = []
     for x in range(floor(min(xs)), ceil(max(xs)) + 1):
         for y in range(floor(min(ys)), ceil(max(ys)) + 1):
-            c = cone.corner((x, y))
-            if s_lo <= c.s < s_hi and t_lo <= c.t < t_hi:
+            s, t = cone.corner((x, y))
+            if s_lo <= s < s_hi and t_lo <= t < t_hi:
                 pts.append((x, y))
     return pts
 
@@ -63,16 +63,16 @@ def point_saturation_oracle(ideal: MonomialIdeal, p) -> bool:
     """
     cone = ideal.cone
     d = cone.det_abs
-    pc = cone.corner(p)
+    ps, pt = cone.corner(p)
     corners = [cone.corner(g) for g in ideal.gens]
-    t1 = max(c.s for c in corners)
-    t2 = max(c.t for c in corners)
-    deep_s = t1 + max(0, -pc.s)
-    deep_t = t2 + max(0, -pc.t)
+    t1 = max(s for s, _ in corners)
+    t2 = max(t for _, t in corners)
+    deep_s = t1 + max(0, -ps)
+    deep_t = t2 + max(0, -pt)
 
     def covered(g) -> bool:
-        c = cone.corner((p[0] + g[0], p[1] + g[1]))
-        return any(c.s >= w.s and c.t >= w.t for w in corners)
+        s, t = cone.corner((p[0] + g[0], p[1] + g[1]))
+        return any(s >= ws and t >= wt for ws, wt in corners)
 
     window = (t1, t1 + d, t2, t2 + d)
     boxes = [window, (0, t1, deep_t, deep_t + d), (deep_s, deep_s + d, 0, t2)]
@@ -89,12 +89,12 @@ def brute_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> 
     comparison against each staircase corner.
     """
     box = box_scan_points(
-        cone, threshold.s, stair.max_s, threshold.t, stair.max_t
+        cone, threshold[0], stair.max_s, threshold[1], stair.max_t
     )
     count = 0
     for p in box:
-        c = cone.corner(p)
-        if not any(c.s >= w.s and c.t >= w.t for w in stair.corners):
+        s, t = cone.corner(p)
+        if not any(s >= ws and t >= wt for ws, wt in stair.corners):
             count += 1
     return count
 
@@ -114,9 +114,9 @@ def column_count_complement(cone: Cone2, threshold: Corner, stair: Staircase) ->
     tau = cone.tau
     step = cone.det_abs
     total = 0
-    for prev, cur in zip(stair.corners, stair.corners[1:]):
-        for s in range(prev.s, cur.s):
-            total += progression_count(threshold.t, prev.t, (tau * s) % step, step)
+    for (s0, t0), (s1, _) in zip(stair.corners, stair.corners[1:]):
+        for s in range(s0, s1):
+            total += progression_count(threshold[1], t0, (tau * s) % step, step)
     return total
 
 
@@ -127,12 +127,12 @@ def column_count_band(
     tau = cone.tau
     step = cone.det_abs
     total = 0
-    for s in range(threshold.s, coarse.max_s):
+    for s in range(threshold[0], coarse.max_s):
         hi = coarse.height(s)
         lo = fine.height(s)
         if hi is None or lo is None:
             continue
-        lo = max(lo, threshold.t)
+        lo = max(lo, threshold[1])
         total += progression_count(lo, hi, (tau * s) % step, step)
     return total
 
@@ -162,10 +162,10 @@ def floor_sum_count_complement(cone: Cone2, threshold: Corner, stair: Staircase)
     tau = cone.tau
     d = cone.det_abs
     total = 0
-    for prev, cur in zip(stair.corners, stair.corners[1:]):
-        n = cur.s - prev.s
-        total += floor_sum(n, d, -tau, prev.t - 1 - tau * prev.s)
-        total -= floor_sum(n, d, -tau, threshold.t - 1 - tau * prev.s)
+    for (s0, t0), (s1, _) in zip(stair.corners, stair.corners[1:]):
+        n = s1 - s0
+        total += floor_sum(n, d, -tau, t0 - 1 - tau * s0)
+        total -= floor_sum(n, d, -tau, threshold[1] - 1 - tau * s0)
     return total
 
 
@@ -206,11 +206,11 @@ def shoelace_complement_area(
     """Area oracle: shoelace sum over the explicit complement polygon."""
     poly = [threshold, stair.corners[0]]
     for prev, cur in zip(stair.corners, stair.corners[1:]):
-        poly.append(Corner(cur.s, prev.t))
+        poly.append(Corner(cur[0], prev[1]))
         poly.append(cur)
     twice = 0
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        twice += a.s * b.t - b.s * a.t
+    for (s0, t0), (s1, t1) in zip(poly, poly[1:] + poly[:1]):
+        twice += s0 * t1 - s1 * t0
     return Fraction(abs(twice), 2 * cone.det_abs)
 
 

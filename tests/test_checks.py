@@ -150,8 +150,8 @@ class TestOracleWalk:
             probes = checks._probe_points(ideal, rng, 3)
             probes += [random_probe(rng, ideal) for _ in range(3)]
             for p in probes:
-                c = ideal.cone.corner(p)
-                negative |= c.s < 0 or c.t < 0
+                s, t = ideal.cone.corner(p)
+                negative |= s < 0 or t < 0
             # only the oracle's own boxes count towards the scan directions
             scanned.clear()
             answers = saturation_region_oracle(ideal, probes)

@@ -522,7 +522,7 @@ class TestVerifyCommand:
         "fast",
         [
             lambda ideal, p: True,
-            lambda ideal, p: ideal.cone.corner(p).s >= ideal.thresholds[0],
+            lambda ideal, p: ideal.cone.corner(p)[0] >= ideal.thresholds[0],
         ],
         ids=["always-inside", "ignores-t"],
     )

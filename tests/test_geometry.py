@@ -17,14 +17,17 @@ from conftest import (
     column_count_complement,
     floor_sum_count_complement,
     grounded,
+    non_run_ideal,
     progression_count,
     random_cone,
+    random_ideal,
     random_index_ideal,
     random_staircase,
     shoelace_complement_area,
     unimodular,
 )
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
+from ghk.families import quadrant, veronese
 from ghk.geometry import (
     Cone2,
     Corner,
@@ -38,6 +41,16 @@ from ghk.geometry import (
     dot,
     pareto_minimal,
     staircase_complement_area,
+)
+from ghk.ideals import (
+    MonomialIdeal,
+    _run_step,
+    frobenius_power,
+    is_saturated,
+    new_ideal,
+    ordinary_power,
+    saturation,
+    torsion_factorization,
 )
 
 GEOMETRY = Path(__file__).resolve().parent.parent / "src" / "ghk" / "geometry.py"
@@ -56,8 +69,8 @@ def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
     threshold, coarse = grounded(random_staircase(rng, max_corners=8).scale(q))
     extra = []
     for _ in range(rng.randint(0, 4)):
-        c = rng.choice(coarse.corners)
-        extra.append(Corner(c.s + rng.randint(1, 3), max(threshold.t, c.t - rng.randint(1, 3))))
+        cs, ct = rng.choice(coarse.corners)
+        extra.append(Corner(cs + rng.randint(1, 3), max(threshold.t, ct - rng.randint(1, 3))))
         extra.append(
             Corner(rng.randint(threshold.s, coarse.max_s), rng.randint(threshold.t, coarse.max_t))
         )
@@ -562,3 +575,95 @@ class TestBandGuard:
         names = band_names(ast.parse(code))
         assert set(names) == {"count_lattice_band", "_between", "_count_under"}
         assert [f for f, used in names.items() if used & self.FORBIDDEN] == ["_between"]
+
+
+def corner_calls(tree: ast.Module) -> list[str]:
+    """The qualified name of the function or class around each Corner(...) call, in order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Corner":
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def assert_plain(corners) -> None:
+    assert corners and all(type(c) is tuple and len(c) == 2 for c in corners), corners
+
+
+class TestPlainCorners:
+    # every corner ghk builds is a plain (s, t) tuple; only the thresholds
+    # are a Corner, the one corner the benchmark tracer reads by field name
+    def test_new_ideal_and_pareto_minimal(self):
+        assert_plain(non_run_ideal().stair.corners)
+        assert_plain(random_ideal(random.Random(29)).stair.corners)
+        assert_plain(pareto_minimal([(3, 1), (1, 4), (2, 2), (4, 4)]).corners)
+
+    def test_frobenius_power(self):
+        assert_plain(frobenius_power(non_run_ideal(), 3).stair.corners)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_run_ordinary_power(self, n):
+        ideal = veronese(9, 7).ideal
+        assert len(ideal.stair.corners) > 1 and _run_step(ideal.stair.corners) is not None
+        assert_plain(ordinary_power(ideal, n).stair.corners)
+
+    def test_dp_ordinary_power(self):
+        ideal = non_run_ideal()
+        assert _run_step(ideal.stair.corners) is None
+        assert_plain(ordinary_power(ideal, 3).stair.corners)
+
+    def test_saturation_and_torsion_primary(self):
+        ideal = quadrant([(3, 0), (1, 1), (0, 2)]).ideal
+        assert not is_saturated(ideal)
+        assert_plain(saturation(ideal).stair.corners)
+        assert_plain(torsion_factorization(non_run_ideal()).primary.stair.corners)
+
+    def test_cone_corner(self):
+        cone = Cone2.from_rays((1, 0), (2, 7))
+        assert type(cone.corner((3, 1))) is tuple
+
+    def test_thresholds_are_a_corner(self):
+        ideal = non_run_ideal()
+        assert type(ideal.thresholds) is Corner
+        assert type(ordinary_power(ideal, 3).thresholds) is Corner
+
+    def test_corner_inputs_build_equal_staircases(self):
+        pairs = [(0, 7), (1, 5), (5, 4), (2, 6)]
+        plain = pareto_minimal(pairs)
+        named = pareto_minimal([Corner(s, t) for s, t in pairs])
+        assert named == plain and hash(named) == hash(plain)
+        assert Staircase(tuple(Corner(s, t) for s, t in plain.corners)) == plain
+        ideal = non_run_ideal()
+        rebuilt = MonomialIdeal(ideal.cone, Staircase(tuple(Corner(*c) for c in ideal.stair.corners)))
+        assert rebuilt == ideal and rebuilt.gens == ideal.gens
+        assert new_ideal(ideal.cone, ideal.gens) == rebuilt
+
+    def test_thresholds_is_the_only_corner_call(self):
+        calls = [
+            f"{path.stem}.{scope}"
+            for path in sorted(GEOMETRY.parent.glob("*.py"))
+            for scope in corner_calls(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert calls == ["ideals.MonomialIdeal.thresholds"]
+
+    def test_guard_catches_a_corner_built_elsewhere(self):
+        code = (
+            "class Staircase:\n"
+            "    def scale(self, k):\n"
+            "        return [Corner(k * s, k * t) for s, t in self.corners]\n"
+            "def threshold(stair):\n"
+            "    return geometry.Corner(stair.min_s, stair.min_t)\n"
+            "ORIGIN = Corner(0, 0)\n"
+        )
+        assert corner_calls(ast.parse(code)) == ["Staircase.scale", "threshold", "<module>"]

@@ -168,8 +168,8 @@ class TestPowers:
             # sample of them keeps every point as a minimal generator
             lines: dict[int, list] = {}
             for p in lattice_points_in_corner_box(ideal.cone, 0, 13, 0, 13):
-                c = ideal.cone.corner(p)
-                lines.setdefault(c.s + c.t, []).append(p)
+                s, t = ideal.cone.corner(p)
+                lines.setdefault(s + t, []).append(p)
             row = max(lines.values(), key=len)
             wide = new_ideal(ideal.cone, rng.sample(row, min(6, len(row))))
             for base in (ideal, wide):
@@ -188,12 +188,12 @@ class TestPowers:
     def test_two_generator_power_closed_form(self):
         # two generators: all n + 1 sums k g1 + (n - k) g2 are minimal
         ideal = a_singularity(60, 30).ideal
-        g1, g2 = ideal.stair.corners
+        (s1, t1), (s2, t2) = ideal.stair.corners
         n = 200
         corners = ordinary_power(ideal, n).stair.corners
         assert len(corners) == n + 1
         assert corners == tuple(
-            Corner(k * g1.s + (n - k) * g2.s, k * g1.t + (n - k) * g2.t)
+            Corner(k * s1 + (n - k) * s2, k * t1 + (n - k) * t2)
             for k in range(n, -1, -1)
         )
 
