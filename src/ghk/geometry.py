@@ -405,8 +405,7 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     """
     _require_bounded(threshold, stair)
     steps = zip(stair.corners, stair.corners[1:])
-    lo = threshold[1]
-    cells = sum((b - a) * (hi - lo) for (a, hi), (b, _) in steps)
+    cells = sum((b - a) * (hi - threshold[1]) for (a, hi), (b, _) in steps)
     return Fraction(cells, cone.det_abs)
 
 
