@@ -138,6 +138,9 @@ CASES = {
         ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
     # 63 gap lengths of an 8-generator ideal that is one run: counted off the dilated runs
     "veronese97-powers-deep": (["powers", "--family", "veronese:9,7", "--max-n", "63"], {}),
+    # one run of steps 17 wide, past det_abs.bit_length() = 5: powers n <= 17 have
+    # at most as many steps as a step has columns, powers n >= 18 more
+    "a203-powers-wide": (["powers", "--family", "a:20,3", "--max-n", "140"], {}),
     "quadrant-powers-period": (
         ["powers", "--family", QUADRANT, "--max-n", "14", "--period", "1"], {}),
     "file-powers": (["powers", "--file", "input.json", "--max-n", "35"], DOCUMENT),
