@@ -15,13 +15,13 @@ det_abs consecutive columns hold one point per row, and counting the
 points of a rectangle takes O(log det_abs) steps however large it is:
 one product for the full blocks of det_abs columns, a floor sum for
 the columns left over.  A complement is counted straight off the
-corners of its staircase, one run of equal steps at a time: a run of
-more steps than a step has columns costs one floor sum per column of a
-step.  A staircase that is one such run, as every ordinary power of a
-one-run ideal is, is counted off its first corner, step and length
-without being listed.  A band between two staircases is counted one
-run of like rectangles at a time in the same way, with two floor sums
-per column.
+corners of its staircase, one run of equal steps at a time, by one run
+kernel: a run of more steps than a step has columns costs one floor sum
+per column of a step.  A staircase that is one run, as every ordinary
+power of a one-run ideal is, goes to the same kernel off its first
+corner, step and length, without being listed.  A band between two
+staircases is counted one run of like rectangles at a time in the same
+way, with two floor sums per column.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -330,6 +330,38 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
         a0, w, lo0, top, run, end, last = a, b - a, lo, hi, 1, b, lo
 
 
+def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) -> int:
+    """Top-side sum of a run of R = run equal steps (w, -h) from column a under row hi.
+
+    That is the sum over the run's columns s of (t - 1 - tau * s) // step,
+    t being the row of the step over s and step being det_abs; the count
+    under the run is this less the same sum for its bottom row.  c is
+    hi - 1 - tau * a, and bits is step.bit_length(), computed once per
+    count.  Column x of step j is a + j * w + x, under row hi - j * h, so
+    each of the w column offsets x is one floor sum over j = 0 .. R - 1
+    with slope -(h + tau * w).  That takes w floor sums where the steps
+    one by one take about R, so it is used when w < R, as on the long
+    runs of Veronese powers.  Otherwise each step adds its own top side:
+    one floor sum when it is wider than bits, and a loop over its columns
+    when it is not, the narrow steps that ordinary-power staircases are
+    made of.
+    """
+    total = 0
+    if w < run:
+        for x in range(w):
+            total += _floor_sum(run, step, -h - tau * w, c - tau * x)
+    elif w > bits:
+        for j in range(run):
+            total += _floor_sum(w, step, -tau, c - j * (h + tau * w))
+    else:
+        for _ in range(run):
+            for _ in range(w):
+                total += c // step
+                c -= tau
+            c -= h
+    return total
+
+
 def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
     """Lattice points under the steps of corners, at or above the last corner's row.
 
@@ -337,61 +369,36 @@ def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
     decreasing, the last one on row lo; column s in [s_i, s_i+1) counts
     the rows lo <= t < t_i.  Column s holds (r - 1 - tau * s) // det_abs
     points below row r, so the lo side is one floor sum over all columns
-    [s_0, s_m).  The top sides are added one run at a time, a run being a
-    maximal stretch of R equal steps (w, -h), found in one pass over the
-    corners.  Column x of the run's step j is s_i + j * w + x, under row
-    t_i - j * h, so each of the w column offsets x is one floor sum over
-    j = 0 .. R - 1 with slope -(h + tau * w).  That takes w floor sums
-    where the steps one by one take about R, so it is used when w < R, as
-    on the long runs of Veronese powers.  Otherwise each step of the run
-    adds its own top side: a loop over its columns when it is at most
-    det_abs.bit_length() wide, the narrow steps that ordinary-power
-    staircases are made of, and one floor sum otherwise.
+    [s_0, s_m).  The top sides are added by _run_tops one run at a time,
+    a run being a maximal stretch of equal steps (w, -h), found in one
+    pass over the corners.
     """
     tau = cone.tau
     step = cone.det_abs
     bits = step.bit_length()
     (a, hi), (s_end, lo) = corners[0], corners[-1]
     total = -_floor_sum(s_end - a, step, -tau, lo - 1 - tau * a)
-    c, w, h, run = hi - 1 - tau * a, 0, 0, 0  # c: hi - 1 - tau * s at the run's first column
+    c = w = h = run = 0  # c: hi - 1 - tau * s at the run's first column
     # a closing step of width 0 ends the last run
     for b, t in corners[1:] + corners[-1:]:
-        if b - a == w and hi - t == h:
-            run += 1
-        else:
-            if w < run:
-                for _ in range(w):
-                    total += _floor_sum(run, step, -h - tau * w, c)
-                    c -= tau
-                c = hi - 1 - tau * a
-            else:
-                for _ in range(run):
-                    if w > bits:
-                        total += _floor_sum(w, step, -tau, c)
-                        c -= tau * w
-                    else:
-                        for _ in range(w):
-                            total += c // step
-                            c -= tau
-                    c -= h
-            w, h, run = b - a, hi - t, 1
+        if b - a != w or hi - t != h:
+            if run:
+                total += _run_tops(tau, step, bits, c, w, h, run)
+            c, w, h, run = hi - 1 - tau * a, b - a, hi - t, 0
+        run += 1
         a, hi = b, t
     return total
 
 
 def _count_run(cone: Cone2, s0: int, t0: int, w: int, h: int, r: int) -> int:
-    """_count_under of the run (s0 + i * w, t0 - i * h), i = 0 .. r.
+    """_count_under of the run (s0 + i * w, t0 - i * h), i = 0 .. r, without listing it.
 
-    When w < r the run is not listed: _count_under's own run arithmetic,
-    one floor sum for the bottom row t0 - r * h and one per column offset,
-    reads straight off s0, t0, w, h and r.  Otherwise the run is listed
-    and _count_under walks its steps one by one.
+    The top sides are _run_tops of the run, read straight off s0, t0, w,
+    h and r, and the bottom row t0 - r * h takes one floor sum.
     """
-    if w >= r:
-        return _count_under(cone, [(s0 + i * w, t0 - i * h) for i in range(r + 1)])
     tau, step = cone.tau, cone.det_abs
     c = t0 - 1 - tau * s0  # t0 - 1 - tau * s at the run's first column
-    tops = sum(_floor_sum(r, step, -h - tau * w, c - tau * x) for x in range(w))
+    tops = _run_tops(tau, step, step.bit_length(), c, w, h, r)
     return tops - _floor_sum(r * w, step, -tau, c - r * h)
 
 

@@ -138,8 +138,10 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     the n-th ordinary power misses.  No power is built as an ideal.  When
     the generators are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m,
     the n-th power is that run dilated by n, and _count_run counts it
-    straight off (n * s0, n * t0), (w, h) and n * m with no levels: w + 1
-    floor sums once n * m > w, O(n * w * log det_abs) for the n powers.
+    straight off (n * s0, n * t0), (w, h) and n * m, listing no levels
+    and no corners: w + 1 floor sums once n * m > w, and otherwise one
+    floor sum or at most det_abs.bit_length() columns per step, so
+    O(n * w * log det_abs) for the n powers.
     Other lengths are counted off the levels of one _power_levels run
     over every generator, run afresh and not kept: level n is the n-th
     power's staircase, its last corner on the t threshold and its first

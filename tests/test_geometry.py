@@ -26,6 +26,7 @@ from conftest import (
     shoelace_complement_area,
     unimodular,
 )
+from ghk import geometry
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
 from ghk.families import quadrant, veronese
 from ghk.geometry import (
@@ -36,6 +37,7 @@ from ghk.geometry import (
     _count_under,
     _floor_sum,
     _rectangles,
+    _run_tops,
     count_lattice_band,
     count_lattice_complement,
     dot,
@@ -429,8 +431,8 @@ class TestCount:
         assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
     def test_run_count_matches_listed_run_and_oracles(self):
-        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted unlisted when
-        # w < r and listed otherwise, r = 0 being a principal ideal's power;
+        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted as a whole run
+        # when w < r and step by step otherwise, r = 0 being a principal ideal's power;
         # half the cones random, half of index up to 10^12
         rng = random.Random(59)
         kinds = Counter()
@@ -449,8 +451,63 @@ class TestCount:
             if small and r * w * t0 <= 20_000:
                 assert count == brute_count_complement(cone, threshold, stair)
                 kinds["brute"] += 1
-            kinds["principal" if r == 0 else "listed" if w >= r else "unlisted"] += 1
+            kinds["principal" if r == 0 else "step by step" if w >= r else "whole run"] += 1
         assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+
+    def test_run_tops_match_a_plain_column_sum(self):
+        # R steps (w, -h) from column a under row hi, given c = hi - 1 - tau * a:
+        # column x of step j holds (c - j * h - tau * (j * w + x)) // det_abs
+        # points; tau and det_abs random, det_abs up to 10^12
+        rng = random.Random(61)
+        kinds = Counter()
+        for i in range(160):
+            step = rng.choice([rng.randint(1, 12), rng.randint(1, 10**12)])
+            tau, bits = rng.randint(-step, step), step.bit_length()
+            kind = i % 4
+            if kind == 0:
+                run, w = 0, rng.randint(1, 3 * bits + 8)
+            elif kind == 1:
+                run = rng.randint(2, 60)
+                w = rng.randint(1, run - 1)
+            elif kind == 2:
+                w = rng.randint(1, bits)
+                run = rng.randint(1, w)
+            else:
+                w = rng.randint(bits + 1, 3 * bits + 8)
+                run = rng.randint(1, min(w, 12))
+            h, c = rng.randint(1, 3 * step), rng.randint(-(10**15), 10**15)
+            plain = sum(
+                (c - j * h - tau * (j * w + x)) // step for j in range(run) for x in range(w)
+            )
+            assert _run_tops(tau, step, bits, c, w, h, run) == plain
+            kinds[
+                "empty" if run == 0 else "whole run" if w < run
+                else "narrow steps" if w <= bits else "wide steps"
+            ] += 1
+        assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+
+    def test_run_count_lists_nothing(self, monkeypatch):
+        # a run no longer than its steps are wide is counted off s0, t0, w, h
+        # and r too, never listed and handed to _count_under
+        def listed(*_):
+            raise AssertionError("_count_run listed its run")
+
+        monkeypatch.setattr(geometry, "_count_under", listed)
+        rng = random.Random(67)
+        kinds = Counter()
+        for i in range(120):
+            cone = random_cone(rng) if i % 2 else random_index_ideal(rng, d_max=10**12).cone
+            bits = cone.det_abs.bit_length()
+            r = rng.choice([0, rng.randint(1, bits), rng.randint(1, 12)])
+            w = max(r, rng.choice([rng.randint(1, bits), rng.randint(bits + 1, 3 * bits + 8)]))
+            h = rng.randint(1, 3 * cone.det_abs)
+            s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
+            stair = Staircase(tuple((s0 + k * w, t0 - k * h) for k in range(r + 1)))
+            threshold, _ = grounded(stair)
+            count = _count_run(cone, s0, t0, w, h, r)
+            assert count == floor_sum_count_complement(cone, threshold, stair)
+            kinds["principal" if r == 0 else "narrow" if w <= bits else "wide"] += 1
+        assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
 
     def test_band_run_kernel_matches_column_oracle(self):
         # fine: runs of 1 to 60 equal steps among irregular ones; coarse: a
