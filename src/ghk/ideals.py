@@ -155,23 +155,17 @@ def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
 def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
 
-    Each level is a Pareto front, s increasing and t decreasing.  When
-    the corners are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m (a
-    single corner is a run with m = 0), level k is the dilated run
-    (k * s0 + i * w, k * t0 - i * h) for i = 0 .. k * m: the k-fold sums
-    fill it, and its points are an antichain.  Other corners go through
-    a DP.  Adding a corner g turns level k into the minimal elements of
-    level k and of the new level k - 1 shifted by g, so each level is
-    Pareto-reduced before the next corner comes in.  The entries of a
-    level have distinct s and distinct t, so level k has at most
-    k * w + 1 of them, w the smaller span of the corners folded in so
-    far; _check_power_work sizes the DP by that bound, and callers run
-    it first.
+    Each level is a Pareto front, s increasing and t decreasing, built
+    by a DP whatever the shape of the corners: the one-run closed forms
+    of _build_power and h0_powers are tested against it.  Adding a
+    corner g turns level k into the minimal elements of level k and of
+    the new level k - 1 shifted by g, so each level is Pareto-reduced
+    before the next corner comes in.  The entries of a level have
+    distinct s and distinct t, so level k has at most k * w + 1 of
+    them, w the smaller span of the corners folded in so far;
+    _check_power_work sizes the DP by that bound, and callers run it
+    first.
     """
-    run = _run_step(corners)
-    if run is not None:
-        (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
-        return [[(k * s0 + i * w, k * t0 - i * h) for i in range(k * m + 1)] for k in range(n + 1)]
     levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
     for gs, gt in corners:
         for k in range(1, n + 1):
@@ -187,11 +181,10 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     i = 0 .. m, the power is that run dilated by n, (n * s0 + i * w,
     n * t0 - i * h) for i = 0 .. n * m, and is written down in O(n * m)
     with no DP; a principal ideal is the run with m = 0, scaled in O(1).
-    Other powers are built in corner space by _power_levels over all
-    generators but the last (in closed form when they are one run, by
-    the Pareto DP otherwise); the last one only combines with level
-    n - i shifted by i times itself, so levels below n are never formed
-    for it.  The cost is polynomial in n (about s * n^2 * W for s
+    Other powers are built in corner space by the Pareto DP of
+    _power_levels over all generators but the last, whatever their
+    shape; the last one only combines with level n - i shifted by i
+    times itself, so levels below n are never formed for it.  The cost is polynomial in n (about s * n^2 * W for s
     generators and staircase width W) where enumerating the
     C(n + s - 1, s - 1) multisets is not.  Either way the DP's work
     estimate over all generators but the last runs first: above

@@ -162,6 +162,7 @@ class TestPowers:
 
     def test_ordinary_power_matches_multiset_oracle(self):
         rng = random.Random(59)
+        bases = []
         for _ in range(20):
             ideal = random_ideal(rng, n_gens=6)
             # points on one line s + t = m are pairwise incomparable, so a
@@ -172,18 +173,21 @@ class TestPowers:
                 lines.setdefault(s + t, []).append(p)
             row = max(lines.values(), key=len)
             wide = new_ideal(ideal.cone, rng.sample(row, min(6, len(row))))
-            for base in (ideal, wide):
-                # the DP over every generator, against the single-power path
-                levels = ideals._power_levels(base.stair.corners, 6)
-                for n in range(1, 7):
-                    # an equal ideal with no stored powers runs the single-power DP
-                    power = ordinary_power(MonomialIdeal(base.cone, base.stair), n)
-                    brute = brute_ordinary_power(base, n)
-                    assert power.stair == brute.stair
-                    assert levels[n] == list(brute.stair.corners)
-                    assert power.gens == brute.gens
-                    corners = tuple(base.cone.corner(g) for g in power.gens)
-                    assert corners == power.stair.corners
+            bases += [(ideal, 6), (wide, 6)]
+        # three corners, the first two one run: the single power's DP runs over a run
+        bases += [(non_run_ideal(), 12), (quadrant([(3, 0), (1, 1), (0, 2)]).ideal, 12)]
+        for base, n_max in bases:
+            # the DP over every generator, against the single-power path
+            levels = ideals._power_levels(base.stair.corners, n_max)
+            for n in range(1, n_max + 1):
+                # an equal ideal with no stored powers runs the single-power DP
+                power = ordinary_power(MonomialIdeal(base.cone, base.stair), n)
+                brute = brute_ordinary_power(base, n)
+                assert power.stair == brute.stair
+                assert levels[n] == list(brute.stair.corners)
+                assert power.gens == brute.gens
+                corners = tuple(base.cone.corner(g) for g in power.gens)
+                assert corners == power.stair.corners
 
     def test_two_generator_power_closed_form(self):
         # two generators: all n + 1 sums k g1 + (n - k) g2 are minimal
@@ -198,12 +202,27 @@ class TestPowers:
         )
 
     def test_one_run_levels_match_multiset_oracle(self):
-        # the closed form: level k of a run is the run dilated by k
+        # the DP on a run, against the multiset oracle: level k is the run dilated by k
         rng = random.Random(61)
         for i in range(18):
             ideal = one_run_ideal(rng, i % 9)
             levels = ideals._power_levels(ideal.stair.corners, 6)
             assert levels[0] == [(0, 0)]
+            for k in range(1, 7):
+                assert levels[k] == list(brute_ordinary_power(ideal, k).stair.corners)
+
+    def test_levels_of_a_run_come_from_the_dp(self, monkeypatch):
+        # the DP alone builds the dilated run, so it can check the closed forms
+        def no_run_test(corners):
+            raise AssertionError("the power DP tested for a run")
+
+        monkeypatch.setattr(ideals, "_run_step", no_run_test)
+        # veronese:9,7 is one run of steps (1, -1); a principal ideal is the run with m = 0
+        for ideal, (w, h) in [(veronese(9, 7).ideal, (1, 1)), (quadrant([(2, 3)]).ideal, (0, 0))]:
+            (s0, t0), m = ideal.stair.corners[0], len(ideal.stair.corners) - 1
+            levels = ideals._power_levels(ideal.stair.corners, 12)
+            for k in range(13):
+                assert levels[k] == [(k * s0 + i * w, k * t0 - i * h) for i in range(k * m + 1)]
             for k in range(1, 7):
                 assert levels[k] == list(brute_ordinary_power(ideal, k).stair.corners)
 
@@ -241,6 +260,16 @@ class TestPowers:
     def test_power_chain_matches_single_powers(self):
         rng = random.Random(71)
         bases = [random_ideal(rng, n_gens=6) for _ in range(6)] + [veronese(9, 7).ideal]
+        # one-run ideals, whose single powers are written down, in their own
+        # lattice coordinates and after one GL2(Z) move, against the DP
+        for run in [one_run_ideal(rng, m) for m in range(1, 5)] + [a_singularity(20, 3).ideal]:
+            (a, b), (c, d) = unimodular(rng)
+
+            def move(p):
+                return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+            cone = Cone2.from_rays(move(run.cone.ray1), move(run.cone.ray2))
+            bases += [run, new_ideal(cone, [move(g) for g in run.gens])]
         for base in bases:
             levels = ideals._power_levels(base.stair.corners, 40)
             assert len(levels) == 41

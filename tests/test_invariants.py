@@ -350,10 +350,13 @@ class TestPowerLengths:
                     assert h0_powers(fresh, 6) == brute
                 assert fresh._powers == {}
 
-    @pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7", "quadrant:(3,0);(1,1);(0,2)"])
+    @pytest.mark.parametrize(
+        "family", ["a:7,3", "veronese:9,7", "a:20,3", "quadrant:(3,0);(1,1);(0,2)"]
+    )
     def test_lengths_match_the_level_walk(self, family):
-        # one-run families (a:7,3, veronese:9,7) against the levels they no
-        # longer build, beside a non-run family that still builds them
+        # one-run families (a:7,3, veronese:9,7, and a:20,3 with steps wider than
+        # det_abs.bit_length()), counted off the dilated run, against the DP's
+        # levels, beside a non-run family whose lengths the DP's levels give
         ideal = parse_family(family).ideal
         levels = ideals._power_levels(ideal.stair.corners, 84)
         walk = [_count_under(ideal.cone, lv) for lv in levels[1:]]
