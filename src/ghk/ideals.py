@@ -184,15 +184,16 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     Other powers are built in corner space by the Pareto DP of
     _power_levels over all generators but the last, whatever their
     shape; the last one only combines with level n - i shifted by i
-    times itself, so levels below n are never formed for it.  The cost is polynomial in n (about s * n^2 * W for s
-    generators and staircase width W) where enumerating the
-    C(n + s - 1, s - 1) multisets is not.  Either way the DP's work
-    estimate over all generators but the last runs first: above
-    _MAX_POWER_WORK steps it raises BadParameters and stores nothing,
-    so a one-run power is refused exactly where the DP would be.  n = 1
-    returns the ideal itself, and each power is built once per ideal
-    object and kept on it (a kept ideal keeps its powers); this is the
-    only writer of that store.
+    times itself, so levels below n are never formed for it.  The cost
+    is polynomial in n (about s * n^2 * W for s generators and
+    staircase width W) where enumerating the C(n + s - 1, s - 1)
+    multisets is not.  Either way the DP's work estimate over all
+    generators but the last runs first: above _MAX_POWER_WORK steps it
+    raises BadParameters and stores nothing, so a one-run power is
+    refused exactly where the DP would be.  n = 1 returns the ideal
+    itself, and each power is built once per ideal object and kept on
+    it (a kept ideal keeps its powers); this is the only writer of that
+    store.
     """
     if n < 1:
         raise BadParameters("power exponent must be a positive integer")
