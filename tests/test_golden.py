@@ -134,6 +134,14 @@ CASES = {
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
     # tower's longest band: 201 ordinary-power corners against a two-corner bracket power
     "a58-split-deep": (["split", "--family", "a:58,28", "--q", "200"], {}),
+    # one-run gap splits, whose bands are m runs of R = q - 1 rectangles: R = 1 of
+    # 17 columns, past det_abs.bit_length() = 5; one run with w = 17 < R = 29;
+    # m = 5 runs; a principal ideal, m = 0; and q = 1, R = 0
+    "a203-split-one": (["split", "--family", "a:20,3", "--q", "2"], {}),
+    "a203-split-whole": (["split", "--family", "a:20,3", "--q", "30"], {}),
+    "veronese125-split": (["split", "--family", "veronese:12,5", "--q", "40"], {}),
+    "principal-split": (["split", "--family", "quadrant:(2,3)", "--q", "5"], {}),
+    "a73-split-q1": (["split", "--family", "a:7,3", "--q", "1"], {}),
     "veronese97-powers-period": (
         ["powers", "--family", "veronese:9,7", "--max-n", "14", "--period", "1"], {}),
     # 63 gap lengths of an 8-generator ideal that is one run: counted off the dilated runs
