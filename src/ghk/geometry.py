@@ -21,7 +21,10 @@ per column of a step.  A staircase that is one run, as every ordinary
 power of a one-run ideal is, goes to the same kernel off its first
 corner, step and length, without being listed.  A band between two
 staircases is counted one run of like rectangles at a time in the same
-way, with two floor sums per column.
+way, with two floor sums per column, by one band-run kernel.  The band
+between the q-th ordinary and bracket powers of a one-run ideal goes to
+that kernel once per bracket step, off the base run, listing neither
+power.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -270,28 +273,58 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
+def _band_run(
+    tau: int, step: int, bits: int, a0: int, w: int, lo0: int, top: int, delta: int, run: int
+) -> int:
+    """Lattice points of a run of R = run touching rectangles of one width and top.
+
+    Rectangle j = 0 .. R - 1 spans the columns [a0 + j * w, a0 + (j + 1) * w)
+    and the rows [lo0 + j * delta, top); step is det_abs and bits is
+    step.bit_length(), computed once per count.  Column s = a0 + j * w + x
+    of rectangle j holds
+    (top - 1 - tau * s) // step - (lo0 + j * delta - 1 - tau * s) // step
+    points, so each of the w column offsets x takes two floor sums over
+    j = 0 .. R - 1, of slopes -tau * w and delta - tau * w.  That is used
+    when w < R, reading the run once whatever R is.  Otherwise each
+    rectangle is counted on its own: normal2 is primitive, so
+    gcd(tau, det_abs) == 1 and any det_abs consecutive columns hold
+    exactly top - lo points.  The fewer than det_abs columns left over
+    are counted one at a time when there are at most bits of them, and
+    otherwise by two floor sums, one per horizontal side, in
+    O(log det_abs) steps.  The loop stays for the narrow leftovers that
+    ordinary-power staircases are made of: there two floor sums per
+    rectangle cost about 3.5 times as much as the few columns they
+    replace.
+    """
+    total = 0
+    if w < run:
+        for _ in range(w):
+            total += _floor_sum(run, step, -tau * w, top - 1 - tau * a0)
+            total -= _floor_sum(run, step, delta - tau * w, lo0 - 1 - tau * a0)
+            a0 += 1
+        return total
+    full, rest = divmod(w, step)
+    for _ in range(run):
+        total += full * (top - lo0)
+        s, a0 = a0 + w - rest, a0 + w
+        if rest > bits:
+            total += _floor_sum(rest, step, -tau, top - 1 - tau * s)
+            total -= _floor_sum(rest, step, -tau, lo0 - 1 - tau * s)
+        else:
+            while s < a0:
+                total += (top - 1 - tau * s) // step - (lo0 - 1 - tau * s) // step
+                s += 1
+        lo0 += delta
+    return total
+
+
 def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     """Lattice points whose corners dominate lower but not upper: the band count.
 
     The band is walked as the rectangles (a, b, lo, hi) of _rectangles,
-    one run at a time, a run being a maximal stretch of R touching
-    rectangles of one width w and one top hi whose bottoms move by one
-    constant delta, as between the q-th ordinary and bracket powers of a
-    one-run ideal.  With a and lo those of the run's first rectangle,
-    column s = a + j * w + x of rectangle j holds
-    (hi - 1 - tau * s) // det_abs - (lo + j * delta - 1 - tau * s) // det_abs
-    points, so each of the w column offsets x takes two floor sums over
-    j = 0 .. R - 1, of slopes -tau * w and delta - tau * w.  That is
-    used when w < R, reading the run once whatever R is.  Otherwise
-    each rectangle is counted on its own: normal2 is primitive, so
-    gcd(tau, det_abs) == 1 and any det_abs consecutive columns hold
-    exactly hi - lo points.  The fewer than det_abs columns left over
-    are counted one at a time when there are at most
-    det_abs.bit_length() of them, and otherwise by two floor sums, one
-    per horizontal side, in O(log det_abs) steps.  The loop stays for
-    the narrow leftovers that ordinary-power staircases are made of:
-    there two floor sums per rectangle cost about 3.5 times as much as
-    the few columns they replace.  Complements go through
+    and each run of them is counted by _band_run, a run being a maximal
+    stretch of touching rectangles of one width w and one top hi whose
+    bottoms move by one constant delta.  Complements go through
     _count_under instead, so this walk stays an independent count that
     the gap split's total_gap == sym_vs_ord + ord_vs_frob can check.
     """
@@ -307,27 +340,32 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
         if a == end and b - a == w and hi == top and (lo - last == delta or run == 1):
             end, last, delta, run = b, lo, lo - last, run + 1
             continue
-        if w < run:
-            for _ in range(w):
-                total += _floor_sum(run, step, -tau * w, top - 1 - tau * a0)
-                total -= _floor_sum(run, step, delta - tau * w, lo0 - 1 - tau * a0)
-                a0 += 1
-        else:
-            full, rest = divmod(w, step)
-            for _ in range(run):
-                total += full * (top - lo0)
-                s, a0 = a0 + w - rest, a0 + w
-                if rest > bits:
-                    total += _floor_sum(rest, step, -tau, top - 1 - tau * s)
-                    total -= _floor_sum(rest, step, -tau, lo0 - 1 - tau * s)
-                else:
-                    while s < a0:
-                        total += (top - 1 - tau * s) // step - (lo0 - 1 - tau * s) // step
-                        s += 1
-                lo0 += delta
+        total += _band_run(tau, step, bits, a0, w, lo0, top, delta, run)
         if a is None:
             return total
         a0, w, lo0, top, run, end, last = a, b - a, lo, hi, 1, b, lo
+
+
+def _count_run_band(cone: Cone2, s0: int, t0: int, w: int, h: int, m: int, q: int) -> int:
+    """The band between the q-th ordinary and bracket powers of a run, listing neither.
+
+    The run is (s0 + i * w, t0 - i * h), i = 0 .. m.  Its q-th bracket
+    power has the steps (q * w, -q * h), and its q-th ordinary power is
+    the run dilated by q, (q * s0 + j * w, q * t0 - j * h) for
+    j = 0 .. q * m, so under bracket step i the band is the R = q - 1
+    rectangles w wide of j = i * q + 1 .. i * q + R, all under the top
+    q * t0 - i * q * h, each bottom h lower than the one before: one
+    _band_run per bracket step, m in all, as _count_between would find
+    them.
+    """
+    tau, step = cone.tau, cone.det_abs
+    bits = step.bit_length()
+    total = 0
+    for i in range(m):
+        top = q * (t0 - i * h)
+        a0 = q * s0 + (i * q + 1) * w
+        total += _band_run(tau, step, bits, a0, w, top - h, top, -h, q - 1)
+    return total
 
 
 def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) -> int:

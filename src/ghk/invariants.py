@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import (
     _box_points_bound,
     _count_run,
+    _count_run_band,
     _count_under,
     count_lattice_band,
     staircase_complement_area,
@@ -120,6 +121,13 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
 
     Requires a saturated ideal, so that points above the scaled
     thresholds are exactly the points of the scaled saturation region.
+    total_gap and sym_vs_ord are the complements of the bracket power and
+    of the ordinary power built by ordinary_power.  When the generators
+    are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m, ord_vs_frob is
+    counted by _count_run_band straight off the base run, m runs of
+    q - 1 band rectangles, and not off the built power, so a wrong
+    power breaks total_gap == sym_vs_ord + ord_vs_frob.  Otherwise it is
+    count_lattice_band between the two built staircases.
     """
     if not is_saturated(ideal):
         raise NotSaturated("gap split needs a saturated ideal")
@@ -127,7 +135,13 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
         raise BadParameters("q must be a positive integer")
     frob = frobenius_power(ideal, q)
     power = ordinary_power(ideal, q)
-    band = count_lattice_band(ideal.cone, frob.thresholds, power.stair, frob.stair)
+    corners = ideal.stair.corners
+    run = _run_step(corners)
+    if run is None:
+        band = count_lattice_band(ideal.cone, frob.thresholds, power.stair, frob.stair)
+    else:
+        (s0, t0), (w, h) = corners[0], run
+        band = _count_run_band(ideal.cone, s0, t0, w, h, len(corners) - 1, q)
     return GapSplit(_gap_count(frob), _gap_count(power), band)
 
 

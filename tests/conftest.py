@@ -247,6 +247,28 @@ def random_ideal(
     return new_ideal(cone, rng.sample(pool, k))
 
 
+def one_run_ideal(
+    rng: random.Random, m: int, cone: Cone2 = None, w: int = None
+) -> MonomialIdeal:
+    """An ideal whose m + 1 corners are one run of equal steps (w, -h).
+
+    (s0 + i * w, t0 - i * h) is the corner of a lattice point for every i
+    when t0 == tau * s0 and h == -tau * w modulo det_abs.  The cone and
+    the step width w are random unless given.
+    """
+    if cone is None:
+        cone = random_cone(rng, 3)
+    tau = cone.tau
+    d = cone.det_abs
+    if w is None:
+        w = rng.randint(1, 3)
+    h = (-tau * w) % d or d
+    s0 = rng.randint(0, 3)
+    t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
+    run = tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))
+    return MonomialIdeal(cone, Staircase(run))
+
+
 def random_index_ideal(rng: random.Random, d_max: int = 10**4) -> MonomialIdeal:
     """An ideal of a cone of index up to d_max whose steps are up to 30 columns wide.
 

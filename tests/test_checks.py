@@ -1,6 +1,9 @@
 import ast
+import io
+import json
 import random
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from conftest import (
     random_index_ideal,
 )
 from ghk import checks, ideals
+from ghk.cli import run_command
 from ghk.checks import (
     lattice_points_in_corner_box,
     run_instance_checks,
@@ -21,8 +25,8 @@ from ghk.checks import (
 )
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, parse_family, veronese
-from ghk.geometry import Cone2
-from ghk.ideals import new_ideal
+from ghk.geometry import Cone2, Staircase
+from ghk.ideals import MonomialIdeal, new_ideal
 
 
 def random_box(rng: random.Random, size: int) -> tuple[int, int, int, int]:
@@ -343,3 +347,25 @@ class TestVerifyWork:
         # n = 2, 3 by the suites, 4 by the gap split, 10 by the epsilon estimate and 7
         # by the torsion factorization; every other call finds the power the ideal keeps
         assert calls == [2, 3, 4, 10, 7]
+
+
+@pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7"])
+def test_additivity_catches_a_one_run_power_missing_a_corner(family, monkeypatch):
+    # the band is read off the base run, not off the built power, so a one-run
+    # power written down without an interior corner breaks the gap split's sum
+    build = ideals._build_power
+
+    def dropping(ideal, n):
+        power = build(ideal, n)
+        corners = power.stair.corners
+        if ideals._run_step(ideal.stair.corners) is None or len(corners) < 3:
+            return power
+        return MonomialIdeal(power.cone, Staircase(corners[:1] + corners[2:]))
+
+    monkeypatch.setattr(ideals, "_build_power", dropping)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run_command(["verify", "--family", family])
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out.getvalue())["results"]["checks"] if not c["passed"]]
+    assert "gap-split-additivity" in failed, failed

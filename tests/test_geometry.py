@@ -18,6 +18,7 @@ from conftest import (
     floor_sum_count_complement,
     grounded,
     non_run_ideal,
+    one_run_ideal,
     progression_count,
     random_cone,
     random_ideal,
@@ -28,12 +29,13 @@ from conftest import (
 )
 from ghk import geometry
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
-from ghk.families import quadrant, veronese
+from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
     _count_run,
+    _count_run_band,
     _count_under,
     _floor_sum,
     _rectangles,
@@ -533,6 +535,47 @@ class TestCount:
         # runs counted whole and rectangle by rectangle, of narrow and of wide leftovers
         assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
+    def test_one_run_band_matches_the_band_of_the_built_powers(self):
+        # the band between the q-th ordinary and bracket powers of a run of m
+        # steps, counted off the run, against the built staircases' band and the
+        # column oracle: runs of m = 0 .. 4 steps after one GL2(Z) move, and on
+        # cones of index up to 10^12, with the R = q - 1 band rectangles under
+        # each bracket step fewer than, as many as and more than a step has
+        # columns, of steps at most and over det_abs.bit_length() wide
+        rng = random.Random(83)
+        kinds = Counter()
+        bases = [a_singularity(20, 3).ideal]
+        for i in range(100):
+            if i % 2:
+                cone = random_index_ideal(rng, d_max=10**12).cone
+                bits = cone.det_abs.bit_length()
+                w = rng.choice([rng.randint(1, bits), rng.randint(bits + 1, bits + 8)])
+                bases.append(one_run_ideal(rng, rng.randint(1, 4), cone, w))
+                continue
+            run = one_run_ideal(rng, i // 2 % 5)
+            (a, b), (c, d) = unimodular(rng)
+
+            def move(p):
+                return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+            cone = Cone2.from_rays(move(run.cone.ray1), move(run.cone.ray2))
+            bases.append(new_ideal(cone, [move(g) for g in run.gens]))
+        for base in bases:
+            corners = base.stair.corners
+            (s0, t0), (w, h), m = corners[0], _run_step(corners), len(corners) - 1
+            q = rng.choice([1, rng.randint(2, max(2, w)), w + 1, rng.randint(w + 2, w + 10)])
+            frob, power = frobenius_power(base, q), ordinary_power(base, q)
+            band = _count_run_band(base.cone, s0, t0, w, h, m, q)
+            assert band == count_lattice_band(base.cone, frob.thresholds, power.stair, frob.stair)
+            assert band == column_count_band(base.cone, frob.thresholds, power.stair, frob.stair)
+            r = q - 1
+            kinds["no runs" if m == 0 or r == 0 else "R < w" if r < w else "R = w" if r == w
+                  else "R > w"] += 1
+            if m and 0 < r <= w:
+                kinds["narrow" if w % base.cone.det_abs <= base.cone.det_abs.bit_length()
+                      else "wide"] += 1
+        assert min(kinds.values()) >= 10 and len(kinds) == 6, kinds
+
     def test_box_count_unit_lattice(self):
         stair = pareto_minimal([Corner(2, 0), Corner(0, 3)])
         assert count_lattice_complement(QUADRANT, Corner(0, 0), stair) == 6
@@ -598,9 +641,13 @@ class TestCount:
 
 
 def band_names(tree: ast.Module) -> dict[str, set[str]]:
-    """The names used by count_lattice_band and each module function it reaches."""
+    """The names used by the band counts and each module function they reach.
+
+    The roots are count_lattice_band and _count_run_band, the gap split's
+    band of a one-run ideal.
+    """
     bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    seen, todo = {}, ["count_lattice_band"]
+    seen, todo = {}, ["count_lattice_band", "_count_run_band"]
     while todo:
         name = todo.pop()
         if name in seen or name not in bodies:
@@ -617,7 +664,7 @@ class TestBandGuard:
 
     def test_band_is_its_own_count(self):
         names = band_names(ast.parse(GEOMETRY.read_text(encoding="utf-8")))
-        assert "_count_between" in names
+        assert {"_count_between", "_count_run_band", "_band_run"} <= names.keys()
         assert [f for f, used in names.items() if used & self.FORBIDDEN] == []
 
     def test_guard_catches_a_complement_difference(self):

@@ -9,6 +9,7 @@ from conftest import (
     brute_count_complement,
     brute_ordinary_power,
     non_run_ideal,
+    one_run_ideal,
     random_cone,
     random_ideal,
     search_torsion_order,
@@ -38,23 +39,6 @@ from ghk.invariants import h0_powers
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
 SKEW = Cone2.from_rays((1, 0), (1, 3))
-
-
-def one_run_ideal(rng: random.Random, m: int) -> MonomialIdeal:
-    """An ideal whose m + 1 corners are one run of equal steps (w, -h).
-
-    (s0 + i * w, t0 - i * h) is the corner of a lattice point for every i
-    when t0 == tau * s0 and h == -tau * w modulo det_abs.
-    """
-    cone = random_cone(rng, 3)
-    tau = cone.tau
-    d = cone.det_abs
-    w = rng.randint(1, 3)
-    h = (-tau * w) % d or d
-    s0 = rng.randint(0, 3)
-    t0 = (tau * s0) % d + d * (-(-m * h // d) + rng.randint(0, 1))
-    run = tuple(Corner(s0 + i * w, t0 - i * h) for i in range(m + 1))
-    return MonomialIdeal(cone, Staircase(run))
 
 
 class TestConstruction:
