@@ -287,10 +287,10 @@ def _band_run(
     j = 0 .. R - 1, of slopes -tau * w and delta - tau * w.  That is used
     when w < R, reading the run once whatever R is.  Otherwise each
     rectangle is counted on its own: normal2 is primitive, so
-    gcd(tau, det_abs) == 1 and any det_abs consecutive columns hold
-    exactly top - lo points.  The fewer than det_abs columns left over
-    are counted one at a time when there are at most bits of them, and
-    otherwise by two floor sums, one per horizontal side, in
+    gcd(tau, det_abs) == 1 and any det_abs consecutive columns of a
+    rectangle hold one point per row.  The fewer than det_abs columns
+    left over are counted one at a time when there are at most bits of
+    them, and otherwise by two floor sums, one per horizontal side, in
     O(log det_abs) steps.  The loop stays for the narrow leftovers that
     ordinary-power staircases are made of: there two floor sums per
     rectangle cost about 3.5 times as much as the few columns they
