@@ -53,6 +53,17 @@ NONRUN = {
         }
     )
 }
+# saturated, det_abs 25, and three maximal runs: 2 x (1, -9), 2 x (3, -2) and 1 x (14, -1),
+# the last step wider than det_abs.bit_length() = 5
+MULTIRUN = {
+    "multirun.json": json.dumps(
+        {
+            "label": "multirun",
+            "cone": {"rays": [[1, 0], [9, 25]]},
+            "generators": [[2, 3], [2, 4], [2, 5], [3, 8], [4, 11], [9, 25]],
+        }
+    )
+}
 # rays (1, 0), (40, 1): every oracle box is scanned along rows, and one normal has y = 0
 SKEW = {
     "skew.json": json.dumps(
@@ -156,6 +167,12 @@ CASES = {
     "nonrun-powers": (["powers", "--file", "nonrun.json", "--max-n", "49"], NONRUN),
     "nonrun-split": (["split", "--file", "nonrun.json", "--q", "3"], NONRUN),
     "nonrun-verify": (["verify", "--file", "nonrun.json"], NONRUN),
+    "multirun-function": (
+        ["function", "--file", "multirun.json", "--prime", "3", "--max-n", "4"], MULTIRUN),
+    "multirun-split": (["split", "--file", "multirun.json", "--q", "7"], MULTIRUN),
+    "multirun-plot-qmark": (
+        ["plot", "--file", "multirun.json", "--out", SVG, "--q-mark", "2"], MULTIRUN),
+    "multirun-verify": (["verify", "--file", "multirun.json"], MULTIRUN),
     "skew-verify": (["verify", "--file", "skew.json"], SKEW),
     "negative-verify": (["verify", "--file", "negative.json"], NEGATIVE),
     "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
