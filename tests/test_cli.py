@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tomllib
 from decimal import ROUND_DOWN, Inexact, localcontext
 from enum import IntEnum
 from fractions import Fraction
@@ -792,6 +793,41 @@ class TestErrorMapping:
         assert report is None
         assert field in err
 
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["eghk"], [[1, 0], [0, 1]], "doc.json must contain a JSON object"),
+            (["eghk"], {"generators": [[1, 0]]},
+             'input document needs "cone" and "generators" keys'),
+            (["eghk"], {"cone": {"rays": [[1, 0], [0, 1]]}},
+             'input document needs "cone" and "generators" keys'),
+            (["eghk"], {"cone": {"ray": [[1, 0], [0, 1]]}, "generators": [[1, 0]]},
+             '"cone" must be an object with a "rays" key'),
+            (["eghk"], {"label": 7, "cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[1, 0]]},
+             '"label" must be a string'),
+            (["eghk"], {"cone": {"rays": [[1, 0], [0, 1, 2]]}, "generators": [[1, 0]]},
+             "cone.rays entries must be [x, y] integer pairs, got [0, 1, 2]"),
+            (["eghk"], {"cone": {"rays": [[1, 0], [0, 1]]}, "generators": [[1, 0], 5]},
+             "generators entries must be [x, y] integer pairs, got 5"),
+            (["reptype"], {"cone": {"rays": [[1, 0], [0, 1]]}},
+             'input document needs a "reptype" object'),
+            (["reptype"], {"reptype": {"multiplicities": [1]}},
+             'reptype needs "r" or an explicit "table"'),
+            (["reptype"], {"reptype": {"r": 3}}, 'reptype needs "multiplicities"'),
+            (["reptype"], {"reptype": {"table": [[1]], "multiplicities": [1]}},
+             'reptype needs "weights" when no "r" is given'),
+            (["plot", "--out", "out.svg", "--q-mark", "0"],
+             {"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [1, 1]]},
+             "q_mark must be a positive integer"),
+        ],
+    )
+    def test_refusal_names_its_field(self, capsys, tmp_path, monkeypatch, argv, doc, message):
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_text(json.dumps(doc))
+        code = run_command([argv[0], "--file", "doc.json", *argv[1:]])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+        assert not Path("out.svg").exists()
+
     def test_integer_strings_still_accepted(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"cone": {"rays": [["1", 0], [1, "3"]]},
@@ -865,6 +901,28 @@ class TestEntryPoint:
             run_command(argv)
         assert stock.value.code == 2
         assert proc.stderr == capsys.readouterr().err
+
+    def test_console_script_runs_the_declared_entry(self):
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"ghk": "ghk.cli:main"}
+        module, name = scripts["ghk"].split(":")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = ["ghk", "eghk", "--family", "a:3,1"]
+        for extra, code in (([], 0), (["--bogus"], 1)):
+            # what the installed wrapper script does: import the callable, exit with it
+            script = f"import sys\nfrom {module} import {name}\nsys.argv = {argv + extra!r}\n"
+            script += f"sys.exit({name}())\n"
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=60,
+            )
+            assert proc.returncode == code, proc.stderr
+            if code:
+                assert proc.stdout == ""
+            else:
+                assert json.loads(proc.stdout)["results"]["eghk"]["rational"] == "2/3"
 
     def test_import_loads_no_code_generation_modules(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
