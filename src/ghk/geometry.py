@@ -14,17 +14,18 @@ in Z^2: column s holds the t with t == tau * s (mod det_abs), so any
 det_abs consecutive columns hold one point per row, and counting the
 points of a rectangle takes O(log det_abs) steps however large it is:
 one product for the full blocks of det_abs columns, a floor sum for
-the columns left over.  A complement is counted straight off the
-corners of its staircase, one run of equal steps at a time, by one run
-kernel: a run of more steps than a step has columns costs one floor sum
-per column of a step.  A staircase that is one run, as every ordinary
-power of a one-run ideal is, goes to the same kernel off its first
-corner, step and length, without being listed.  A band between two
-staircases is counted one run of like rectangles at a time in the same
-way, with two floor sums per column, by one band-run kernel.  The band
-between the q-th ordinary and bracket powers of a one-run ideal goes to
-that kernel once per bracket step, off the base run, listing neither
-power.
+the columns left over.  A staircase is stored as its maximal runs of
+equal steps, found once when it is built from its corners, which are a
+view listed only when read.  A complement is counted straight off those
+runs by one run kernel, one run at a time: a run of more steps than a
+step has columns costs one floor sum per column of a step, so a
+staircase that is one run, as every ordinary power of a one-run ideal
+is, costs the same whatever its length and is never listed.  A band
+between two staircases is walked over their corners and counted one run
+of like rectangles at a time in the same way, with two floor sums per
+column, by one band-run kernel.  The band between the q-th ordinary and
+bracket powers of a one-run ideal goes to that kernel once per bracket
+step, off the base run, listing neither power.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -145,55 +146,92 @@ class Cone2:
 
 
 class Staircase:
-    """A finite antichain of corners, sorted with s increasing and t decreasing.
+    """A finite antichain of corners, stored as its maximal runs of equal steps.
 
-    corners is a tuple of (s, t) pairs, kept as given: the library
-    builds them as plain tuples, and Corner inputs make an equal
-    staircase.  The staircase describes the region of corners that
-    dominate (are componentwise >=) at least one of its members.  Two
-    staircases are equal when their corners are.
+    The corners, s increasing and t decreasing, describe the region of
+    corners that dominate (are componentwise >=) at least one of them.
+    runs is a tuple of (a, hi, w, h, r): from the corner (a, hi), r
+    steps of (w, -h), each run starting at the corner where the one
+    before it ends; a single corner is the run (a, hi, 0, 0, 0).  Runs
+    are maximal, no two neighbours sharing a step, so they are found
+    once, when the staircase is built from its corners, and are
+    canonical: two staircases are equal, and hash alike, exactly when
+    their runs are, which is when their corners are.  corners, a tuple
+    of (s, t) pairs, is a view: corners given to the constructor are
+    kept as given (the library builds plain tuples, and Corner inputs
+    make an equal staircase), and a staircase built from its runs lists
+    plain tuples on first read.  Everything else reads the runs.
     """
 
-    __slots__ = ("corners",)
+    __slots__ = ("runs", "_corners")
 
     def __init__(self, corners: tuple[tuple[int, int], ...]) -> None:
         if not corners:
             raise EmptyInput("a staircase needs at least one corner")
-        for (s0, t0), (s1, t1) in zip(corners, corners[1:]):
-            if not (s0 < s1 and t0 > t1):
-                raise ValueError("staircase corners must be a sorted antichain")
-        self.corners = corners
+        runs, w, h, r = [], 0, 0, 0
+        a, hi = s0, t0 = corners[0]
+        for s1, t1 in corners[1:]:
+            # only a new step is checked: one equal to the run's is as valid as it was
+            if s1 - s0 != w or t0 - t1 != h or not r:
+                if not (s0 < s1 and t0 > t1):
+                    raise ValueError("staircase corners must be a sorted antichain")
+                if r:
+                    runs.append((a, hi, w, h, r))
+                a, hi, w, h, r = s0, t0, s1 - s0, t0 - t1, 0
+            r += 1
+            s0, t0 = s1, t1
+        runs.append((a, hi, w, h, r))
+        self.runs, self._corners = tuple(runs), corners
+
+    @classmethod
+    def _of_runs(cls, runs: tuple[tuple[int, int, int, int, int], ...]) -> "Staircase":
+        # runs that are already maximal, taken as they are
+        stair = cls.__new__(cls)
+        stair.runs, stair._corners = runs, None
+        return stair
+
+    @property
+    def corners(self) -> tuple[tuple[int, int], ...]:
+        if self._corners is None:
+            listed = [(a + i * w, hi - i * h) for a, hi, w, h, r in self.runs for i in range(r)]
+            self._corners = (*listed, (self.max_s, self.min_t))
+        return self._corners
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Staircase) and self.corners == other.corners
+        return isinstance(other, Staircase) and self.runs == other.runs
 
     def __hash__(self) -> int:
-        return hash(self.corners)
+        return hash(self.runs)
 
     def __repr__(self) -> str:
         return f"Staircase(corners={self.corners!r})"
 
     @property
     def min_s(self) -> int:
-        return self.corners[0][0]
+        return self.runs[0][0]
 
     @property
     def min_t(self) -> int:
-        return self.corners[-1][1]
+        a, hi, w, h, r = self.runs[-1]
+        return hi - r * h
 
     @property
     def max_s(self) -> int:
-        return self.corners[-1][0]
+        a, hi, w, h, r = self.runs[-1]
+        return a + r * w
 
     @property
     def max_t(self) -> int:
-        return self.corners[0][1]
+        return self.runs[0][1]
 
     def height(self, s: int) -> Optional[int]:
         """Least t such that (s, t) dominates the staircase, or None."""
-        # a corner (s', t') sorts below (s + 1,) exactly when s' <= s
-        idx = bisect_right(self.corners, (s + 1,))
-        return self.corners[idx - 1][1] if idx else None
+        # a run (a, ...) sorts below (s + 1,) exactly when a <= s
+        idx = bisect_right(self.runs, (s + 1,))
+        if not idx:
+            return None
+        a, hi, w, h, r = self.runs[idx - 1]
+        return hi - min((s - a) // w, r) * h if r else hi
 
     def dominates(self, c: tuple[int, int]) -> bool:
         s, t = c
@@ -201,7 +239,9 @@ class Staircase:
         return h is not None and t >= h
 
     def scale(self, k: int) -> "Staircase":
-        return Staircase(tuple([(k * s, k * t) for s, t in self.corners]))
+        # k >= 1 keeps every run maximal
+        runs = tuple([(k * a, k * hi, k * w, k * h, r) for a, hi, w, h, r in self.runs])
+        return Staircase._of_runs(runs)
 
 
 def _pareto_front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -400,44 +440,23 @@ def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) 
     return total
 
 
-def _count_under(cone: Cone2, corners: Sequence[tuple[int, int]]) -> int:
-    """Lattice points under the steps of corners, at or above the last corner's row.
+def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) -> int:
+    """Lattice points under the steps of a staircase's runs, at or above its last row.
 
-    corners is a staircase as plain (s, t) pairs, s increasing and t
-    decreasing, the last one on row lo; column s in [s_i, s_i+1) counts
-    the rows lo <= t < t_i.  Column s holds (r - 1 - tau * s) // det_abs
-    points below row r, so the lo side is one floor sum over all columns
-    [s_0, s_m).  The top sides are added by _run_tops one run at a time,
-    a run being a maximal stretch of equal steps (w, -h), found in one
-    pass over the corners.
+    runs are a staircase's (a, hi, w, h, r), as Staircase stores them;
+    column s under the step from (s_i, t_i) counts the rows lo <= t < t_i,
+    lo being the last corner's row.  Column s holds (r - 1 - tau * s) //
+    det_abs points below row r, so the lo side is one floor sum over all
+    the staircase's columns, and _run_tops adds the top sides of each run.
     """
     tau = cone.tau
     step = cone.det_abs
     bits = step.bit_length()
-    (a, hi), (s_end, lo) = corners[0], corners[-1]
-    total = -_floor_sum(s_end - a, step, -tau, lo - 1 - tau * a)
-    c = w = h = run = 0  # c: hi - 1 - tau * s at the run's first column
-    # a closing step of width 0 ends the last run
-    for b, t in corners[1:] + corners[-1:]:
-        if b - a != w or hi - t != h:
-            if run:
-                total += _run_tops(tau, step, bits, c, w, h, run)
-            c, w, h, run = hi - 1 - tau * a, b - a, hi - t, 0
-        run += 1
-        a, hi = b, t
+    (a0, hi0, *_), (a, hi, w, h, r) = runs[0], runs[-1]
+    total = -_floor_sum(a + r * w - a0, step, -tau, hi - r * h - 1 - tau * a0)
+    for a, hi, w, h, r in runs:
+        total += _run_tops(tau, step, bits, hi - 1 - tau * a, w, h, r)
     return total
-
-
-def _count_run(cone: Cone2, s0: int, t0: int, w: int, h: int, r: int) -> int:
-    """_count_under of the run (s0 + i * w, t0 - i * h), i = 0 .. r, without listing it.
-
-    The top sides are _run_tops of the run, read straight off s0, t0, w,
-    h and r, and the bottom row t0 - r * h takes one floor sum.
-    """
-    tau, step = cone.tau, cone.det_abs
-    c = t0 - 1 - tau * s0  # t0 - 1 - tau * s at the run's first column
-    tops = _run_tops(tau, step, step.bit_length(), c, w, h, r)
-    return tops - _floor_sum(r * w, step, -tau, c - r * h)
 
 
 def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) -> Fraction:
@@ -449,8 +468,9 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     UnboundedRegion is raised.
     """
     _require_bounded(threshold, stair)
-    steps = zip(stair.corners, stair.corners[1:])
-    cells = sum((b - a) * (hi - threshold[1]) for (a, hi), (b, _) in steps)
+    # run (a, hi, w, h, r) covers r columns w wide, under the rows hi - i * h
+    t = threshold[1]
+    cells = sum(w * r * (hi - t) - w * h * r * (r - 1) // 2 for _, hi, w, h, r in stair.runs)
     return Fraction(cells, cone.det_abs)
 
 
@@ -461,7 +481,7 @@ def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -
     actual points of Z^2, through their corners, with _count_under.
     """
     _require_bounded(threshold, stair)
-    return _count_under(cone, stair.corners)
+    return _count_under(cone, stair.runs)
 
 
 def count_lattice_band(

@@ -1,15 +1,18 @@
 """Monomial ideals in the semigroup ring of a plane cone.
 
-An ideal is stored as one staircase in corner space: the facet
-coordinates of its minimal generators.  The ring is normal, so the
-ideal's lattice region is exactly the set of points whose corners
-dominate that staircase (corner domination and monomial divisibility
-agree).  The corner map is linear and injective, so the generators as
-lattice points are a derived view, and sums of generators are sums of
-corners: bracket powers, ordinary powers, saturation and torsion
-shifts are all built on corners alone.  ordinary_power keeps each
-power it builds on the ideal object, so each is built once; no state is
-global.
+An ideal is stored as one staircase in corner space, the maximal runs
+of equal steps through the facet coordinates of its minimal generators.
+The ring is normal, so the ideal's lattice region is exactly the set of
+points whose corners dominate that staircase (corner domination and
+monomial divisibility agree).  The corner map is linear and injective,
+so the generators as lattice points are a derived view, and sums of
+generators are sums of corners: bracket powers, ordinary powers,
+saturation and torsion shifts are all built on corners alone.  The
+powers of a one-run ideal are its run dilated, one run each, and the
+powers of any other ideal come out of one Pareto DP; _power_stairs and
+_build_power are the only places that choose between the two.
+ordinary_power keeps each power it builds on the ideal object, so each
+is built once; no state is global.
 
 Saturation with respect to the interior works threshold by threshold:
 the saturation region of an ideal is the full quadrant above the
@@ -21,7 +24,7 @@ two facet thresholds matter.
 """
 
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadParameters,
@@ -47,7 +50,8 @@ class MonomialIdeal:
 
     stair holds the corners of the minimal generators, s increasing.
     Every corner must be the corner of a lattice point (t == tau * s
-    modulo det_abs, see Cone2), otherwise ValueError.  gens, the
+    modulo det_abs, see Cone2), otherwise ValueError; that is checked
+    run by run, on a run's first corner and its step.  gens, the
     generators as lattice points in the same order, is derived from the
     staircase on first use.  Two ideals are equal when their cones and
     staircases are; the powers an ideal keeps are not part of it.  Use
@@ -58,8 +62,8 @@ class MonomialIdeal:
     __slots__ = ("cone", "stair", "_gens", "_powers", "__weakref__")
 
     def __init__(self, cone: Cone2, stair: Staircase) -> None:
-        tau, det_abs = cone.tau, cone.det_abs
-        if any((t - tau * s) % det_abs for s, t in stair.corners):
+        tau, d = cone.tau, cone.det_abs
+        if any((hi - tau * a) % d or (h + tau * w) % d for a, hi, w, h, _ in stair.runs):
             raise ValueError("staircase corner is not the corner of a lattice point")
         self.cone, self.stair, self._gens = cone, stair, None
         # ordinary powers by n >= 2: the ideal under 1 would be a cycle
@@ -127,24 +131,12 @@ class _PowerWorkCap(BadParameters):
     """The refusal of a power DP over _MAX_POWER_WORK steps."""
 
 
-def _run_step(corners: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """The step (w, h) when the corners are one run (s0 + i * w, t0 - i * h), else None.
-
-    A single corner is the run with m = 0, of step (0, 0).
-    """
-    (s0, t0), m = corners[0], len(corners) - 1
-    w, h = (corners[1][0] - s0, t0 - corners[1][1]) if m else (0, 0)
-    if all(s - s0 == i * w and t0 - t == i * h for i, (s, t) in enumerate(corners)):
-        return w, h
-    return None
-
-
 def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
     """Refuse a power DP over _MAX_POWER_WORK steps, in O(len(corners)).
 
     The size comes from the level bound |L_k| <= k * w + 1 (see
     _power_levels), with a level's list and call overhead counted as
-    eight entries.  _build_power and h0_powers each run it first.
+    eight entries.  _build_power and _power_stairs each run it first.
     """
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
@@ -156,15 +148,14 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
     """Minimal k-fold sums of the corners (at least one), levels k = 0 .. n.
 
     Each level is a Pareto front, s increasing and t decreasing, built
-    by a DP whatever the shape of the corners: the one-run closed forms
-    of _build_power and h0_powers are tested against it.  Adding a
-    corner g turns level k into the minimal elements of level k and of
-    the new level k - 1 shifted by g, so each level is Pareto-reduced
-    before the next corner comes in.  The entries of a level have
-    distinct s and distinct t, so level k has at most k * w + 1 of
-    them, w the smaller span of the corners folded in so far;
-    _check_power_work sizes the DP by that bound, and callers run it
-    first.
+    by a DP whatever the shape of the corners: the one-run closed form,
+    _dilated, is tested against it.  Adding a corner g turns level k
+    into the minimal elements of level k and of the new level k - 1
+    shifted by g, so each level is Pareto-reduced before the next
+    corner comes in.  The entries of a level have distinct s and
+    distinct t, so level k has at most k * w + 1 of them, w the smaller
+    span of the corners folded in so far; _check_power_work sizes the DP
+    by that bound, and callers run it first.
     """
     levels: list[list[tuple[int, int]]] = [[(0, 0)]] + [[] for _ in range(n)]
     for gs, gt in corners:
@@ -177,10 +168,10 @@ def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple
 def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """The n-th ordinary power, generated by all n-fold sums of generators.
 
-    When the generators are one run, (s0 + i * w, t0 - i * h) for
-    i = 0 .. m, the power is that run dilated by n, (n * s0 + i * w,
-    n * t0 - i * h) for i = 0 .. n * m, and is written down in O(n * m)
-    with no DP; a principal ideal is the run with m = 0, scaled in O(1).
+    When the generators are one run, m steps (w, -h) from (s0, t0),
+    the power is that run dilated by n, n * m steps (w, -h) from
+    (n * s0, n * t0), and is stored as that one run in O(1), with no DP
+    and no corner listed; a principal ideal is the run with m = 0.
     Other powers are built in corner space by the Pareto DP of
     _power_levels over all generators but the last, whatever their
     shape; the last one only combines with level n - i shifted by i
@@ -205,19 +196,38 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return power
 
 
+def _dilated(run: tuple[int, int, int, int, int], n: int) -> Staircase:
+    # the n-th power of the one-run staircase (a, hi, w, h, r): the run dilated by n
+    a, hi, w, h, r = run
+    return Staircase._of_runs(((n * a, n * hi, w, h, n * r),))
+
+
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    corners = ideal.stair.corners
-    *rest, (last_s, last_t) = corners
+    *rest, (last_s, last_t) = ideal.stair.corners
     if rest:
         _check_power_work(rest, n)
-    run = _run_step(corners)
-    if run is None:
-        levels = _power_levels(rest, n)
-        sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
-        return MonomialIdeal(ideal.cone, pareto_minimal(sums))
-    (s0, t0), (w, h) = corners[0], run
-    dilated = [(n * s0 + i * w, n * t0 - i * h) for i in range(n * len(rest) + 1)]
-    return MonomialIdeal(ideal.cone, Staircase(tuple(dilated)))
+    if len(ideal.stair.runs) == 1:
+        return MonomialIdeal(ideal.cone, _dilated(ideal.stair.runs[0], n))
+    levels = _power_levels(rest, n)
+    sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
+    return MonomialIdeal(ideal.cone, pareto_minimal(sums))
+
+
+def _power_stairs(ideal: MonomialIdeal, n_max: int) -> Iterator[Staircase]:
+    """The staircases of the ordinary powers I^1 .. I^n_max, built as no ideal.
+
+    A one-run ideal's are its run dilated by 1 .. n_max, one run each,
+    as _build_power writes a single power.  Any other ideal's are the
+    levels 1 .. n_max of one _power_levels run over every generator, run
+    afresh and not kept.  On either path the DP's work estimate over
+    every generator runs first: above _MAX_POWER_WORK steps it raises
+    BadParameters before any staircase is built.
+    """
+    stair = ideal.stair
+    _check_power_work(stair.corners, n_max)
+    if len(stair.runs) == 1:
+        return (_dilated(stair.runs[0], n) for n in range(1, n_max + 1))
+    return (Staircase(tuple(level)) for level in _power_levels(stair.corners, n_max)[1:])
 
 
 def _gap_count(ideal: MonomialIdeal) -> int:
@@ -285,8 +295,9 @@ def torsion_factorization(
         raise NotTorsionWithin(f"no torsion order up to {bound} works")
     u = cone.preimage((r * c1, r * c2))
     power = ordinary_power(ideal, r)
-    shifted = tuple([(s - r * c1, t - r * c2) for s, t in power.stair.corners])
-    primary = MonomialIdeal(cone, Staircase(shifted))
+    # a shift keeps every run maximal
+    shifted = [(a - r * c1, hi - r * c2, w, h, k) for a, hi, w, h, k in power.stair.runs]
+    primary = MonomialIdeal(cone, Staircase._of_runs(tuple(shifted)))
     if primary.thresholds != (0, 0):
         raise ContractViolation("shifted power does not have zero thresholds")
     return TorsionFactorization(r, u, primary)

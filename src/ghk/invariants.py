@@ -23,7 +23,6 @@ from .errors import (
 )
 from .geometry import (
     _box_points_bound,
-    _count_run,
     _count_run_band,
     _count_under,
     count_lattice_band,
@@ -31,10 +30,8 @@ from .geometry import (
 )
 from .ideals import (
     MonomialIdeal,
-    _check_power_work,
     _gap_count,
-    _power_levels,
-    _run_step,
+    _power_stairs,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -67,7 +64,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
     under any limit.  The input ideal was validated when it was built,
-    so each q is counted by _count_under straight off the base corners
+    so each q is counted by _count_under straight off the base runs
     scaled by q (the staircase of frobenius_power(ideal, q)), without
     building that power as an ideal.
     """
@@ -95,10 +92,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"
         )
-    return [
-        _count_under(ideal.cone, [(q * s, q * t) for s, t in stair.corners])
-        for q in (p**n for n in range(n_max + 1))
-    ]
+    return [_count_under(ideal.cone, stair.scale(p**n).runs) for n in range(n_max + 1)]
 
 
 class GapSplit(NamedTuple):
@@ -122,9 +116,10 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
     Requires a saturated ideal, so that points above the scaled
     thresholds are exactly the points of the scaled saturation region.
     total_gap and sym_vs_ord are the complements of the bracket power and
-    of the ordinary power built by ordinary_power.  When the generators
-    are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m, ord_vs_frob is
-    counted by _count_run_band straight off the base run, m runs of
+    of the ordinary power built by ordinary_power, each counted off its
+    runs; a one-run ideal's power is one run, so no corner is listed.
+    When the ideal is one run, m steps (w, -h) from (s0, t0), ord_vs_frob
+    is counted by _count_run_band straight off the base run, m runs of
     q - 1 band rectangles, and not off the built power, so a wrong
     power breaks total_gap == sym_vs_ord + ord_vs_frob.  Otherwise it is
     count_lattice_band between the two built staircases.
@@ -135,13 +130,10 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
         raise BadParameters("q must be a positive integer")
     frob = frobenius_power(ideal, q)
     power = ordinary_power(ideal, q)
-    corners = ideal.stair.corners
-    run = _run_step(corners)
-    if run is None:
-        band = count_lattice_band(ideal.cone, frob.thresholds, power.stair, frob.stair)
+    if len(ideal.stair.runs) == 1:
+        band = _count_run_band(ideal.cone, *ideal.stair.runs[0], q)
     else:
-        (s0, t0), (w, h) = corners[0], run
-        band = _count_run_band(ideal.cone, s0, t0, w, h, len(corners) - 1, q)
+        band = count_lattice_band(ideal.cone, frob.thresholds, power.stair, frob.stair)
     return GapSplit(_gap_count(frob), _gap_count(power), band)
 
 
@@ -149,29 +141,19 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """Local cohomology lengths of the quotients by ordinary powers, n = 1 .. n_max.
 
     Entry n - 1 counts lattice points above n times the thresholds that
-    the n-th ordinary power misses.  No power is built as an ideal.  When
-    the generators are one run, (s0 + i * w, t0 - i * h) for i = 0 .. m,
-    the n-th power is that run dilated by n, and _count_run counts it
-    straight off (n * s0, n * t0), (w, h) and n * m, listing no levels
-    and no corners: w + 1 floor sums once n * m > w, and otherwise one
-    floor sum or at most det_abs.bit_length() columns per step, so
-    O(n * w * log det_abs) for the n powers.
-    Other lengths are counted off the levels of one _power_levels run
-    over every generator, run afresh and not kept: level n is the n-th
-    power's staircase, its last corner on the t threshold and its first
-    on the s threshold.  Raises BadParameters for n_max < 1 and then,
-    before the run test, above the DP's work estimate over every
-    generator.
+    the n-th ordinary power misses: _count_under of the runs of each
+    staircase that _power_stairs yields, whose last corner is on the t
+    threshold and whose first is on the s threshold.  No power is built
+    as an ideal.  A one-run ideal's powers are one run each, listing no
+    levels and no corners: w + 1 floor sums once the run has more steps
+    than its step w has columns, and otherwise one floor sum or at most
+    det_abs.bit_length() columns per step.  Raises BadParameters for
+    n_max < 1 and then, on every path, above the DP's work estimate over
+    every generator.
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
-    corners = ideal.stair.corners
-    _check_power_work(corners, n_max)
-    run = _run_step(corners)
-    if run is None:
-        return [_count_under(ideal.cone, lv) for lv in _power_levels(corners, n_max)[1:]]
-    (s0, t0), (w, h), m = corners[0], run, len(corners) - 1
-    return [_count_run(ideal.cone, k * s0, k * t0, w, h, k * m) for k in range(1, n_max + 1)]
+    return [_count_under(ideal.cone, stair.runs) for stair in _power_stairs(ideal, n_max)]
 
 
 class ClassFit(NamedTuple):

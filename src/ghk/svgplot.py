@@ -95,7 +95,7 @@ def render_region_svg(ideal: MonomialIdeal, q_mark: Optional[int] = None) -> str
     threshold = (coarse.min_s, coarse.min_t)
     # the gap dots lie in the cells between the threshold quadrant and the staircase
     cells = _rectangles(Staircase((threshold,)), coarse)
-    dots = _count_under(cone, coarse.corners)
+    dots = _count_under(cone, coarse.runs)
     if dots > _MAX_GAP_DOTS:
         raise BadParameters(f"q_mark {q} would draw {dots} gap dots, over {_MAX_GAP_DOTS}")
     lines = sum(min(b - a, hi - lo) for a, b, lo, hi in cells)

@@ -367,6 +367,29 @@ def pairing_oracle(multiplicities, weights, table) -> Fraction:
     return total
 
 
+def forbid_listing(monkeypatch, most: int = 0) -> None:
+    """Make listing more than most corners of a staircase raise.
+
+    A staircase lists its corners when it is built from over most of
+    them, and when the corners of one stored only as its runs are read.
+    The corners a staircase was built from stay readable.
+    """
+    build, view = Staircase.__init__, Staircase.corners
+
+    def building(stair, corners):
+        if len(corners) > most:
+            raise AssertionError(f"listed {len(corners)} corners, over {most}")
+        build(stair, corners)
+
+    def reading(stair):
+        if stair._corners is None:
+            raise AssertionError(f"listed the corners of the runs {stair.runs}")
+        return view.fget(stair)
+
+    monkeypatch.setattr(Staircase, "__init__", building)
+    monkeypatch.setattr(Staircase, "corners", property(reading))
+
+
 def column_walk_dots(rect, tau: int, step: int) -> list:
     """Dot oracle: the lattice corners of a rectangle, one column at a time."""
     a, b, lo, hi = rect

@@ -183,9 +183,9 @@ def test_a_long_run_is_read_once(width):
     # sum each (a run counted whole would take more), a narrow run takes one;
     # a kernel that scans the run again per step is stopped after 10 s
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
-    corners = [(i * width, 3 * (steps - i)) for i in range(steps + 1)]
+    corners = tuple((i * width, 3 * (steps - i)) for i in range(steps + 1))
     what = f"{steps} steps {width} wide"
-    count, elapsed = timed(lambda: _count_under(cone, corners), what)
+    count, elapsed = timed(lambda: _count_under(cone, Staircase(corners).runs), what)
     assert elapsed < 1, f"{what} took {elapsed:.2f} s"
     stair = Staircase(tuple(Corner(s, t) for s, t in corners))
     assert count == floor_sum_count_complement(cone, Corner(0, 0), stair)

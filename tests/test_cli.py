@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import non_run_ideal
-from ghk import checks, cli, ideals, invariants
+from ghk import checks, cli, ideals
 from ghk.cli import run_command
 from ghk.errors import ContractViolation
 from ghk.fmt import exact_decimal, rational_json, report_json
@@ -344,7 +344,6 @@ class TestPowersCommand:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
-        monkeypatch.setattr(invariants, "_power_levels", counted)
         code, report, _ = run_json(
             capsys, ["powers", "--family", "veronese:9,7", "--max-n", "63"]
         )
@@ -369,7 +368,6 @@ class TestPowersCommand:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
-        monkeypatch.setattr(invariants, "_power_levels", counted)
         code, report, _ = run_json(capsys, ["powers", "--file", str(path), "--max-n", "49"])
         assert code == 0
         assert report["results"]["torsion"]["order"] == 7

@@ -16,6 +16,7 @@ from conftest import (
     column_count_band,
     column_count_complement,
     floor_sum_count_complement,
+    forbid_listing,
     grounded,
     non_run_ideal,
     one_run_ideal,
@@ -27,14 +28,12 @@ from conftest import (
     shoelace_complement_area,
     unimodular,
 )
-from ghk import geometry
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
 from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
-    _count_run,
     _count_run_band,
     _count_under,
     _floor_sum,
@@ -48,7 +47,6 @@ from ghk.geometry import (
 )
 from ghk.ideals import (
     MonomialIdeal,
-    _run_step,
     frobenius_power,
     is_saturated,
     new_ideal,
@@ -255,6 +253,40 @@ class TestStaircase:
         stair = pareto_minimal([Corner(1, 4), Corner(3, 1)])
         assert stair.scale(3).corners == (Corner(3, 12), Corner(9, 3))
 
+    def test_runs_are_the_maximal_runs_of_equal_steps(self):
+        # the multirun golden: 2 x (1, -9), 2 x (3, -2) and 1 x (14, -1)
+        stair = Staircase(((3, 23), (4, 14), (5, 5), (8, 3), (11, 1), (25, 0)))
+        assert stair.runs == ((3, 23, 1, 9, 2), (5, 5, 3, 2, 2), (11, 1, 14, 1, 1))
+        assert Staircase((Corner(4, 4),)).runs == ((4, 4, 0, 0, 0),)
+        assert Staircase(((0, 5), (1, 3), (3, 2), (4, 0))).runs == (
+            (0, 5, 1, 2, 1), (1, 3, 2, 1, 1), (3, 2, 1, 2, 1))
+        # a repeated corner is a step of (0, 0), refused even before any run
+        repeated = [((1, 1), (1, 1)), ((0, 3), (1, 2), (2, 1), (2, 1))]
+        for corners in repeated + [((0, 3), (1, 2), (1, 1))]:
+            with pytest.raises(ValueError, match="sorted antichain"):
+                Staircase(corners)
+
+    def test_runs_and_corners_are_one_staircase(self):
+        # a staircase rebuilt from its runs lists the same plain corners, equals
+        # and hashes like it, and answers every query alike
+        rng = random.Random(41)
+        stairs = [run_staircase(rng, rng.randint(1, 6)) for _ in range(40)]
+        stairs += [random_staircase(rng, max_corners=8) for _ in range(40)]
+        for stair in stairs:
+            rebuilt = Staircase._of_runs(stair.runs)
+            assert rebuilt == stair and hash(rebuilt) == hash(stair)
+            assert rebuilt.corners == stair.corners
+            assert_plain(rebuilt.corners)
+            cs = stair.corners
+            assert (stair.min_s, stair.max_t, stair.max_s, stair.min_t) == (*cs[0], *cs[-1])
+            for s in range(cs[0][0] - 1, cs[-1][0] + 2):
+                below = [t for c, t in cs if c <= s]
+                assert rebuilt.height(s) == (below[-1] if below else None)
+            k = rng.randint(1, 5)
+            assert stair.scale(k).corners == tuple((k * s, k * t) for s, t in cs)
+            assert stair.scale(k) == Staircase(tuple((k * s, k * t) for s, t in cs))
+        assert len({len(stair.runs) for stair in stairs}) > 5
+
     @settings(max_examples=60)
     @given(
         st.lists(
@@ -421,7 +453,7 @@ class TestCount:
             cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
             bits = cone.det_abs.bit_length()
             threshold, stair = grounded(run_staircase(rng, bits))
-            count = _count_under(cone, stair.corners)
+            count = _count_under(cone, stair.runs)
             assert count == floor_sum_count_complement(cone, threshold, stair)
             assert count == column_count_complement(cone, threshold, stair)
             steps = [(b.s - a.s, a.t - b.t) for a, b in zip(stair.corners, stair.corners[1:])]
@@ -447,8 +479,8 @@ class TestCount:
             s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
             stair = Staircase(tuple(Corner(s0 + k * w, t0 - k * h) for k in range(r + 1)))
             threshold, _ = grounded(stair)
-            count = _count_run(cone, s0, t0, w, h, r)
-            assert count == _count_under(cone, stair.corners)
+            count = _count_under(cone, ((s0, t0, w, h, r),))
+            assert stair.runs == ((s0, t0, w, h, r),)
             assert count == floor_sum_count_complement(cone, threshold, stair)
             if small and r * w * t0 <= 20_000:
                 assert count == brute_count_complement(cone, threshold, stair)
@@ -490,11 +522,7 @@ class TestCount:
 
     def test_run_count_lists_nothing(self, monkeypatch):
         # a run no longer than its steps are wide is counted off s0, t0, w, h
-        # and r too, never listed and handed to _count_under
-        def listed(*_):
-            raise AssertionError("_count_run listed its run")
-
-        monkeypatch.setattr(geometry, "_count_under", listed)
+        # and r too: a staircase stored as that run is counted unlisted
         rng = random.Random(67)
         kinds = Counter()
         for i in range(120):
@@ -506,7 +534,10 @@ class TestCount:
             s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
             stair = Staircase(tuple((s0 + k * w, t0 - k * h) for k in range(r + 1)))
             threshold, _ = grounded(stair)
-            count = _count_run(cone, s0, t0, w, h, r)
+            with monkeypatch.context() as patched:
+                forbid_listing(patched)
+                run = Staircase._of_runs(((s0, t0, w, h, r),))
+                count = count_lattice_complement(cone, threshold, run)
             assert count == floor_sum_count_complement(cone, threshold, stair)
             kinds["principal" if r == 0 else "narrow" if w <= bits else "wide"] += 1
         assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
@@ -561,8 +592,7 @@ class TestCount:
             cone = Cone2.from_rays(move(run.cone.ray1), move(run.cone.ray2))
             bases.append(new_ideal(cone, [move(g) for g in run.gens]))
         for base in bases:
-            corners = base.stair.corners
-            (s0, t0), (w, h), m = corners[0], _run_step(corners), len(corners) - 1
+            ((s0, t0, w, h, m),) = base.stair.runs
             q = rng.choice([1, rng.randint(2, max(2, w)), w + 1, rng.randint(w + 2, w + 10)])
             frob, power = frobenius_power(base, q), ordinary_power(base, q)
             band = _count_run_band(base.cone, s0, t0, w, h, m, q)
@@ -719,12 +749,12 @@ class TestPlainCorners:
     @pytest.mark.parametrize("n", [2, 5])
     def test_one_run_ordinary_power(self, n):
         ideal = veronese(9, 7).ideal
-        assert len(ideal.stair.corners) > 1 and _run_step(ideal.stair.corners) is not None
+        assert len(ideal.stair.corners) > 1 and len(ideal.stair.runs) == 1
         assert_plain(ordinary_power(ideal, n).stair.corners)
 
     def test_dp_ordinary_power(self):
         ideal = non_run_ideal()
-        assert _run_step(ideal.stair.corners) is None
+        assert len(ideal.stair.runs) > 1
         assert_plain(ordinary_power(ideal, 3).stair.corners)
 
     def test_saturation_and_torsion_primary(self):

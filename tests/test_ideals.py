@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from ghk.errors import (
 )
 from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import Cone2, Corner, Staircase, pareto_minimal
-from ghk import ideals, invariants
+from ghk import ideals
 from ghk.ideals import (
     MonomialIdeal,
     frobenius_power,
@@ -100,6 +101,30 @@ class TestConstruction:
             MonomialIdeal(SKEW, Staircase((Corner(0, 1),)))
         with pytest.raises(ValueError):
             MonomialIdeal(SKEW, Staircase((Corner(0, 6), Corner(1, 4))))
+
+
+    def test_lattice_check_by_runs_matches_every_corner(self):
+        # a run's first corner and its step decide all of its corners
+        rng = random.Random(43)
+        kinds = Counter()
+        for _ in range(300):
+            cone = random_cone(rng, 3)
+            start, steps = (rng.randint(0, 9), rng.randint(30, 40)), []
+            for _ in range(rng.randint(1, 3)):
+                steps += [(rng.randint(1, 3), rng.randint(1, 3))] * rng.randint(1, 4)
+            corners = [start]
+            for w, h in steps:
+                corners.append((corners[-1][0] + w, corners[-1][1] - h))
+            on = all((t - cone.tau * s) % cone.det_abs == 0 for s, t in corners)
+            try:
+                MonomialIdeal(cone, Staircase(tuple(corners)))
+            except ValueError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == on
+            kinds[on] += 1
+        assert min(kinds.values()) >= 20, kinds
 
 
 class TestPowers:
@@ -196,11 +221,11 @@ class TestPowers:
                 assert levels[k] == list(brute_ordinary_power(ideal, k).stair.corners)
 
     def test_levels_of_a_run_come_from_the_dp(self, monkeypatch):
-        # the DP alone builds the dilated run, so it can check the closed forms
-        def no_run_test(corners):
-            raise AssertionError("the power DP tested for a run")
+        # the DP alone builds the dilated run, so it can check the closed form
+        def no_closed_form(run, n):
+            raise AssertionError("the power DP wrote a dilated run")
 
-        monkeypatch.setattr(ideals, "_run_step", no_run_test)
+        monkeypatch.setattr(ideals, "_dilated", no_closed_form)
         # veronese:9,7 is one run of steps (1, -1); a principal ideal is the run with m = 0
         for ideal, (w, h) in [(veronese(9, 7).ideal, (1, 1)), (quadrant([(2, 3)]).ideal, (0, 0))]:
             (s0, t0), m = ideal.stair.corners[0], len(ideal.stair.corners) - 1
@@ -317,7 +342,6 @@ class TestPowers:
             return original(corners, n)
 
         monkeypatch.setattr(ideals, "_power_levels", counted)
-        monkeypatch.setattr(invariants, "_power_levels", counted)
         ideal = veronese(9, 7).ideal
         longer = h0_powers(ideal, 63)
         assert h0_powers(ideal, 8) == longer[:8]

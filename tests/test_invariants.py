@@ -1,5 +1,8 @@
+import io
+import json
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
@@ -12,6 +15,7 @@ from conftest import (
     column_count_complement,
     fit_oracle,
     floor_sum_count_complement,
+    forbid_listing,
     non_run_ideal,
     random_cone,
     random_ideal,
@@ -39,6 +43,7 @@ from ghk.ideals import (
     torsion_factorization,
 )
 from ghk.invariants import (
+    GapSplit,
     convergence_constant,
     eghk,
     epsilon_estimate,
@@ -248,6 +253,24 @@ class TestGapSplit:
                 split = frobenius_gap_split(ideal, q)
                 assert split.total_gap == split.sym_vs_ord + split.ord_vs_frob
 
+    @pytest.mark.parametrize("family, q", [("a:47,27", 186), ("veronese:9,7", 40)])
+    def test_one_run_split_and_lengths_list_no_power_corner(self, family, q, monkeypatch):
+        # a one-run ideal's powers are stored as one run and counted off it: no
+        # staircase of more corners than the input's is listed
+        expected = frobenius_gap_split(parse_family(family).ideal, q)
+        lengths = h0_powers(parse_family(family).ideal, q)
+        forbid_listing(monkeypatch, len(parse_family(family).ideal.stair.corners))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert run_command(["split", "--family", family, "--q", str(q)]) == 0
+        results = json.loads(out.getvalue())["results"]
+        assert tuple(results[k] for k in GapSplit._fields) == expected
+        assert expected.sym_vs_ord == lengths[-1]
+        ideal = parse_family(family).ideal
+        assert h0_powers(ideal, q) == lengths
+        assert frobenius_gap_split(ideal, q) == expected
+        assert len(ordinary_power(ideal, q).stair.runs) == 1
+
     def test_sym_part_is_power_length(self):
         for ideal in (VER31, A31, a_singularity(4, 1).ideal):
             lengths = h0_powers(ideal, 6)
@@ -346,7 +369,6 @@ class TestPowerLengths:
                 brute = [_gap_count(brute_ordinary_power(fresh, k)) for k in range(1, 7)]
                 with monkeypatch.context() as patched:
                     patched.setattr(ideals, "_power_levels", no_dp)
-                    patched.setattr(invariants, "_power_levels", no_dp)
                     assert h0_powers(fresh, 6) == brute
                 assert fresh._powers == {}
 
@@ -359,7 +381,7 @@ class TestPowerLengths:
         # levels, beside a non-run family whose lengths the DP's levels give
         ideal = parse_family(family).ideal
         levels = ideals._power_levels(ideal.stair.corners, 84)
-        walk = [_count_under(ideal.cone, lv) for lv in levels[1:]]
+        walk = [_count_under(ideal.cone, Staircase(tuple(lv)).runs) for lv in levels[1:]]
         assert h0_powers(parse_family(family).ideal, 84) == walk
 
     def test_one_run_refusals_keep_their_order_and_messages(self, monkeypatch):
