@@ -441,18 +441,19 @@ def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) 
 
 
 def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) -> int:
-    """Lattice points under the steps of a staircase's runs, at or above its last row.
+    """Lattice points under the steps of a staircase, at or above its last corner's row.
 
-    runs are a staircase's (a, hi, w, h, r), as Staircase stores them;
-    column s under the step from (s_i, t_i) counts the rows lo <= t < t_i,
-    lo being the last corner's row.  Column s holds (r - 1 - tau * s) //
-    det_abs points below row r, so the lo side is one floor sum over all
-    the staircase's columns, and _run_tops adds the top sides of each run.
+    runs are the staircase's maximal runs (a, hi, w, h, r), as Staircase
+    stores them, and lo is its last corner's row: column s under a step
+    on row t counts the rows lo <= t' < t.  Column s holds
+    (u - 1 - tau * s) // det_abs points below row u, so the lo side is
+    one floor sum over all the staircase's columns, and _run_tops adds
+    the top sides of each run in turn.
     """
     tau = cone.tau
     step = cone.det_abs
     bits = step.bit_length()
-    (a0, hi0, *_), (a, hi, w, h, r) = runs[0], runs[-1]
+    a0, (a, hi, w, h, r) = runs[0][0], runs[-1]
     total = -_floor_sum(a + r * w - a0, step, -tau, hi - r * h - 1 - tau * a0)
     for a, hi, w, h, r in runs:
         total += _run_tops(tau, step, bits, hi - 1 - tau * a, w, h, r)
@@ -468,7 +469,7 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
     UnboundedRegion is raised.
     """
     _require_bounded(threshold, stair)
-    # run (a, hi, w, h, r) covers r columns w wide, under the rows hi - i * h
+    # run (a, hi, w, h, r) is r steps w wide, step i under row hi - i * h
     t = threshold[1]
     cells = sum(w * r * (hi - t) - w * h * r * (r - 1) // 2 for _, hi, w, h, r in stair.runs)
     return Fraction(cells, cone.det_abs)
@@ -478,7 +479,8 @@ def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -
     """Number of lattice points in the threshold quadrant not dominating stair.
 
     Same boundedness precondition as staircase_complement_area.  Counts
-    actual points of Z^2, through their corners, with _count_under.
+    actual points of Z^2, through their corners, with _count_under over
+    the staircase's runs.
     """
     _require_bounded(threshold, stair)
     return _count_under(cone, stair.runs)

@@ -9,7 +9,7 @@ so the generators as lattice points are a derived view, and sums of
 generators are sums of corners: bracket powers, ordinary powers,
 saturation and torsion shifts are all built on corners alone.  The
 powers of a one-run ideal are its run dilated, one run each, and the
-powers of any other ideal come out of one Pareto DP; _power_stairs and
+powers of any other ideal come out of one Pareto DP; _power_runs and
 _build_power are the only places that choose between the two.
 ordinary_power keeps each power it builds on the ideal object, so each
 is built once; no state is global.
@@ -136,7 +136,7 @@ def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
 
     The size comes from the level bound |L_k| <= k * w + 1 (see
     _power_levels), with a level's list and call overhead counted as
-    eight entries.  _build_power and _power_stairs each run it first.
+    eight entries.  _build_power and _power_runs each run it first.
     """
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
@@ -196,10 +196,10 @@ def ordinary_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return power
 
 
-def _dilated(run: tuple[int, int, int, int, int], n: int) -> Staircase:
-    # the n-th power of the one-run staircase (a, hi, w, h, r): the run dilated by n
+def _dilated(run: tuple[int, int, int, int, int], n: int) -> tuple[tuple[int, ...], ...]:
+    # the runs of the n-th power of the one-run staircase (a, hi, w, h, r): the run dilated by n
     a, hi, w, h, r = run
-    return Staircase._of_runs(((n * a, n * hi, w, h, n * r),))
+    return ((n * a, n * hi, w, h, n * r),)
 
 
 def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -207,27 +207,28 @@ def _build_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if rest:
         _check_power_work(rest, n)
     if len(ideal.stair.runs) == 1:
-        return MonomialIdeal(ideal.cone, _dilated(ideal.stair.runs[0], n))
+        return MonomialIdeal(ideal.cone, Staircase._of_runs(_dilated(ideal.stair.runs[0], n)))
     levels = _power_levels(rest, n)
     sums = [(s + i * last_s, t + i * last_t) for i in range(n + 1) for s, t in levels[n - i]]
     return MonomialIdeal(ideal.cone, pareto_minimal(sums))
 
 
-def _power_stairs(ideal: MonomialIdeal, n_max: int) -> Iterator[Staircase]:
-    """The staircases of the ordinary powers I^1 .. I^n_max, built as no ideal.
+def _power_runs(ideal: MonomialIdeal, n_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The staircases of the ordinary powers I^1 .. I^n_max, as their runs.
 
     A one-run ideal's are its run dilated by 1 .. n_max, one run each,
-    as _build_power writes a single power.  Any other ideal's are the
-    levels 1 .. n_max of one _power_levels run over every generator, run
-    afresh and not kept.  On either path the DP's work estimate over
-    every generator runs first: above _MAX_POWER_WORK steps it raises
-    BadParameters before any staircase is built.
+    as _build_power stores a single power.  Any other ideal's are the
+    runs of the levels 1 .. n_max of one _power_levels run over every
+    generator, run afresh and not kept.  No power is built as an ideal.
+    On either path the DP's work estimate over every generator runs
+    first: above _MAX_POWER_WORK steps it raises BadParameters before
+    any staircase is built.
     """
     stair = ideal.stair
     _check_power_work(stair.corners, n_max)
     if len(stair.runs) == 1:
         return (_dilated(stair.runs[0], n) for n in range(1, n_max + 1))
-    return (Staircase(tuple(level)) for level in _power_levels(stair.corners, n_max)[1:])
+    return (Staircase(tuple(level)).runs for level in _power_levels(stair.corners, n_max)[1:])
 
 
 def _gap_count(ideal: MonomialIdeal) -> int:

@@ -31,7 +31,7 @@ from .geometry import (
 from .ideals import (
     MonomialIdeal,
     _gap_count,
-    _power_stairs,
+    _power_runs,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -141,10 +141,10 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """Local cohomology lengths of the quotients by ordinary powers, n = 1 .. n_max.
 
     Entry n - 1 counts lattice points above n times the thresholds that
-    the n-th ordinary power misses: _count_under of the runs of each
-    staircase that _power_stairs yields, whose last corner is on the t
-    threshold and whose first is on the s threshold.  No power is built
-    as an ideal.  A one-run ideal's powers are one run each, listing no
+    the n-th ordinary power misses: _count_under of each power's runs as
+    _power_runs yields them, the staircase's last corner on the t
+    threshold and its first on the s threshold.  No power is built as an
+    ideal.  A one-run ideal's powers are one run each, listing no
     levels and no corners: w + 1 floor sums once the run has more steps
     than its step w has columns, and otherwise one floor sum or at most
     det_abs.bit_length() columns per step.  Raises BadParameters for
@@ -153,7 +153,7 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise BadParameters("n_max must be a positive integer")
-    return [_count_under(ideal.cone, stair.runs) for stair in _power_stairs(ideal, n_max)]
+    return [_count_under(ideal.cone, runs) for runs in _power_runs(ideal, n_max)]
 
 
 class ClassFit(NamedTuple):
