@@ -817,6 +817,11 @@ class TestErrorMapping:
             (["plot", "--out", "out.svg", "--q-mark", "0"],
              {"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [1, 1]]},
              "q_mark must be a positive integer"),
+            # one gap rectangle of 99 dots, 10^7 lines long on both sides
+            (["plot", "--out", "out.svg"],
+             {"cone": {"rays": [[1, 0], [1000001, 10**12]]},
+              "generators": [[999991, 999990000000], [1000001, 10**12]]},
+             "q_mark 1 would walk 10000000 lines to place its gap dots, over 100000"),
         ],
     )
     def test_refusal_names_its_field(self, capsys, tmp_path, monkeypatch, argv, doc, message):
