@@ -64,6 +64,17 @@ MULTIRUN = {
         }
     )
 }
+# saturated, det_abs 13, and one run of 4 steps (3, -1) from (0, 13): several steps,
+# each wider than one column
+WIDERUN = {
+    "widerun.json": json.dumps(
+        {
+            "label": "widerun",
+            "cone": {"rays": [[1, 0], [9, 13]]},
+            "generators": [[1, 0], [3, 3], [5, 6], [7, 9], [9, 12]],
+        }
+    )
+}
 # rays (1, 0), (40, 1): every oracle box is scanned along rows, and one normal has y = 0
 SKEW = {
     "skew.json": json.dumps(
@@ -173,6 +184,11 @@ CASES = {
     "multirun-plot-qmark": (
         ["plot", "--file", "multirun.json", "--out", SVG, "--q-mark", "2"], MULTIRUN),
     "multirun-verify": (["verify", "--file", "multirun.json"], MULTIRUN),
+    "widerun-split": (["split", "--file", "widerun.json", "--q", "50"], WIDERUN),
+    "widerun-verify": (["verify", "--file", "widerun.json"], WIDERUN),
+    "widerun-powers": (["powers", "--file", "widerun.json", "--max-n", "91"], WIDERUN),
+    # one run of steps 1,000,002 wide: its band is 2999 rectangles, each wider than det_abs
+    "a1000003-split": (["split", "--family", "a:1000003,1", "--q", "3000"], {}),
     "skew-verify": (["verify", "--file", "skew.json"], SKEW),
     "negative-verify": (["verify", "--file", "negative.json"], NEGATIVE),
     "file-echo-eghk": (["eghk", "--file", "echo.json"], ECHO),
