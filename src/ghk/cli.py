@@ -244,7 +244,12 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
             f"torsion order {fact.order}, Newton multiplicity {newton}, "
             f"predicted leading coefficient {predicted}"
         )
-        if period is None:
+        if period is None and len(values) < 7 * fact.order:
+            summary.append(
+                f"no fit: period {fact.order} needs at least {7 * fact.order} values, "
+                f"got {len(values)}"
+            )
+        elif period is None:
             period = fact.order
     if period is not None:
         fit = fit_quasi_polynomial(values, period)

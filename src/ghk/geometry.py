@@ -11,21 +11,27 @@ every area and every lattice count below be evaluated in closed form.
 
 Facet coordinates of lattice points fill a sublattice of index det_abs
 in Z^2: column s holds the t with t == tau * s (mod det_abs), so any
-det_abs consecutive columns hold one point per row, and counting the
-points of a rectangle takes O(log det_abs) steps however large it is:
-one product for the full blocks of det_abs columns, a floor sum for
-the columns left over.  A staircase is stored as its maximal runs of
+det_abs consecutive columns hold one point per row, and a floor sum
+counts the points under any number of consecutive columns in
+O(log det_abs) steps.  A staircase is stored as its maximal runs of
 equal steps, found once when it is built from its corners, which are a
-view listed only when read.  A complement is counted straight off those
-runs by one run kernel, one run at a time: a run of more steps than a
-step has columns costs one floor sum per column of a step, so a
-staircase that is one run, as every ordinary power of a one-run ideal
-is, costs the same whatever its length and is never listed.  A band
-between two staircases is walked over their corners and counted one run
-of like rectangles at a time in the same way, with two floor sums per
-column, by one band-run kernel.  The band between the q-th ordinary and
-bracket powers of a one-run ideal goes to that kernel once per bracket
-step, off the base run, listing neither power.
+view listed only when read.  Every step (w, -h) of an ideal's staircase
+is a lattice vector, h + tau * w == 0 (mod det_abs), so step j of a run
+is step 0 moved by a lattice vector, and the points below its top in
+each of its columns, (t - 1 - tau * s) // det_abs, are step 0's less
+j * (h + tau * w) / det_abs.  A complement is counted straight off the
+runs by one run kernel, and a run of lattice steps costs one column sum
+of its first step, O(log det_abs), whatever its length and its width;
+a staircase that is one run, as every ordinary power of a one-run ideal
+is, is never listed.  A band between two staircases is walked over
+their corners and counted one run of like rectangles at a time by one
+band-run kernel, which reads a run whose bottoms are lattice corners
+off its first rectangle in the same way.  The band between the q-th
+ordinary and bracket powers of a one-run ideal of m steps is the band
+under its first bracket step and m - 1 lattice translates of it, so it
+is one call of that kernel off the base run, listing neither power.  A
+run of other steps, which only a staircase that is no ideal's can have,
+is counted one column offset or one step at a time.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -313,6 +319,18 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
+def _columns(tau: int, step: int, bits: int, n: int, c: int) -> int:
+    # sum of (c - tau * x) // step over 0 <= x < n: one floor sum, or column by column
+    # when n is at most bits, the narrow steps that ordinary-power staircases are made of
+    if n > bits:
+        return _floor_sum(n, step, -tau, c)
+    total = 0
+    for _ in range(n):
+        total += c // step
+        c -= tau
+    return total
+
+
 def _band_run(
     tau: int, step: int, bits: int, a0: int, w: int, lo0: int, top: int, delta: int, run: int
 ) -> int:
@@ -323,19 +341,22 @@ def _band_run(
     step.bit_length(), computed once per count.  Column s = a0 + j * w + x
     of rectangle j holds
     (top - 1 - tau * s) // step - (lo0 + j * delta - 1 - tau * s) // step
-    points, so each of the w column offsets x takes two floor sums over
-    j = 0 .. R - 1, of slopes -tau * w and delta - tau * w.  That is used
-    when w < R, reading the run once whatever R is.  Otherwise each
-    rectangle is counted on its own: normal2 is primitive, so
-    gcd(tau, det_abs) == 1 and any det_abs consecutive columns of a
-    rectangle hold one point per row.  The fewer than det_abs columns
-    left over are counted one at a time when there are at most bits of
-    them, and otherwise by two floor sums, one per horizontal side, in
-    O(log det_abs) steps.  The loop stays for the narrow leftovers that
-    ordinary-power staircases are made of: there two floor sums per
-    rectangle cost about 3.5 times as much as the few columns they
-    replace.
+    points.  The top side is one column sum over all R * w columns.  When
+    delta - tau * w is sink * det_abs, as it is when the bottoms are
+    lattice corners or R = 1, the bottom of rectangle j is that of
+    rectangle 0 moved by a lattice vector, so the bottom side is R times
+    the first rectangle's less sink * w * R * (R - 1) / 2: two column
+    sums in all.  Otherwise each of the w column offsets takes two floor
+    sums over j, of slopes -tau * w and delta - tau * w, when w < R, and
+    each rectangle is counted on its own when not, its full blocks of
+    det_abs columns as one product and the columns left over by a column
+    sum per side.
     """
+    sink, rem = divmod(delta - tau * w, step)
+    if not rem or run < 2:
+        bottom = _columns(tau, step, bits, w, lo0 - 1 - tau * a0)
+        total = _columns(tau, step, bits, run * w, top - 1 - tau * a0)
+        return total - run * bottom - sink * w * (run * (run - 1) // 2)
     total = 0
     if w < run:
         for _ in range(w):
@@ -347,13 +368,8 @@ def _band_run(
     for _ in range(run):
         total += full * (top - lo0)
         s, a0 = a0 + w - rest, a0 + w
-        if rest > bits:
-            total += _floor_sum(rest, step, -tau, top - 1 - tau * s)
-            total -= _floor_sum(rest, step, -tau, lo0 - 1 - tau * s)
-        else:
-            while s < a0:
-                total += (top - 1 - tau * s) // step - (lo0 - 1 - tau * s) // step
-                s += 1
+        total += _columns(tau, step, bits, rest, top - 1 - tau * s)
+        total -= _columns(tau, step, bits, rest, lo0 - 1 - tau * s)
         lo0 += delta
     return total
 
@@ -389,23 +405,19 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
 def _count_run_band(cone: Cone2, s0: int, t0: int, w: int, h: int, m: int, q: int) -> int:
     """The band between the q-th ordinary and bracket powers of a run, listing neither.
 
-    The run is (s0 + i * w, t0 - i * h), i = 0 .. m.  Its q-th bracket
-    power has the steps (q * w, -q * h), and its q-th ordinary power is
-    the run dilated by q, (q * s0 + j * w, q * t0 - j * h) for
-    j = 0 .. q * m, so under bracket step i the band is the R = q - 1
-    rectangles w wide of j = i * q + 1 .. i * q + R, all under the top
-    q * t0 - i * q * h, each bottom h lower than the one before: one
-    _band_run per bracket step, m in all, as _count_between would find
-    them.
+    The run is an ideal's, (s0 + i * w, t0 - i * h) for i = 0 .. m, so
+    its step is a lattice vector.  Its q-th bracket power has the steps
+    (q * w, -q * h), and its q-th ordinary power is the run dilated by
+    q, (q * s0 + j * w, q * t0 - j * h) for j = 0 .. q * m, so under
+    bracket step i the band is the R = q - 1 rectangles w wide of
+    j = i * q + 1 .. i * q + R, all under the top q * t0 - i * q * h,
+    each bottom h lower than the one before, as _count_between would
+    find them.  That is the band under bracket step 0 moved by the
+    lattice vector i * q * (w, -h), so the whole band is m times one
+    _band_run: at most two floor sums, whatever m, q and w.
     """
-    tau, step = cone.tau, cone.det_abs
-    bits = step.bit_length()
-    total = 0
-    for i in range(m):
-        top = q * (t0 - i * h)
-        a0 = q * s0 + (i * q + 1) * w
-        total += _band_run(tau, step, bits, a0, w, top - h, top, -h, q - 1)
-    return total
+    tau, step, top = cone.tau, cone.det_abs, q * t0
+    return m * _band_run(tau, step, step.bit_length(), q * s0 + w, w, top - h, top, -h, q - 1)
 
 
 def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) -> int:
@@ -415,28 +427,25 @@ def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) 
     t being the row of the step over s and step being det_abs; the count
     under the run is this less the same sum for its bottom row.  c is
     hi - 1 - tau * a, and bits is step.bit_length(), computed once per
-    count.  Column x of step j is a + j * w + x, under row hi - j * h, so
-    each of the w column offsets x is one floor sum over j = 0 .. R - 1
-    with slope -(h + tau * w).  That takes w floor sums where the steps
-    one by one take about R, so it is used when w < R, as on the long
-    runs of Veronese powers.  Otherwise each step adds its own top side:
-    one floor sum when it is wider than bits, and a loop over its columns
-    when it is not, the narrow steps that ordinary-power staircases are
-    made of.
+    count.  Column x of step j is a + j * w + x, under row hi - j * h.
+    When h + tau * w is lift * det_abs, a lattice step, each column of
+    step j sums lift less than that of step 0, so the run is R times the
+    first step's top side less lift * w * R * (R - 1) / 2: one column
+    sum, whatever R and w.  Otherwise each of the w column offsets x is
+    one floor sum over j = 0 .. R - 1, of slope -(h + tau * w), when
+    w < R, and each step adds its own top side when not.
     """
+    lift, rem = divmod(h + tau * w, step)
+    if not rem:
+        return run * _columns(tau, step, bits, w, c) - lift * w * (run * (run - 1) // 2)
     total = 0
     if w < run:
         for x in range(w):
             total += _floor_sum(run, step, -h - tau * w, c - tau * x)
-    elif w > bits:
-        for j in range(run):
-            total += _floor_sum(w, step, -tau, c - j * (h + tau * w))
     else:
         for _ in range(run):
-            for _ in range(w):
-                total += c // step
-                c -= tau
-            c -= h
+            total += _columns(tau, step, bits, w, c)
+            c -= h + tau * w
     return total
 
 
@@ -448,7 +457,8 @@ def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) ->
     on row t counts the rows lo <= t' < t.  Column s holds
     (u - 1 - tau * s) // det_abs points below row u, so the lo side is
     one floor sum over all the staircase's columns, and _run_tops adds
-    the top sides of each run in turn.
+    the top sides of each run in turn: for an ideal's staircase one
+    floor sum, or at most det_abs.bit_length() columns, per run.
     """
     tau = cone.tau
     step = cone.det_abs

@@ -119,10 +119,12 @@ def frobenius_gap_split(ideal: MonomialIdeal, q: int) -> GapSplit:
     of the ordinary power built by ordinary_power, each counted off its
     runs; a one-run ideal's power is one run, so no corner is listed.
     When the ideal is one run, m steps (w, -h) from (s0, t0), ord_vs_frob
-    is counted by _count_run_band straight off the base run, m runs of
-    q - 1 band rectangles, and not off the built power, so a wrong
-    power breaks total_gap == sym_vs_ord + ord_vs_frob.  Otherwise it is
-    count_lattice_band between the two built staircases.
+    is counted by _count_run_band straight off the base run, m lattice
+    translates of one run of q - 1 band rectangles, and not off the
+    built power, so a wrong power breaks
+    total_gap == sym_vs_ord + ord_vs_frob.  Each of the three counts then
+    takes at most two floor sums, whatever q, m and w.  Otherwise
+    ord_vs_frob is count_lattice_band between the two built staircases.
     """
     if not is_saturated(ideal):
         raise NotSaturated("gap split needs a saturated ideal")
@@ -144,10 +146,10 @@ def h0_powers(ideal: MonomialIdeal, n_max: int) -> list[int]:
     the n-th ordinary power misses: _count_under of each power's runs as
     _power_runs yields them, the staircase's last corner on the t
     threshold and its first on the s threshold.  No power is built as an
-    ideal.  A one-run ideal's powers are one run each, listing no
-    levels and no corners: w + 1 floor sums once the run has more steps
-    than its step w has columns, and otherwise one floor sum or at most
-    det_abs.bit_length() columns per step.  Raises BadParameters for
+    ideal.  A one-run ideal's powers are one run of lattice steps each,
+    listing no levels and no corners, so each length is one floor sum
+    for the bottom row and one, or at most det_abs.bit_length() columns,
+    for the first step's top, whatever n.  Raises BadParameters for
     n_max < 1 and then, on every path, above the DP's work estimate over
     every generator.
     """

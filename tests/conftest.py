@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import ceil, floor, gcd
 
+from ghk import geometry
 from ghk.checks import lattice_points_in_corner_box
 from ghk.errors import (
     BadParameters,
@@ -388,6 +389,18 @@ def forbid_listing(monkeypatch, most: int = 0) -> None:
 
     monkeypatch.setattr(Staircase, "__init__", building)
     monkeypatch.setattr(Staircase, "corners", property(reading))
+
+
+def count_floor_sums(monkeypatch) -> list:
+    """Record the arguments of every geometry._floor_sum call from now on."""
+    calls, inner = [], geometry._floor_sum
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(geometry, "_floor_sum", counted)
+    return calls
 
 
 def column_walk_dots(rect, tau: int, step: int) -> list:

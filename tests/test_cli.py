@@ -326,6 +326,19 @@ class TestPowersCommand:
         assert "torsion" not in results
         assert results["fit"]["classes"][0]["coefficients"][0]["rational"] == "1"
 
+    def test_too_few_values_for_the_torsion_period_leave_out_the_fit(self, capsys):
+        # the default period is the torsion order, 7, whose fit needs 49 values;
+        # asked for by --period, the same fit is still refused
+        argv = ["powers", "--family", "a:7,3", "--max-n", "8"]
+        code, report, err = run_json(capsys, argv)
+        assert code == 0
+        results = report["results"]
+        assert results["values"] == [0, 3, 7, 13, 21, 30, 42, 54]
+        assert results["torsion"]["order"] == 7 and "fit" not in results
+        assert err.endswith("\nno fit: period 7 needs at least 49 values, got 8\n")
+        code, report, err = run_json(capsys, [*argv, "--period", "7"])
+        assert (code, report, err) == (1, None, "error: need at least 49 entries to fit period 7\n")
+
     def test_max_n_beyond_work_cap_is_input_error(self, capsys):
         code, report, err = run_json(
             capsys, ["powers", "--family", "veronese:9,7", "--max-n", "5000"]

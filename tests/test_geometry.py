@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_value_type,
+    box_scan_points,
     brute_count_complement,
     column_count_band,
     column_count_complement,
+    count_floor_sums,
     floor_sum_count_complement,
     forbid_listing,
     grounded,
@@ -668,6 +670,129 @@ class TestCount:
                 scaled = Corner(q * threshold.s, q * threshold.t)
                 count = count_lattice_complement(cone, scaled, stair.scale(q))
                 assert abs(Fraction(count, q * q) - area) <= Fraction(bound, q)
+
+
+def step_height(rng: random.Random, cone: Cone2, w: int, lattice: bool) -> int:
+    """A height h >= 1 for which (w, -h) is a lattice step of the cone, or is not.
+
+    (w, -h) is a lattice step exactly when h == -tau * w (mod det_abs);
+    a step that is not needs det_abs >= 2.
+    """
+    d = cone.det_abs
+    h = (-cone.tau * w) % d
+    h += d * rng.randint(0 if h else 1, 2)
+    return h + rng.randint(1, d - 1) if not lattice else h
+
+
+def lattice_run_staircase(
+    rng: random.Random, cone: Cone2, lattice: bool, long_max: int, wide_max: int
+) -> Staircase:
+    """One to three runs of equal steps, all lattice steps of the cone or none.
+
+    A run is long and narrow, 2 to long_max steps one or two columns
+    wide, or short and wide, 2 or 3 steps of 3 to wide_max columns.
+    """
+    steps = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            w, size = rng.randint(1, 2), rng.randint(2, long_max)
+        else:
+            w, size = rng.randint(3, wide_max), rng.randint(2, 3)
+        steps += [(w, step_height(rng, cone, w, lattice))] * size
+    s, t = rng.randint(0, 5), rng.randint(0, 5) + sum(h for _, h in steps)
+    corners = [(s, t)]
+    for w, h in steps:
+        s, t = s + w, t - h
+        corners.append((s, t))
+    return Staircase(tuple(corners))
+
+
+def run_kinds(stair: Staircase, cone: Cone2) -> set:
+    """(lattice, long and narrow) for each run of two or more steps."""
+    d = cone.det_abs
+    return {((h + cone.tau * w) % d == 0, w <= 2) for _, _, w, h, r in stair.runs if r > 1}
+
+
+class TestLatticeRuns:
+    # a run of lattice steps is counted off its first step in O(1) floor sums
+    # whatever its length; a run of other steps, which only a staircase that is
+    # no ideal's has, is counted column by column or step by step as before
+
+    def test_counts_match_the_box_scan(self):
+        # the box-scan oracle lists every lattice point of the gap box, det_abs up to 80
+        rng = random.Random(89)
+        kinds = Counter()
+        for i in range(60):
+            cone = random_index_ideal(rng, d_max=80).cone
+            threshold, fine = grounded(lattice_run_staircase(rng, cone, i % 2 == 0, 20, 20))
+            inner = [c for c in fine.corners[1:-1] if rng.random() < 0.3]
+            coarse = Staircase((fine.corners[0], *inner, fine.corners[-1]))
+            box = box_scan_points(cone, threshold.s, fine.max_s, threshold.t, fine.max_t)
+            outside = {}
+            for stair in (fine, coarse):
+                corners = [cone.corner(p) for p in box]
+                outside[stair] = sum(
+                    not any(s >= cs and t >= ct for cs, ct in stair.corners) for s, t in corners
+                )
+            assert _count_under(cone, fine.runs) == outside[fine]
+            band = count_lattice_band(cone, threshold, fine, coarse)
+            assert band == outside[coarse] - outside[fine]
+            kinds.update(run_kinds(fine, cone))
+        assert len(kinds) == 4 and min(kinds.values()) >= 8, kinds
+
+    def test_counts_match_the_floor_sum_oracle(self):
+        # runs of up to 2000 steps and steps up to 10^4 columns wide, det_abs up to 80
+        rng = random.Random(97)
+        kinds = Counter()
+        for i in range(60):
+            cone = random_index_ideal(rng, d_max=80).cone
+            threshold, fine = grounded(lattice_run_staircase(rng, cone, i % 2 == 0, 2000, 10**4))
+            coarse = Staircase(fine.corners[: -1 : rng.randint(2, 40)] + fine.corners[-1:])
+            outside = [floor_sum_count_complement(cone, threshold, st) for st in (fine, coarse)]
+            assert _count_under(cone, fine.runs) == outside[0]
+            assert count_lattice_band(cone, threshold, fine, coarse) == outside[1] - outside[0]
+            kinds.update(run_kinds(fine, cone))
+        assert len(kinds) == 4 and min(kinds.values()) >= 8, kinds
+
+    def test_a_lattice_run_costs_at_most_two_floor_sums(self, monkeypatch):
+        # R up to 10^5 steps, each up to 10^4 columns wide; half the cones of index up to 10^12
+        rng = random.Random(101)
+        calls = count_floor_sums(monkeypatch)
+        for i in range(60):
+            cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
+            r = rng.choice([1, rng.randint(2, 60), 10**5])
+            w = rng.choice([1, rng.randint(2, 60), 10**4])
+            h = step_height(rng, cone, w, True)
+            s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
+            del calls[:]
+            count = _count_under(cone, ((s0, t0, w, h, r),))
+            assert len(calls) <= 2, (r, w, len(calls))
+            if r * w <= 4000:
+                stair = Staircase(tuple((s0 + k * w, t0 - k * h) for k in range(r + 1)))
+                assert count == floor_sum_count_complement(cone, *grounded(stair))
+
+    def test_a_one_run_band_costs_at_most_two_floor_sums(self, monkeypatch):
+        # m bracket steps (q * w, -q * h), q up to 10^6 and w up to 10^4, against the
+        # column oracle over the listed powers when they are small
+        rng = random.Random(103)
+        calls = count_floor_sums(monkeypatch)
+        for i in range(60):
+            cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
+            m = rng.choice([0, 1, rng.randint(2, 6), 10**4])
+            q = rng.choice([1, 2, rng.randint(3, 20), 10**6])
+            w = rng.choice([1, rng.randint(2, 20), 10**4])
+            h = step_height(rng, cone, w, True)
+            s0, t0 = rng.randint(0, 5), m * h + rng.randint(0, 5)
+            del calls[:]
+            band = _count_run_band(cone, s0, t0, w, h, m, q)
+            assert len(calls) <= 2, (m, q, w, len(calls))
+            if m * q * w <= 2000:
+                power = Staircase(
+                    tuple((q * s0 + j * w, q * t0 - j * h) for j in range(q * m + 1)))
+                frob = Staircase(
+                    tuple((q * (s0 + i * w), q * (t0 - i * h)) for i in range(m + 1)))
+                threshold, _ = grounded(frob)
+                assert band == column_count_band(cone, threshold, power, frob)
 
 
 def band_names(tree: ast.Module) -> dict[str, set[str]]:

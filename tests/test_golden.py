@@ -151,6 +151,8 @@ CASES = {
     # q up to 2^40: finishes only because lattice counting does not grow with q
     "a73-function-deep": (["function", "--family", "a:7,3", "--prime", "2", "--max-n", "40"], {}),
     "a73-powers": (["powers", "--family", "a:7,3", "--max-n", "49"], {}),
+    # fewer values than the torsion period's fit needs: the report leaves the fit out
+    "a73-powers-short": (["powers", "--family", "a:7,3", "--max-n", "8"], {}),
     "a73-powers-period": (["powers", "--family", "a:7,3", "--max-n", "98", "--period", "14"], {}),
     "a73-powers-max-order": (
         ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),

@@ -13,6 +13,7 @@ from conftest import (
     brute_count_complement,
     brute_ordinary_power,
     column_count_complement,
+    count_floor_sums,
     fit_oracle,
     floor_sum_count_complement,
     forbid_listing,
@@ -270,6 +271,14 @@ class TestGapSplit:
         assert h0_powers(ideal, q) == lengths
         assert frobenius_gap_split(ideal, q) == expected
         assert len(ordinary_power(ideal, q).stair.runs) == 1
+
+    def test_a_wide_one_run_split_takes_at_most_eight_floor_sums(self, monkeypatch):
+        # a:1000003,1 is one step 1,000,002 columns wide: the saturation test and the
+        # three counts each read a run off its first step, whatever q
+        ideal = a_singularity(1000003, 1).ideal
+        calls = count_floor_sums(monkeypatch)
+        assert frobenius_gap_split(ideal, 100000) == (9999900000, 4999950000, 4999950000)
+        assert len(calls) <= 8, len(calls)
 
     def test_sym_part_is_power_length(self):
         for ideal in (VER31, A31, a_singularity(4, 1).ideal):
