@@ -728,9 +728,9 @@ class TestLatticeRuns:
             inner = [c for c in fine.corners[1:-1] if rng.random() < 0.3]
             coarse = Staircase((fine.corners[0], *inner, fine.corners[-1]))
             box = box_scan_points(cone, threshold.s, fine.max_s, threshold.t, fine.max_t)
+            corners = [cone.corner(p) for p in box]
             outside = {}
             for stair in (fine, coarse):
-                corners = [cone.corner(p) for p in box]
                 outside[stair] = sum(
                     not any(s >= cs and t >= ct for cs, ct in stair.corners) for s, t in corners
                 )
