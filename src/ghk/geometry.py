@@ -30,8 +30,9 @@ off its first rectangle in the same way.  The band between the q-th
 ordinary and bracket powers of a one-run ideal of m steps is the band
 under its first bracket step and m - 1 lattice translates of it, so it
 is one call of that kernel off the base run, listing neither power.  A
-run of other steps, which only a staircase that is no ideal's can have,
-is counted one column offset or one step at a time.
+run of R other steps, which only a staircase that is no ideal's can have,
+is min(P, R) interleaved runs of lattice steps, P being det_abs over
+gcd(det_abs, h + tau * w), and costs O(min(P, R)) column sums.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -341,36 +342,28 @@ def _band_run(
     step.bit_length(), computed once per count.  Column s = a0 + j * w + x
     of rectangle j holds
     (top - 1 - tau * s) // step - (lo0 + j * delta - 1 - tau * s) // step
-    points.  The top side is one column sum over all R * w columns.  When
-    delta - tau * w is sink * det_abs, as it is when the bottoms are
-    lattice corners or R = 1, the bottom of rectangle j is that of
-    rectangle 0 moved by a lattice vector, so the bottom side is R times
-    the first rectangle's less sink * w * R * (R - 1) / 2: two column
-    sums in all.  Otherwise each of the w column offsets takes two floor
-    sums over j, of slopes -tau * w and delta - tau * w, when w < R, and
-    each rectangle is counted on its own when not, its full blocks of
-    det_abs columns as one product and the columns left over by a column
-    sum per side.
+    points.  The top side is one column sum over all R * w columns.  The
+    bottom of rectangle j + P, P = det_abs / gcd(det_abs, delta - tau * w),
+    is that of rectangle j moved by a lattice vector, each of its columns
+    summing sink = P * (delta - tau * w) / det_abs more, so the n
+    rectangles k, k + P, ... of a class k < min(P, R) have n times
+    rectangle k's bottom side plus sink * w * n * (n - 1) / 2:
+    O(min(P, R)) column sums.  Bottoms moving by a lattice vector, and
+    R = 1, are one class and return early: two column sums in all.
     """
     sink, rem = divmod(delta - tau * w, step)
     if not rem or run < 2:
         bottom = _columns(tau, step, bits, w, lo0 - 1 - tau * a0)
         total = _columns(tau, step, bits, run * w, top - 1 - tau * a0)
         return total - run * bottom - sink * w * (run * (run - 1) // 2)
-    total = 0
-    if w < run:
-        for _ in range(w):
-            total += _floor_sum(run, step, -tau * w, top - 1 - tau * a0)
-            total -= _floor_sum(run, step, delta - tau * w, lo0 - 1 - tau * a0)
-            a0 += 1
-        return total
-    full, rest = divmod(w, step)
-    for _ in range(run):
-        total += full * (top - lo0)
-        s, a0 = a0 + w - rest, a0 + w
-        total += _columns(tau, step, bits, rest, top - 1 - tau * s)
-        total -= _columns(tau, step, bits, rest, lo0 - 1 - tau * s)
-        lo0 += delta
+    period = step // gcd(step, rem)
+    sink = (delta - tau * w) * period // step
+    total = _columns(tau, step, bits, run * w, top - 1 - tau * a0)
+    c = lo0 - 1 - tau * a0
+    for k in range(min(period, run)):
+        n = (run - k - 1) // period + 1
+        total -= n * _columns(tau, step, bits, w, c) + sink * w * (n * (n - 1) // 2)
+        c += delta - tau * w
     return total
 
 
@@ -428,24 +421,23 @@ def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) 
     under the run is this less the same sum for its bottom row.  c is
     hi - 1 - tau * a, and bits is step.bit_length(), computed once per
     count.  Column x of step j is a + j * w + x, under row hi - j * h.
-    When h + tau * w is lift * det_abs, a lattice step, each column of
-    step j sums lift less than that of step 0, so the run is R times the
-    first step's top side less lift * w * R * (R - 1) / 2: one column
-    sum, whatever R and w.  Otherwise each of the w column offsets x is
-    one floor sum over j = 0 .. R - 1, of slope -(h + tau * w), when
-    w < R, and each step adds its own top side when not.
+    Steps j and j + P, P = det_abs / gcd(det_abs, h + tau * w), are one
+    lattice vector apart, so each column of step j + P sums lift less than
+    that of step j, lift being P * (h + tau * w) / det_abs, and the n
+    steps k, k + P, ... of a class k < min(P, R) are n times step k's top
+    side less lift * w * n * (n - 1) / 2: O(min(P, R)) column sums.  A
+    run of lattice steps, P = 1, is one class and returns early.
     """
     lift, rem = divmod(h + tau * w, step)
     if not rem:
         return run * _columns(tau, step, bits, w, c) - lift * w * (run * (run - 1) // 2)
+    period = step // gcd(step, rem)
+    lift = (h + tau * w) * period // step
     total = 0
-    if w < run:
-        for x in range(w):
-            total += _floor_sum(run, step, -h - tau * w, c - tau * x)
-    else:
-        for _ in range(run):
-            total += _columns(tau, step, bits, w, c)
-            c -= h + tau * w
+    for k in range(min(period, run)):
+        n = (run - k - 1) // period + 1
+        total += n * _columns(tau, step, bits, w, c) - lift * w * (n * (n - 1) // 2)
+        c -= h + tau * w
     return total
 
 

@@ -48,7 +48,9 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, ideal.thresholds, ideal.stair)
 
 
-_MAX_TOWER_WORK = 500_000  # corners counted over the tower, about 1.3 s up to det_abs 10^12
+# runs counted over the tower: about 1 s up to det_abs 10^12 while q is at most 2^24,
+# but up to about 9 s as q nears the 4096-bit cap and each count's ints grow with it
+_MAX_TOWER_WORK = 500_000
 
 
 def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
@@ -57,7 +59,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
     prime and n_max nonnegative.  p over 40 bits, n_max times p's bit
-    length over 4096, or (n_max + 1) times the corner count over
+    length over 4096, or (n_max + 1) times the run count over
     _MAX_TOWER_WORK raises BadParameters before the primality test; so
     does a count that could pass the interpreter's int-to-str digit limit,
     before any counting.  That check is a bit-length test: a bound of at
@@ -75,10 +77,10 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
     if n_max * bits > 4096:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
-    work = (n_max + 1) * len(ideal.stair.corners)
+    work = (n_max + 1) * len(ideal.stair.runs)
     if work > _MAX_TOWER_WORK:
         raise BadParameters(
-            f"q = {p}^0 .. {p}^{n_max} needs {work} corner counts, over {_MAX_TOWER_WORK}"
+            f"q = {p}^0 .. {p}^{n_max} needs {work} run counts, over {_MAX_TOWER_WORK}"
         )
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")

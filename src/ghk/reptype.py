@@ -10,7 +10,7 @@ min(i, j, r - i, r - j) and equal limit weights 1 / r.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from numbers import Rational
 from operator import mul
 from typing import Sequence
@@ -86,9 +86,7 @@ def eghk_from_type(
         raise BadParameters("module multiplicities must be nonnegative")
     if any(w < 0 for w in v):
         raise BadParameters("limit weights must be nonnegative")
-    den = 1
-    for w in v:
-        den *= w.denominator // gcd(den, w.denominator)
+    den = lcm(*(w.denominator for w in v))
     scaled = [w.numerator * (den // w.denominator) for w in v]
     total = sum(ui * sum(map(mul, scaled, row)) for ui, row in zip(u, table.entries) if ui)
     return Fraction(total, den)

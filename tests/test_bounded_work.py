@@ -5,11 +5,11 @@ Each runs as its own `python -m ghk` process and must finish in under
 over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify walks its box scans up to the scan cap and refuses past it or
-when a suite hits a work cap, and function refuses a tower with too
-many corner counts.  The counting kernel reads a long run
-of equal steps once, whether it counts the run whole or step by step,
-and so does the band count over a long run of touching rectangles;
-both are timed in process, under 1 s.
+when a suite hits a work cap, and function sizes a tower by its run
+counts, refusing too many.  The counting kernel reads a long run of
+equal steps as at most det_abs interleaved runs of lattice steps, one
+column sum each, and so does the band count over a long run of touching
+rectangles; both are timed in process, under 1 s.
 """
 
 import json
@@ -40,10 +40,15 @@ LONG = {
     "generators": [[999991, 999990000000], [1000001, D]],
 }
 E_GHK = "999999999998000000000001/1000000000000"
-# 20,001 corners: each q of a function tower counts all of them
+# 20,001 corners in one run: each q of a function tower counts that run once
 QUADRANT = {
     "cone": {"rays": [[1, 0], [0, 1]]},
     "generators": [[i, 20000 - i] for i in range(20001)],
+}
+# 20,001 corners whose steps (1, -1) and (2, -1) alternate: 20,000 runs of one step
+ALTERNATING = {
+    "cone": {"rays": [[1, 0], [0, 1]]},
+    "generators": [[i + i // 2, 20000 - i] for i in range(20001)],
 }
 
 
@@ -145,10 +150,20 @@ def test_verify_row_scanned_over_the_scan_cap_is_refused(tmp_path):
 
 
 def test_function_tower_over_the_cap_is_refused(tmp_path):
-    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "2000"], QUADRANT)
+    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "25"], ALTERNATING)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: q = 2^0 .. 2^2000 needs 40022001 corner counts, over 500000\n"
+    assert proc.stderr == "error: q = 2^0 .. 2^25 needs 520000 run counts, over 500000\n"
+
+
+def test_function_tower_of_one_long_run(tmp_path):
+    # 2001 counts of one run, though the staircase has 20,001 corners: the gap
+    # under q times the run of 20,000 steps (1, -1) is q^2 * 20000 * 20001 / 2
+    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "2000"], QUADRANT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["values"] == [
+        200010000 * 4**n for n in range(2001)
+    ]
 
 
 def test_function_tower_under_the_cap(tmp_path):
@@ -179,9 +194,10 @@ def timed(count, what):
 
 @pytest.mark.parametrize("width", [100_003, 1], ids=["wide-step-by-step", "narrow-whole"])
 def test_a_long_run_is_read_once(width):
-    # 10^5 equal steps on a cone of index 3: wide steps are counted one floor
-    # sum each (a run counted whole would take more), a narrow run takes one;
-    # a kernel that scans the run again per step is stopped after 10 s
+    # 10^5 equal steps on a cone of index 3, wide or narrow, none a lattice step:
+    # steps 3 apart are a lattice vector apart, so the run is 3 interleaved
+    # lattice runs of one column sum each; a kernel that scans the run again
+    # per step is stopped after 10 s
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
     corners = tuple((i * width, 3 * (steps - i)) for i in range(steps + 1))
     what = f"{steps} steps {width} wide"
@@ -194,8 +210,8 @@ def test_a_long_run_is_read_once(width):
 @pytest.mark.parametrize("width", [100_003, 1], ids=["wide-by-rectangle", "narrow-whole"])
 def test_a_long_band_run_is_read_once(width):
     # the band between a run of 10^5 equal steps and its two end corners is
-    # 10^5 - 1 touching rectangles of one top: narrow ones are counted whole
-    # with two floor sums, wide ones one at a time, each in O(1)
+    # 10^5 - 1 touching rectangles of one top: their top side is one column
+    # sum, and their bottoms are 3 interleaved lattice runs, one column sum each
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
     fine = Staircase(tuple(Corner(i * width, 3 * (steps - i)) for i in range(steps + 1)))
     coarse = Staircase((fine.corners[0], fine.corners[-1]))
@@ -205,3 +221,21 @@ def test_a_long_band_run_is_read_once(width):
     assert elapsed < 1, f"{what} took {elapsed:.2f} s"
     outside = [floor_sum_count_complement(cone, threshold, stair) for stair in (fine, coarse)]
     assert count == outside[1] - outside[0]
+
+
+def test_a_long_narrow_run_on_a_huge_index():
+    # 10^5 steps (40, -1) on a cone of index 10^12 + 39: no two steps of the run
+    # are a lattice vector apart, so it is 10^5 lattice runs of one step, each
+    # one column sum of 40 columns, for the complement and for the band's bottoms
+    cone, steps = Cone2.from_rays((1, 0), (1, 10**12 + 39)), 10**5
+    fine = Staircase(tuple((40 * i, steps - i) for i in range(steps + 1)))
+    coarse = Staircase((fine.corners[0], fine.corners[-1]))
+    threshold = Corner(0, 0)
+    what = f"{steps} steps 40 wide on index 10^12 + 39"
+    under, elapsed = timed(lambda: _count_under(cone, fine.runs), what)
+    assert elapsed < 1, f"{what} took {elapsed:.2f} s"
+    band, elapsed = timed(lambda: count_lattice_band(cone, threshold, fine, coarse), what)
+    assert elapsed < 1, f"the band of {what} took {elapsed:.2f} s"
+    outside = [floor_sum_count_complement(cone, threshold, stair) for stair in (fine, coarse)]
+    assert under == outside[0]
+    assert band == outside[1] - outside[0]

@@ -102,20 +102,32 @@ def run_staircase(rng: random.Random, bits: int) -> Staircase:
     return Staircase(tuple(corners))
 
 
-def band_runs(rects) -> list[tuple[int, int]]:
-    """(w, R) for each maximal stretch of R touching rectangles w wide under
-    one top whose bottoms move by one constant delta."""
-    runs, prev, delta = [], None, None
+def band_runs(rects) -> list[tuple[int, int, int]]:
+    """(w, R, delta) for each maximal stretch of R touching rectangles w wide
+    under one top whose bottoms move by one constant delta (0 when R = 1)."""
+    runs, prev = [], None
     for a, b, lo, hi in rects:
         if prev and (prev[1], prev[1] - prev[0], prev[3]) == (a, b - a, hi) and (
-            runs[-1][1] == 1 or lo - prev[2] == delta
+            runs[-1][1] == 1 or lo - prev[2] == runs[-1][2]
         ):
-            delta = lo - prev[2]
+            runs[-1][2] = lo - prev[2]
             runs[-1][1] += 1
         else:
-            runs.append([b - a, 1])
+            runs.append([b - a, 1, 0])
         prev = (a, b, lo, hi)
     return [tuple(r) for r in runs]
+
+
+def residue_kind(step: int, slope: int, run: int) -> str:
+    """How many interleaved lattice runs a run of R = run steps splits into.
+
+    The column sums of step j of the run move by slope per step, so
+    steps P = det_abs / gcd(det_abs, slope) apart are one lattice vector
+    apart and the run is min(P, R) lattice runs: one ("P = 1"), fewer
+    than R ("1 < P < R") or R of one step each ("P >= R").
+    """
+    period = step // gcd(step, slope)
+    return "P = 1" if period == 1 else "1 < P < R" if period < run else "P >= R"
 
 
 QUADRANT = Cone2.from_rays((1, 0), (0, 1))
@@ -448,7 +460,7 @@ class TestCount:
 
     def test_run_kernel_matches_column_and_floor_sum_oracles(self):
         # half the cones random, half of index up to 10^12; a run of R equal
-        # steps w wide takes w floor sums when w < R, step by step otherwise
+        # steps is min(P, R) interleaved lattice runs, one column sum each
         rng = random.Random(53)
         kinds = Counter()
         for i in range(100):
@@ -459,16 +471,16 @@ class TestCount:
             assert count == floor_sum_count_complement(cone, threshold, stair)
             assert count == column_count_complement(cone, threshold, stair)
             steps = [(b.s - a.s, a.t - b.t) for a, b in zip(stair.corners, stair.corners[1:])]
-            for (w, _), run in groupby(steps):
+            for (w, h), run in groupby(steps):
                 size = len(list(run))
                 if size > 1:
-                    kinds[w < size, w > bits] += 1
-        # runs counted as a whole and step by step, of narrow and of wide steps
-        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+                    kinds[residue_kind(cone.det_abs, h + cone.tau * w, size)] += 1
+        # runs of one lattice run, of fewer than R and of R one-step runs
+        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
 
     def test_run_count_matches_listed_run_and_oracles(self):
-        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted as a whole run
-        # when w < r and step by step otherwise, r = 0 being a principal ideal's power;
+        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted as min(P, r)
+        # interleaved lattice runs, r = 0 being a principal ideal's power;
         # half the cones random, half of index up to 10^12
         rng = random.Random(59)
         kinds = Counter()
@@ -487,40 +499,41 @@ class TestCount:
             if small and r * w * t0 <= 20_000:
                 assert count == brute_count_complement(cone, threshold, stair)
                 kinds["brute"] += 1
-            kinds["principal" if r == 0 else "step by step" if w >= r else "whole run"] += 1
-        assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+            kinds["principal" if r == 0 else residue_kind(cone.det_abs, h + cone.tau * w, r)] += 1
+        assert kinds["principal"] >= 20 and kinds["brute"] >= 20 and len(kinds) == 5, kinds
+        assert min(kinds.values()) >= 10, kinds
 
     def test_run_tops_match_a_plain_column_sum(self):
         # R steps (w, -h) from column a under row hi, given c = hi - 1 - tau * a:
         # column x of step j holds (c - j * h - tau * (j * w + x)) // det_abs
-        # points; tau and det_abs random, det_abs up to 10^12
+        # points; tau and det_abs random, det_abs up to 10^12, and h a lattice
+        # step's, random, or one making steps P = det_abs / g apart, 1 < P < R,
+        # a lattice vector apart: then h + tau * w is g times a unit mod P
         rng = random.Random(61)
         kinds = Counter()
         for i in range(160):
-            step = rng.choice([rng.randint(1, 12), rng.randint(1, 10**12)])
+            kind = i % 3
+            run = rng.choice([0, rng.randint(1, 60)]) if kind < 2 else rng.randint(3, 60)
+            g = rng.choice([rng.randint(1, 12), rng.randint(1, 10**9)])
+            step = rng.randint(2, run - 1) * g if kind == 2 else rng.choice(
+                [rng.randint(1, 12), rng.randint(1, 10**12)])
             tau, bits = rng.randint(-step, step), step.bit_length()
-            kind = i % 4
-            if kind == 0:
-                run, w = 0, rng.randint(1, 3 * bits + 8)
-            elif kind == 1:
-                run = rng.randint(2, 60)
-                w = rng.randint(1, run - 1)
+            w = rng.choice([rng.randint(1, bits), rng.randint(bits + 1, 3 * bits + 8)])
+            h = (-tau * w) % step + step * rng.randint(1, 2)
+            if kind == 1:
+                h = rng.randint(1, 3 * step)
             elif kind == 2:
-                w = rng.randint(1, bits)
-                run = rng.randint(1, w)
-            else:
-                w = rng.randint(bits + 1, 3 * bits + 8)
-                run = rng.randint(1, min(w, 12))
-            h, c = rng.randint(1, 3 * step), rng.randint(-(10**15), 10**15)
+                unit = rng.randint(1, step // g)
+                while gcd(unit, step // g) != 1:
+                    unit = rng.randint(1, step // g)
+                h += g * unit
+            c = rng.randint(-(10**15), 10**15)
             plain = sum(
                 (c - j * h - tau * (j * w + x)) // step for j in range(run) for x in range(w)
             )
             assert _run_tops(tau, step, bits, c, w, h, run) == plain
-            kinds[
-                "empty" if run == 0 else "whole run" if w < run
-                else "narrow steps" if w <= bits else "wide steps"
-            ] += 1
-        assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+            kinds[residue_kind(step, h + tau * w, run)] += 1
+        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
 
     def test_run_count_lists_nothing(self, monkeypatch):
         # a run no longer than its steps are wide is counted off s0, t0, w, h
@@ -548,8 +561,8 @@ class TestCount:
         # fine: runs of 1 to 60 equal steps among irregular ones; coarse: a
         # subset of its corners, so each coarse step covers touching band
         # rectangles of one top whose bottoms fall by one step's height, cut
-        # wherever the subset cuts the fine runs.  A run of R rectangles w
-        # wide takes 2 w floor sums when w < R, rectangle by rectangle otherwise
+        # wherever the subset cuts the fine runs.  The bottoms of a run of R
+        # rectangles are min(P, R) interleaved lattice runs, P here from delta - tau * w
         rng = random.Random(59)
         kinds = Counter()
         for i in range(120):
@@ -562,11 +575,11 @@ class TestCount:
             assert count_lattice_band(
                 cone, threshold, fine, coarse
             ) == column_count_band(cone, threshold, fine, coarse)
-            for w, size in band_runs(_rectangles(fine, coarse)):
+            for w, size, delta in band_runs(_rectangles(fine, coarse)):
                 if size > 1:
-                    kinds[w < size, w % d > bits] += 1
-        # runs counted whole and rectangle by rectangle, of narrow and of wide leftovers
-        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+                    kinds[residue_kind(d, delta - cone.tau * w, size)] += 1
+        # bottoms of one lattice run, of fewer than R and of R one-rectangle runs
+        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
 
     def test_one_run_band_matches_the_band_of_the_built_powers(self):
         # the band between the q-th ordinary and bracket powers of a run of m
@@ -716,7 +729,7 @@ def run_kinds(stair: Staircase, cone: Cone2) -> set:
 class TestLatticeRuns:
     # a run of lattice steps is counted off its first step in O(1) floor sums
     # whatever its length; a run of other steps, which only a staircase that is
-    # no ideal's has, is counted column by column or step by step as before
+    # no ideal's has, is counted as min(P, R) interleaved runs of lattice steps
 
     def test_counts_match_the_box_scan(self):
         # the box-scan oracle lists every lattice point of the gap box, det_abs up to 80

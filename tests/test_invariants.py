@@ -187,13 +187,15 @@ class TestGhkFunction:
         assert perf_counter() - start < 0.1
 
     def test_tower_cap_is_exact(self, monkeypatch):
-        # (n_max + 1) counts of every corner, refused before the primality test
-        ideal = veronese(9, 7).ideal
-        work = 6 * len(ideal.stair.corners)
+        # (n_max + 1) counts of every run, refused before the primality test;
+        # the ideal's 3 corners are 2 runs
+        ideal = non_run_ideal()
+        assert len(ideal.stair.runs) == 2 and len(ideal.stair.corners) == 3
+        work = 6 * 2
         monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work)
         assert len(ghk_function(ideal, 2, 5)) == 6
         monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work - 1)
-        refusal = rf"\^5 needs {work} corner counts, over {work - 1}"
+        refusal = rf"\^5 needs {work} run counts, over {work - 1}"
         for p in (2, 4):
             with pytest.raises(BadParameters, match=refusal):
                 ghk_function(ideal, p, 5)

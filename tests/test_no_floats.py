@@ -2,7 +2,7 @@
 
 Scans the syntax tree of every module in src/ghk for float and complex
 literals, for any use of the names float and complex, and for math
-imports beyond the integer helpers gcd, isqrt, floor and ceil.
+imports beyond the integer helpers gcd, lcm, isqrt, floor and ceil.
 """
 
 import ast
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ghk"
-MATH_ALLOWED = {"gcd", "isqrt", "floor", "ceil"}
+MATH_ALLOWED = {"gcd", "lcm", "isqrt", "floor", "ceil"}
 
 
 def float_uses(tree: ast.AST) -> list[str]:

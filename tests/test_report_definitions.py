@@ -2,10 +2,16 @@
 
 Each case is a tiny document drawn with a fixed seed: rays with
 coordinates at most 4 and generators whose corners are at most 7, half
-of them drawn so that the ideal is saturated.  Its `function`, `powers`
-and `split` reports, run through run_command, are checked against the
-definitions stated in terms of lattice points:
+of them drawn so that the ideal is saturated.  Its `eghk`, `function`,
+`powers` and `split` reports, run through run_command, are checked
+against the definitions stated in terms of lattice points:
 
+- `eghk` reports the thresholds; det_abs, the |determinant| of the
+  rays; whether the ideal is saturated, which is when every lattice
+  point above the thresholds dominates a generator corner; and e_gHK,
+  the number of integer cells (s, t) of the gap box, from the thresholds
+  to the largest generator corner coordinates, that dominate no
+  generator corner, over det_abs;
 - `function` value n is the number of lattice points whose corners lie
   in the quadrant above q times the thresholds but dominate no q-th
   multiple of a generator, q = p^n;
@@ -24,6 +30,7 @@ the componentwise minima of the generator corners.
 
 import json
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -118,6 +125,12 @@ class _Definition:
         sums = combinations_with_replacement(self.gens, n)
         return _minimal((sum(s for s, _ in c), sum(t for _, t in c)) for c in sums)
 
+    def cells(self) -> int:
+        # integer cells of the gap box that dominate no generator corner
+        (s0, t0), (s1, t1) = self.low, self.high
+        box = [(s, t) for s in range(s0, s1) for t in range(t0, t1)]
+        return sum(not _dominates(c, self.gens) for c in box)
+
     def gap(self, k: int, covers) -> int:
         return sum(not _dominates(c, covers) for c in self.quadrant(k))
 
@@ -148,6 +161,14 @@ def test_reports_match_their_definitions(index, capsys, tmp_path):
     doc, path = DOCUMENTS[index], tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     spec = _Definition(doc)
+    code, results, _, _ = _run(capsys, ["eghk", "--file", str(path)])
+    assert code == 0
+    (x1, y1), (x2, y2) = doc["cone"]["rays"]
+    det_abs = abs(x1 * y2 - y1 * x2)
+    assert results["thresholds"] == list(spec.low)
+    assert results["det_abs"] == det_abs
+    assert results["saturated"] == (spec.gap(1, spec.gens) == 0)
+    assert Fraction(results["eghk"]["rational"]) == Fraction(spec.cells(), det_abs)
     argv = ["function", "--file", str(path), "--prime", "2", "--max-n", "2"]
     code, results, _, _ = _run(capsys, argv)
     assert code == 0
