@@ -22,7 +22,6 @@ from .errors import (
     NoStabilization,
     NotMPrimary,
     NotSaturated,
-    NotTorsionWithin,
     UnboundedRegion,
 )
 from .geometry import (
@@ -80,7 +79,6 @@ __all__ = [
     "NoStabilization",
     "NotMPrimary",
     "NotSaturated",
-    "NotTorsionWithin",
     "Point",
     "QuasiPolynomial",
     "Staircase",

@@ -30,7 +30,6 @@ from .errors import BadParameters, GhkError
 from .geometry import Cone2, Point, _box_points_bound
 from .ideals import (
     MonomialIdeal,
-    _PowerWorkCap,
     frobenius_power,
     is_saturated,
     ordinary_power,
@@ -217,10 +216,10 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
     Raises BadParameters, before any suite runs, when the suites' box
     scans would visit more than _MAX_VERIFY_WORK lines and points.  The
     suites share the powers the ideal keeps, so each is built once.  A
-    suite whose power DP passes the ideals module's work cap has not
-    failed its property, so that BadParameters ends the run and is
-    re-raised; any other GhkError (other BadParameters included) or
-    failed assertion marks its suite as FAIL.
+    BadParameters inside a suite is a work cap (the power DP's is the
+    only one a suite's arguments can reach), not a failed property, so
+    it ends the run and is re-raised; any other GhkError or failed
+    assertion marks its suite as FAIL.
     """
     work = _scan_work(ideal, _PROBES)
     if work > _MAX_VERIFY_WORK:
@@ -232,7 +231,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
         try:
             detail = fn()
             results.append(CheckResult(name, True, detail or "ok"))
-        except _PowerWorkCap:
+        except BadParameters:
             raise
         except GhkError as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

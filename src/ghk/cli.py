@@ -230,7 +230,7 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     summary = [f"{instance.label}: power gap lengths {values[:12]}"]
     period = args.period
     if is_saturated(ideal):
-        fact = torsion_factorization(ideal, args.max_order)
+        fact = torsion_factorization(ideal)
         newton = newton_multiplicity(fact.primary)
         predicted = Fraction(newton, 2 * fact.order * fact.order)
         results["torsion"] = {
@@ -356,7 +356,6 @@ _COMMANDS: dict[str, tuple[str, dict[str, _Option]]] = {
         **_TORIC_INPUT,
         "--max-n": _Option("max_n", int, True, "largest power"),
         "--period": _Option("period", int, False, "override the fit period"),
-        "--max-order": _Option("max_order", int, False, "torsion order cap (default det_abs)"),
     }),
     "reptype": ("multiplicity from a module decomposition", {
         "--file": _Option("file", str, False, "path of a JSON input document"),

@@ -51,10 +51,6 @@ class UnboundedRegion(GhkError):
     """The region whose area or lattice count was requested is infinite."""
 
 
-class NotTorsionWithin(GhkError):
-    """No torsion order up to the given bound works."""
-
-
 class NoStabilization(GhkError):
     """A sequence did not settle onto a quasi-polynomial in the window."""
 

@@ -24,7 +24,7 @@ two facet thresholds matter.
 """
 
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadParameters,
@@ -32,7 +32,6 @@ from .errors import (
     EmptyInput,
     GeneratorOutsideCone,
     NotSaturated,
-    NotTorsionWithin,
 )
 from .geometry import (
     Cone2,
@@ -127,21 +126,19 @@ def frobenius_power(ideal: MonomialIdeal, q: int) -> MonomialIdeal:
 _MAX_POWER_WORK = 1_000_000  # steps of the power DP, about a second of work
 
 
-class _PowerWorkCap(BadParameters):
-    """The refusal of a power DP over _MAX_POWER_WORK steps."""
-
-
 def _check_power_work(corners: Sequence[tuple[int, int]], n: int) -> None:
-    """Refuse a power DP over _MAX_POWER_WORK steps, in O(len(corners)).
+    """Raise BadParameters for a power DP over _MAX_POWER_WORK steps, in O(len(corners)).
 
     The size comes from the level bound |L_k| <= k * w + 1 (see
     _power_levels), with a level's list and call overhead counted as
     eight entries.  _build_power and _power_runs each run it first.
+    Inside verify this refusal is a cap, not a failed property, and ends
+    the run (see checks.run_instance_checks).
     """
     s0, t0 = corners[0]
     work = sum(min(gs - s0, t0 - gt) * n * (n + 1) // 2 + 8 * n for gs, gt in corners)
     if work > _MAX_POWER_WORK:
-        raise _PowerWorkCap(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
+        raise BadParameters(f"power {n} needs about {work} DP steps, over {_MAX_POWER_WORK}")
 
 
 def _power_levels(corners: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
@@ -270,30 +267,23 @@ class TorsionFactorization(NamedTuple):
     primary: MonomialIdeal
 
 
-def torsion_factorization(
-    ideal: MonomialIdeal, max_order: Optional[int] = None
-) -> TorsionFactorization:
+def torsion_factorization(ideal: MonomialIdeal) -> TorsionFactorization:
     """Factor a saturated ideal through the divisor class group.
 
     The class group is cyclic of order det_abs through (s, t) -> t - tau * s
     mod det_abs, so the least r >= 1 such that r times the threshold corner
     (c1, c2) is the corner of a lattice point u is det_abs // gcd(det_abs,
     c2 - tau * c1); the r-th ordinary power is u plus a finite-colength
-    ideal.  max_order (default det_abs, which r divides) caps r: a larger r
-    raises NotTorsionWithin before any power is built.  Raises NotSaturated
-    when the input is not saturated.
+    ideal.  r divides det_abs, so no bound on it is needed; the r-th power
+    is built by ordinary_power under the power DP's work cap.  Raises
+    NotSaturated when the input is not saturated.
     """
     if not is_saturated(ideal):
         raise NotSaturated("torsion factorization needs a saturated ideal")
     cone = ideal.cone
-    bound = cone.det_abs if max_order is None else max_order
-    if bound < 1:
-        raise BadParameters("max_order must be a positive integer")
     c1, c2 = ideal.thresholds
     tau = cone.tau
     r = cone.det_abs // gcd(cone.det_abs, c2 - tau * c1)
-    if r > bound:
-        raise NotTorsionWithin(f"no torsion order up to {bound} works")
     u = cone.preimage((r * c1, r * c2))
     power = ordinary_power(ideal, r)
     # a shift keeps every run maximal

@@ -48,8 +48,9 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, ideal.thresholds, ideal.stair)
 
 
-# runs counted over the tower: about 1 s up to det_abs 10^12 while q is at most 2^24,
-# but up to about 9 s as q nears the 4096-bit cap and each count's ints grow with it
+# run counts over the tower, a run at q = p^n charged 1 + (n * p's bit length) // 256
+# counts as its ints grow with q: 0.8 to 1.4 s of counting on det_abs 10^12 + 39 at the
+# cap, whether q stays under 2^24 or nears 2^4096 (2-vCPU Xeon VM, in process)
 _MAX_TOWER_WORK = 500_000
 
 
@@ -59,10 +60,13 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
     prime and n_max nonnegative.  p over 40 bits, n_max times p's bit
-    length over 4096, or (n_max + 1) times the run count over
-    _MAX_TOWER_WORK raises BadParameters before the primality test; so
-    does a count that could pass the interpreter's int-to-str digit limit,
-    before any counting.  That check is a bit-length test: a bound of at
+    length over 4096, or a tower over _MAX_TOWER_WORK run counts raises
+    BadParameters before the primality test; so does a count that could
+    pass the interpreter's int-to-str digit limit, before any counting.
+    Each q = p^n is charged 1 + b // 256 counts per run, b = n times p's
+    bit length, a bound on the bits of q that builds no power of p, so a
+    tower whose q all stay under 2^256 is (n_max + 1) times the run count.
+    The digit-limit check is a bit-length test: a bound of at
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
     under any limit.  The input ideal was validated when it was built,
@@ -77,7 +81,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
     if n_max * bits > 4096:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
-    work = (n_max + 1) * len(ideal.stair.runs)
+    work = len(ideal.stair.runs) * sum(1 + n * bits // 256 for n in range(n_max + 1))
     if work > _MAX_TOWER_WORK:
         raise BadParameters(
             f"q = {p}^0 .. {p}^{n_max} needs {work} run counts, over {_MAX_TOWER_WORK}"

@@ -6,10 +6,11 @@ over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify walks its box scans up to the scan cap and refuses past it or
 when a suite hits a work cap, and function sizes a tower by its run
-counts, refusing too many.  The counting kernel reads a long run of
-equal steps as at most det_abs interleaved runs of lattice steps, one
-column sum each, and so does the band count over a long run of touching
-rectangles; both are timed in process, under 1 s.
+counts, charged by the bits of q, refusing too many.  The counting
+kernel reads a long run of equal steps as at most det_abs interleaved
+runs of lattice steps, one column sum each, and so does the band count
+over a long run of touching rectangles; both are timed in process,
+under 1 s.
 """
 
 import json
@@ -49,6 +50,12 @@ QUADRANT = {
 ALTERNATING = {
     "cone": {"rays": [[1, 0], [0, 1]]},
     "generators": [[i + i // 2, 20000 - i] for i in range(20001)],
+}
+# 251 corners on det_abs 10^12 + 39 whose lattice steps (39, -39) and (40, -40) alternate:
+# 250 runs of one step, whose counts slow down as the bits of q grow
+WIDE_Q = {
+    "cone": {"rays": [[1, 0], [1, 10**12 + 39]]},
+    "generators": [[1, 39 * i + i // 2] for i in range(251)],
 }
 
 
@@ -154,6 +161,24 @@ def test_function_tower_over_the_cap_is_refused(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: q = 2^0 .. 2^25 needs 520000 run counts, over 500000\n"
+
+
+def test_function_tower_sized_by_the_bits_of_q(tmp_path):
+    # each q = 3^n costs 1 + 2n // 256 counts per run: 250 * 16640 at --max-n 1999,
+    # a tower that counts for about 9 s
+    start = perf_counter()
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "1999"], WIDE_Q)
+    assert perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: q = 3^0 .. 3^1999 needs 4160000 run counts, over 500000\n"
+    # 250 * 2000 counts at --max-n 652, the largest the cap accepts
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "652"], WIDE_Q)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["values"]) == 653
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "653"], WIDE_Q)
+    assert proc.returncode == 1
+    assert "3^653 needs 501000 run counts, over 500000" in proc.stderr
 
 
 def test_function_tower_of_one_long_run(tmp_path):

@@ -23,7 +23,7 @@ from ghk.checks import (
     run_instance_checks,
     saturation_region_oracle,
 )
-from ghk.errors import BadParameters
+from ghk.errors import BadParameters, NotMPrimary
 from ghk.families import a_singularity, parse_family, veronese
 from ghk.geometry import Cone2, Staircase
 from ghk.ideals import MonomialIdeal, new_ideal
@@ -321,17 +321,27 @@ class TestVerifyWork:
         with pytest.raises(BadParameters, match="power 600 needs about 3819900 DP steps"):
             run_instance_checks(veronese(600, 7).ideal)
 
-    def test_other_bad_parameters_inside_a_suite_fail_that_suite(self, monkeypatch):
-        # a suite that passes a bad argument has failed; only the DP cap refuses the run
-        monkeypatch.setattr(
-            checks, "torsion_factorization",
-            lambda ideal: ideals.torsion_factorization(ideal, max_order=0),
-        )
+    @pytest.mark.parametrize(
+        "name", ["frobenius_power", "frobenius_gap_split", "newton_multiplicity"]
+    )
+    def test_bad_parameters_inside_any_suite_refuse_the_run(self, name, monkeypatch):
+        # in the first, the seventh and the last suite: every BadParameters is a cap
+        def capped(*args):
+            raise BadParameters("planted cap")
+
+        monkeypatch.setattr(checks, name, capped)
+        with pytest.raises(BadParameters, match="planted cap"):
+            run_instance_checks(veronese(9, 7).ideal)
+
+    def test_other_errors_inside_a_suite_fail_that_suite(self, monkeypatch):
+        # a GhkError that is not BadParameters is a failed property: the other suites still run
+        def failing(ideal):
+            raise NotMPrimary("planted failure")
+
+        monkeypatch.setattr(checks, "torsion_factorization", failing)
         results = run_instance_checks(veronese(9, 7).ideal)
         failed = [(c.name, c.detail) for c in results if not c.passed]
-        assert failed == [
-            ("torsion-roundtrip", "BadParameters: max_order must be a positive integer")
-        ]
+        assert failed == [("torsion-roundtrip", "NotMPrimary: planted failure")]
         assert len(results) == 10
 
     def test_each_power_built_once(self, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import non_run_ideal
 from ghk import checks, cli, ideals
 from ghk.cli import run_command
-from ghk.errors import ContractViolation
+from ghk.errors import ContractViolation, NotMPrimary
 from ghk.fmt import exact_decimal, rational_json, report_json
 from ghk.ideals import MonomialIdeal
 
@@ -422,15 +422,6 @@ class TestPowersCommand:
         assert (code, report) == (1, None)
         assert err == "error: power 2000003 needs about 16000024 DP steps, over 1000000\n"
 
-    def test_torsion_bound_too_small(self, capsys):
-        code, report, err = run_json(
-            capsys,
-            ["powers", "--family", "a:3,1", "--max-n", "21", "--max-order", "2"],
-        )
-        assert code == 1
-        assert report is None
-        assert "torsion" in err
-
 
 class TestReptypeCommand:
     def test_flags(self, capsys):
@@ -516,18 +507,19 @@ class TestVerifyCommand:
 
 
     def test_failed_suite_prints_the_report_and_exits_1(self, capsys, monkeypatch):
-        # a suite that passes a bad argument fails; the report and summary still print
-        monkeypatch.setattr(
-            checks, "torsion_factorization",
-            lambda ideal: ideals.torsion_factorization(ideal, max_order=0),
-        )
+        # a suite that raises a GhkError other than BadParameters fails; the report and
+        # summary still print
+        def failing(ideal):
+            raise NotMPrimary("planted failure")
+
+        monkeypatch.setattr(checks, "torsion_factorization", failing)
         code, report, err = run_json(capsys, ["verify", "--family", "veronese:9,7"])
         assert code == 1
         assert report["command"] == "verify"
         assert report["results"]["all_passed"] is False
         failed = [c["name"] for c in report["results"]["checks"] if not c["passed"]]
         assert failed == ["torsion-roundtrip"]
-        assert "FAIL torsion-roundtrip: BadParameters: max_order" in err
+        assert "FAIL torsion-roundtrip: NotMPrimary: planted failure" in err
         assert err.endswith("9/10 suites passed\n")
 
     @pytest.mark.parametrize(

@@ -154,8 +154,6 @@ CASES = {
     # fewer values than the torsion period's fit needs: the report leaves the fit out
     "a73-powers-short": (["powers", "--family", "a:7,3", "--max-n", "8"], {}),
     "a73-powers-period": (["powers", "--family", "a:7,3", "--max-n", "98", "--period", "14"], {}),
-    "a73-powers-max-order": (
-        ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "7"], {}),
     # tower's longest band: 201 ordinary-power corners against a two-corner bracket power
     "a58-split-deep": (["split", "--family", "a:58,28", "--q", "200"], {}),
     # one-run gap splits, whose bands are m runs of R = q - 1 rectangles: R = 1 of
@@ -204,8 +202,6 @@ CASES = {
     "error-unknown-family": (["eghk", "--family", "cubic:2,1"], {}),
     "error-missing-file": (["eghk", "--file", "missing.json"], {}),
     "error-malformed-file": (["eghk", "--file", "bad.json"], {"bad.json": '{"cone": [1, 0'}),
-    "error-max-order-too-small": (
-        ["powers", "--family", "a:7,3", "--max-n", "49", "--max-order", "2"], {}),
     "error-reptype-dimension": (["reptype", "--r", "4", "--u", "1,0"], {}),
     # refusals by the power DP's work estimate, for one-run and non-run ideals
     "error-powers-cap-run": (["powers", "--family", "veronese:9,7", "--max-n", "265"], {}),
@@ -216,7 +212,7 @@ CASES = {
     "error-powers-max-n-zero": (["powers", "--file", "nonrun.json", "--max-n", "0"], NONRUN),
     # usage errors, written by argparse; --help stays out, its wrapping follows the terminal
     "usage-unknown-option": (["eghk", "--family", "a:3,1", "--bogus"], {}),
-    "usage-ambiguous-option": (["powers", "--family", "a:7,3", "--max", "5"], {}),
+    "usage-ambiguous-option": (["powers", "--f", "a:7,3", "--max-n", "3"], {}),
     "usage-family-and-file": (["eghk", "--family", "a:3,1", "--file", "input.json"], DOCUMENT),
     "usage-non-integer-q": (["split", "--family", "a:7,3", "--q", "two"], {}),
     "usage-missing-prime": (["function", "--family", "a:7,3", "--max-n", "2"], {}),

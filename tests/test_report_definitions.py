@@ -14,13 +14,18 @@ against the definitions stated in terms of lattice points:
   generator corner, over det_abs;
 - `function` value n is the number of lattice points whose corners lie
   in the quadrant above q times the thresholds but dominate no q-th
-  multiple of a generator, q = p^n;
+  multiple of a generator, q = p^n; `normalized` entry n is that count
+  over q^2, as a rational; `limit` is e_gHK as `eghk` defines it; and
+  `convergence_constant` is 4 (W + H), W and H the width and height of
+  the gap box from the thresholds to the largest minimal generator
+  corner coordinates;
 - `powers` value i is that count for the ordinary power I^(i + 1),
   generated by the sums of all (i + 1)-multisets of generators, above
   (i + 1) times the thresholds;
 - `split` at q counts the points of the scaled threshold quadrant
   missing from the bracket power, those missing from the ordinary power,
-  and those in the ordinary power but not the bracket power.
+  and those in the ordinary power but not the bracket power; `additive`
+  is whether the first of those counts is the sum of the other two.
 
 The recount lists points with conftest.box_scan_points and powers with
 itertools.combinations_with_replacement, and tests domination corner by
@@ -168,11 +173,18 @@ def test_reports_match_their_definitions(index, capsys, tmp_path):
     assert results["thresholds"] == list(spec.low)
     assert results["det_abs"] == det_abs
     assert results["saturated"] == (spec.gap(1, spec.gens) == 0)
-    assert Fraction(results["eghk"]["rational"]) == Fraction(spec.cells(), det_abs)
+    area = Fraction(spec.cells(), det_abs)
+    assert Fraction(results["eghk"]["rational"]) == area
     argv = ["function", "--file", str(path), "--prime", "2", "--max-n", "2"]
     code, results, _, _ = _run(capsys, argv)
     assert code == 0
-    assert results["values"] == [spec.gap(q, spec.bracket(q)) for q in (1, 2, 4)]
+    gaps = [spec.gap(q, spec.bracket(q)) for q in (1, 2, 4)]
+    assert results["values"] == gaps
+    normalized = [Fraction(entry["rational"]) for entry in results["normalized"]]
+    assert normalized == [Fraction(g, q * q) for g, q in zip(gaps, (1, 2, 4))]
+    assert Fraction(results["limit"]["rational"]) == area
+    (s0, t0), far_s, far_t = spec.low, *(max(c[i] for c in spec.gens) for i in (0, 1))
+    assert results["convergence_constant"] == 4 * (far_s - s0 + far_t - t0)
     saturated = results["values"][0] == 0
     code, results, _, _ = _run(capsys, ["powers", "--file", str(path), "--max-n", str(MAX_N)])
     assert code == 0
@@ -185,5 +197,7 @@ def test_reports_match_their_definitions(index, capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: gap split needs a saturated ideal\n")
         return
     assert code == 0
-    triple = results["total_gap"], results["sym_vs_ord"], results["ord_vs_frob"]
-    assert triple == spec.split(SPLIT_Q)
+    total, missing, band = spec.split(SPLIT_Q)
+    assert (results["total_gap"], results["sym_vs_ord"], results["ord_vs_frob"]) == (
+        total, missing, band)
+    assert results["additive"] is (total == missing + band)
