@@ -22,7 +22,6 @@ Its cost is linear in det_abs and in the staircase's far ends, so it
 estimates the scan work first and refuses above _MAX_VERIFY_WORK.
 """
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -165,7 +164,7 @@ def saturation_region_oracle(ideal: MonomialIdeal, points: list[Point]) -> list[
     return [inside(p) for p in points]
 
 
-_PROBES = 8  # points sampled per probe suite
+_PROBES = 8  # points _probe_points returns, each walked by the oracle
 
 
 class CheckResult(NamedTuple):
@@ -174,18 +173,28 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _probe_points(ideal: MonomialIdeal, rng: random.Random, want: int) -> list[Point]:
-    """want points sampled from the corner box around the thresholds, or all if no more.
+def _probe_points(ideal: MonomialIdeal) -> list[Point]:
+    """The eight lattice points on the four lines beside the threshold lines.
 
-    The box reaches 2 * det_abs + 2 past each threshold, so it holds
-    points on both sides of both threshold lines; the pool is its
-    sorted lattice points, so a seeded rng draws the same probes.
+    Columns s = c1 - 1 and s = c1 are each cut to the det_abs rows on
+    either side of t = c2, and rows t = c2 - 1 and t = c2 to the det_abs
+    columns on either side of s = c1.  A line holds one lattice point
+    in any det_abs consecutive places, so each thin box holds two, one on
+    each side of the other threshold line: the points of column c1 and
+    row c2 that are inside the threshold quadrant, and six that are
+    outside, one step across a threshold line or beside the corner.  A
+    test that moves either threshold by one, or ignores one, answers
+    some of them wrongly.  A point may lie on a column and a row both,
+    and is then listed twice.
     """
-    c1, c2 = ideal.thresholds
-    pad = 2 * ideal.cone.det_abs + 2
-    box = (c1 - pad, c1 + pad + 1, c2 - pad, c2 + pad + 1)
-    pool = lattice_points_in_corner_box(ideal.cone, *box)
-    return pool if len(pool) <= want else rng.sample(pool, want)
+    cone, (c1, c2) = ideal.cone, ideal.thresholds
+    d = cone.det_abs
+    points = []
+    for s in (c1 - 1, c1):
+        points += lattice_points_in_corner_box(cone, s, s + 1, c2 - d, c2 + d)
+    for t in (c2 - 1, c2):
+        points += lattice_points_in_corner_box(cone, c1 - d, c1 + d, t, t + 1)
+    return points
 
 
 _MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, 0.2 to 0.4 s of work
@@ -200,9 +209,11 @@ def _box_work(cone: Cone2, w: int, h: int) -> int:
 def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
     """Upper estimate of the lines and points that the box scans of the suites visit.
 
-    Two probe pools (the ideal's and its third bracket power's), then
-    per probe the oracle's three boxes: the window and the two strips
-    below the staircase's largest s and largest t.
+    A conservative allowance for the probe lines of the ideal and of its
+    third bracket power, a 4 * det_abs + 5 square box each, far more
+    than the four thin boxes _probe_points scans; then per probe the
+    oracle's three boxes: the window and the two strips below the
+    staircase's largest s and largest t.
     """
     cone, stair, d = ideal.cone, ideal.stair, ideal.cone.det_abs
     boxes = [(d, d), (stair.max_s, d), (d, stair.max_t)]
@@ -224,7 +235,6 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
     work = _scan_work(ideal, _PROBES)
     if work > _MAX_VERIFY_WORK:
         raise BadParameters(f"verify needs about {work} scan steps, over {_MAX_VERIFY_WORK}")
-    rng = random.Random(2026)
     results: list[CheckResult] = []
 
     def record(name: str, fn) -> None:
@@ -256,7 +266,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
         q = 3
         frob = frobenius_power(ideal, q)
         ordn = ordinary_power(ideal, q)
-        pts = [tuple(g) for g in frob.gens] + _probe_points(frob, rng, _PROBES)
+        pts = [tuple(g) for g in frob.gens] + _probe_points(frob)
         checked = 0
         for p in pts:
             c = frob.cone.corner(p)
@@ -268,7 +278,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
         return f"{checked} points at q = {q}"
 
     def saturation_oracle() -> str:
-        pts = _probe_points(ideal, rng, _PROBES)
+        pts = _probe_points(ideal)
         for p, slow in zip(pts, saturation_region_oracle(ideal, pts)):
             fast = threshold_membership(ideal, p)
             assert fast == slow, f"oracle disagrees at {p}: fast={fast} slow={slow}"

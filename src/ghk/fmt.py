@@ -1,34 +1,36 @@
 """Exact decimal strings for the CLI reports and the SVG renderer, and the report writer.
 
-Rationals print as correctly rounded decimal strings that do not depend
-on the caller's decimal context.  Reports print through report_json,
-which writes the bytes of the standard json.dumps with an indent of 2
-and sorted keys at the speed of the C string encoder: CPython runs its
-pure-Python encoder whenever an indent is set.  The writer makes one
-call per dict and list; their exact str and int items, the leaves of
-almost every report, are written inside that call.
+Rationals print as correctly rounded decimal strings, divided in one
+module-level context, so they do not depend on the caller's decimal
+context.  Reports print through report_json, which writes the bytes of
+the standard json.dumps with an indent of 2 and sorted keys at the
+speed of the C string encoder: CPython runs its pure-Python encoder
+whenever an indent is set.  The writer makes one call per dict and
+list; their exact str and int items, the leaves of almost every
+report, are written inside that call.
 """
 
 import json
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 
 _SIG = 12  # significant digits of every decimal string
+# the one context every division runs in; the flags it raises are never read
+_CONTEXT = Context(prec=_SIG, rounding=ROUND_HALF_EVEN)
 
 
 def exact_decimal(value: Fraction) -> str:
     """Decimal string of a rational, correctly rounded to _SIG significant digits.
 
     Never uses scientific notation, never emits padding zeros, so equal
-    rationals always format to byte-identical strings.  The division runs
-    in a context of its own, so the caller's decimal context (its
-    rounding, its traps) has no effect.
+    rationals always format to byte-identical strings.  The numerator
+    and denominator go as ints to the divide of one module-level context,
+    _SIG digits rounding half to even, so the caller's decimal context
+    (its rounding, its traps) has no effect.
     """
-    context = Context(prec=_SIG, rounding=ROUND_HALF_EVEN)
-    quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return format(quotient, "f")
+    return format(_CONTEXT.divide(value.numerator, value.denominator), "f")
 
 
 def rational_json(value: Fraction) -> dict:

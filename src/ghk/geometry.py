@@ -29,7 +29,10 @@ band-run kernel, which reads a run whose bottoms are lattice corners
 off its first rectangle in the same way.  The band between the q-th
 ordinary and bracket powers of a one-run ideal of m steps is the band
 under its first bracket step and m - 1 lattice translates of it, so it
-is one call of that kernel off the base run, listing neither power.  A
+is one call of that kernel off the base run, listing neither power.
+The bracket powers q = p^0 .. p^n of an ideal are counted together off
+its base runs: each q is one floor sum and one column sum per distinct
+step width, with no staircase built.  A
 run of R other steps, which only a staircase that is no ideal's can have,
 is min(P, R) interleaved runs of lattice steps, P being det_abs over
 gcd(det_abs, h + tau * w), and costs O(min(P, R)) column sums.
@@ -460,6 +463,43 @@ def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) ->
     for a, hi, w, h, r in runs:
         total += _run_tops(tau, step, bits, hi - 1 - tau * a, w, h, r)
     return total
+
+
+def _count_tower(
+    cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]], scales: Iterable[int]
+) -> list[int]:
+    """_count_under of an ideal's runs scaled by each q of scales, building no staircase.
+
+    Every run (a, hi, w, h, r) of an ideal's staircase starts at a
+    lattice corner and steps by a lattice vector, so k0 = (hi - tau * a)
+    / det_abs and lift = (h + tau * w) / det_abs are ints.  Scaled by q,
+    column x of step j holds q * (k0 - j * lift) + g(x) points below its
+    top, g(x) = (-1 - tau * x) // det_abs, so the tops sum to q * q * A
+    plus R_w * G(q * w) over the step widths w, where
+    A = sum of w * (r * k0 - lift * r * (r - 1) / 2) over the runs, R_w
+    counts the steps w wide and G(n) sums g over x < n.  A and R_w are
+    read once; each q then costs one floor sum for the bottom row over
+    all q * W columns, W the staircase's width, and one column sum
+    per distinct width.  _count_under keeps its own single-count loop,
+    which this one would slow down, and is the reference for it.
+    """
+    tau, step = cone.tau, cone.det_abs
+    bits = step.bit_length()
+    area, widths = 0, {}
+    for a, hi, w, h, r in runs:
+        if r:
+            k0, lift = (hi - tau * a) // step, (h + tau * w) // step
+            area += w * (r * k0 - lift * (r * (r - 1) // 2))
+            widths[w] = widths.get(w, 0) + r
+    a0, (a, hi, w, h, r) = runs[0][0], runs[-1]
+    span, row = a + r * w - a0, hi - r * h - tau * a0
+    counts = []
+    for q in scales:
+        total = q * q * area - _floor_sum(q * span, step, -tau, q * row - 1)
+        for w, n in widths.items():
+            total += n * _columns(tau, step, bits, q * w, -1)
+        counts.append(total)
+    return counts
 
 
 def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) -> Fraction:

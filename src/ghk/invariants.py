@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import (
     _box_points_bound,
     _count_run_band,
+    _count_tower,
     _count_under,
     count_lattice_band,
     staircase_complement_area,
@@ -70,9 +71,12 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
     under any limit.  The input ideal was validated when it was built,
-    so each q is counted by _count_under straight off the base runs
-    scaled by q (the staircase of frobenius_power(ideal, q)), without
-    building that power as an ideal.
+    so its runs start at lattice corners and step by lattice vectors, and
+    _count_tower counts the whole tower straight off them: each q costs
+    one floor sum and one column sum per distinct step width, and neither
+    the bracket power frobenius_power(ideal, q) nor its staircase is
+    built.  The run-count cap charges every run, so it over-charges a
+    staircase whose runs share a width.
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
@@ -98,7 +102,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"
         )
-    return [_count_under(ideal.cone, stair.scale(p**n).runs) for n in range(n_max + 1)]
+    return _count_tower(ideal.cone, stair.runs, [p**n for n in range(n_max + 1)])
 
 
 class GapSplit(NamedTuple):

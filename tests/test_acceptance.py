@@ -197,7 +197,7 @@ def test_criterion_10_region_membership_oracle():
     probes = 0
     for _ in range(200):
         ideal = random_ideal(rng, n_gens=4, spread=8, ray_bound=5)
-        pts = _probe_points(ideal, rng, 6)
+        pts = _probe_points(ideal)
         for p, slow in zip(pts, saturation_region_oracle(ideal, pts)):
             fast = threshold_membership(ideal, p)
             if fast != slow:

@@ -115,13 +115,6 @@ class TestCornerBoxScan:
 SKEWED = [((1, 0), (40, 1)), ((0, 1), (1, 40))]
 
 
-def probe_box(ideal) -> tuple[int, int, int, int]:
-    # the corner box _probe_points draws from, 2 * det_abs + 2 around the thresholds
-    c1, c2 = ideal.thresholds
-    pad = 2 * ideal.cone.det_abs + 2
-    return c1 - pad, c1 + pad + 1, c2 - pad, c2 + pad + 1
-
-
 def random_probe(rng: random.Random, ideal):
     # a lattice point with corners from below -threshold - 2d up past 2 * threshold + 2d
     cone, (c1, c2) = ideal.cone, ideal.thresholds
@@ -151,7 +144,7 @@ class TestOracleWalk:
             cases += [random_ideal(rng, cone, spread=rng.randint(9, 60)) for _ in range(30)]
         outcomes, directions, negative = set(), set(), False
         for ideal in cases:
-            probes = checks._probe_points(ideal, rng, 3)
+            probes = checks._probe_points(ideal)
             probes += [random_probe(rng, ideal) for _ in range(3)]
             for p in probes:
                 s, t = ideal.cone.corner(p)
@@ -178,7 +171,7 @@ class TestOracleWalk:
         strips, outcomes = 0, set()
         for _ in range(80):
             ideal = random_ideal(rng, ray_bound=rng.randint(1, 8))
-            probes = checks._probe_points(ideal, rng, 4)
+            probes = checks._probe_points(ideal)
             probes += [random_probe(rng, ideal) for _ in range(6)]
             probes += rng.choices(probes, k=4)
             rng.shuffle(probes)
@@ -203,7 +196,7 @@ class TestOracleWalk:
             return scan_lines(n1, n2, box)
 
         def tracking(ideal, points):
-            # the probe pools list their boxes before; count only the oracle's own
+            # the probe lines are listed before; count only the oracle's own
             calls.append(Counter())
             return oracle(ideal, points)
 
@@ -215,25 +208,58 @@ class TestOracleWalk:
         assert len(listed) >= 2
         assert max(listed.values()) == 1
 
-    def test_probes_draw_as_a_sample_of_the_sorted_pool(self):
-        # the same points and the same rng state after, for pools both <= want and > want
+    def test_probes_are_two_points_on_each_line_beside_the_thresholds(self):
+        # columns c1 - 1 and c1, then rows c2 - 1 and c2, each within det_abs of the
+        # other threshold line, against a plain box scan of each line
         rng = random.Random(97)
         cases = [random_ideal(rng, ray_bound=rng.randint(1, 12)) for _ in range(40)]
         cases += [random_ideal(rng, Cone2.from_rays(*rays)) for rays in SKEWED for _ in range(5)]
         cases += [random_index_ideal(rng, 300) for _ in range(10)]
-        seen = set()
+        repeated = 0
         for ideal in cases:
-            box = probe_box(ideal)
-            pool = lattice_points_in_corner_box(ideal.cone, *box)
-            by_rows = checks._scan_normals(ideal.cone, box)[0]
-            for want in {1, 8, len(pool) - 1, len(pool), len(pool) + 1} - {0}:
-                seed = rng.getrandbits(32)
-                ours, reference = random.Random(seed), random.Random(seed)
-                expected = pool if len(pool) <= want else reference.sample(pool, want)
-                assert checks._probe_points(ideal, ours, want) == expected
-                assert ours.getstate() == reference.getstate()
-                seen.add((by_rows, len(pool) <= want))
-        assert seen == {(rows, whole) for rows in (True, False) for whole in (True, False)}
+            cone, (c1, c2) = ideal.cone, ideal.thresholds
+            d = cone.det_abs
+            lines = [(s, s + 1, c2 - d, c2 + d) for s in (c1 - 1, c1)]
+            lines += [(c1 - d, c1 + d, t, t + 1) for t in (c2 - 1, c2)]
+            probes = checks._probe_points(ideal)
+            assert probes == [p for box in lines for p in box_scan_points(cone, *box)], ideal
+            corners = [cone.corner(p) for p in probes]
+            assert [s for s, _ in corners[:4]] == [c1 - 1, c1 - 1, c1, c1]
+            assert [t for _, t in corners[4:]] == [c2 - 1, c2 - 1, c2, c2]
+            # one on each side of the other threshold line, and two inside the quadrant
+            assert sorted(t >= c2 for _, t in corners[:4:2] + corners[1:4:2]) == [0, 0, 1, 1]
+            assert sorted(s >= c1 for s, _ in corners[4::2] + corners[5::2]) == [0, 0, 1, 1]
+            assert sum(s >= c1 and t >= c2 for s, t in corners) == 2
+            repeated += len(set(probes)) < 8
+        assert repeated > 0
+
+
+THRESHOLD_MUTANTS = {
+    "s > c1": lambda s, t, c1, c2: s > c1 and t >= c2,
+    "t > c2": lambda s, t, c1, c2: s >= c1 and t > c2,
+    "s >= c1 - 1": lambda s, t, c1, c2: s >= c1 - 1 and t >= c2,
+    "t >= c2 - 1": lambda s, t, c1, c2: s >= c1 and t >= c2 - 1,
+    "ignore t": lambda s, t, c1, c2: s >= c1,
+    "ignore s": lambda s, t, c1, c2: t >= c2,
+}
+
+
+@pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7", "quadrant:(3,0);(1,1);(0,2)"])
+@pytest.mark.parametrize("mutant", sorted(THRESHOLD_MUTANTS))
+def test_line_probes_catch_each_threshold_mutant(family, mutant, monkeypatch):
+    # an off-by-one on either threshold line, or a test that ignores one, answers a line
+    # probe wrongly, so verify's saturation suite fails and verify exits 1
+    def mutated(ideal, p):
+        s, t = ideal.cone.corner(p)
+        return THRESHOLD_MUTANTS[mutant](s, t, *ideal.thresholds)
+
+    monkeypatch.setattr(checks, "threshold_membership", mutated)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run_command(["verify", "--family", family])
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out.getvalue())["results"]["checks"] if not c["passed"]]
+    assert failed == ["saturation-oracle"]
 
 
 CHECKS = Path(checks.__file__)

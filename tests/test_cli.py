@@ -40,6 +40,17 @@ class TestFormatting:
         assert exact_decimal(Fraction(6)) == "6"
         assert exact_decimal(Fraction(10**13)) == "10000000000000"
         assert exact_decimal(Fraction(1, 7)) == "0.142857142857"
+        # a 13th significant digit of exactly 5 rounds to the even 12th digit
+        assert exact_decimal(Fraction(1234567890125, 10**13)) == "0.123456789012"
+        assert exact_decimal(Fraction(1234567890135, 10**13)) == "0.123456789014"
+        assert exact_decimal(Fraction(-1234567890125, 10**13)) == "-0.123456789012"
+        assert exact_decimal(Fraction(1234567890125)) == "1234567890120"
+        assert exact_decimal(Fraction(1234567890135)) == "1234567890140"
+        # past 10^12 and below 10^-12: padded with zeros, never in scientific notation
+        assert exact_decimal(Fraction(10**20 + 1, 3)) == "33333333333300000000"
+        assert exact_decimal(Fraction(-(10**30), 7)) == "-142857142857000000000000000000"
+        assert exact_decimal(Fraction(1, 3 * 10**15)) == "0.000000000000000333333333333"
+        assert exact_decimal(Fraction(-5, 4 * 10**13)) == "-0.000000000000125"
 
     def test_exact_decimal_ignores_the_callers_context(self):
         # ROUND_DOWN gave 0.666666666666, and the Inexact trap raised

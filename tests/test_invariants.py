@@ -32,7 +32,14 @@ from ghk.errors import (
     NotSaturated,
 )
 from ghk.families import a_singularity, parse_family, quadrant, veronese
-from ghk.geometry import Cone2, Corner, Staircase, _count_under, count_lattice_complement
+from ghk.geometry import (
+    Cone2,
+    Corner,
+    Staircase,
+    _count_tower,
+    _count_under,
+    count_lattice_complement,
+)
 from ghk.ideals import (
     MonomialIdeal,
     _gap_count,
@@ -92,7 +99,95 @@ class TestEghk:
                 assert eghk(frobenius_power(ideal, q)) == q * q * base
 
 
+def shared_width_ideal(rng: random.Random, d_max: int) -> MonomialIdeal:
+    """An ideal of index up to d_max whose lattice steps have two widths in random order.
+
+    Each step's height is one of the lattice heights of its width, so
+    runs of one width but different heights alternate with the other
+    width's, and several runs share a width.
+    """
+    d = rng.randint(1, d_max)
+    k = rng.randint(0, d)
+    while gcd(k, d) != 1:
+        k = rng.randint(0, d)
+    cone = Cone2.from_rays((1, 0), (k, d))
+    tau = cone.tau
+    widths = rng.sample(range(1, 50), 2)
+    steps = []
+    for _ in range(rng.randint(3, 8)):
+        w = rng.choice(widths)
+        steps.append((w, (-tau * w) % d + d * rng.randint(0 if (tau * w) % d else 1, 2)))
+    # the last corner is a lattice corner, so every corner before it is one too
+    s = rng.randint(0, 3)
+    end = s + sum(w for w, _ in steps)
+    t = (tau * end) % d + d * rng.randint(0, 2) + sum(h for _, h in steps)
+    corners = [(s, t)]
+    for w, h in steps:
+        s, t = s + w, t - h
+        corners.append((s, t))
+    return MonomialIdeal(cone, Staircase(tuple(corners)))
+
+
+TOWER_PRIMES = (2, 3, 5, 7, 2**40 - 87)  # the last one the largest 40-bit prime
+
+
+def tower_bases(rng: random.Random) -> list[MonomialIdeal]:
+    # random and principal ideals, ideals of index up to 10^12, and runs sharing a width
+    bases = [random_ideal(rng, n_gens=5) for _ in range(6)]
+    bases += [random_ideal(rng, n_gens=1) for _ in range(2)]
+    bases += [random_index_ideal(rng, 10**12) for _ in range(6)]
+    bases += [shared_width_ideal(rng, d_max) for d_max in (1, 7, 10**4, 10**12, 10**12)]
+    return bases + [non_run_ideal(), VER31]
+
+
+def distinct_widths(ideal: MonomialIdeal) -> int:
+    return len({w for _, _, w, _, r in ideal.stair.runs if r})
+
+
 class TestGhkFunction:
+    def test_tower_matches_single_counts_of_scaled_staircases(self):
+        # each q of a tower to the 4096-bit cap, against _count_under of the staircase
+        # scaled by q; every tower is read at its ends and at sampled depths
+        rng = random.Random(3511)
+        bases = tower_bases(rng)
+        assert any(len(base.stair.corners) == 1 for base in bases)
+        assert sum(distinct_widths(base) < len(base.stair.runs) for base in bases) >= 4
+        assert max(base.cone.det_abs for base in bases) > 10**11
+        for p in TOWER_PRIMES:
+            n_cap = 4096 // p.bit_length()
+            for base in bases:
+                depths = sorted({0, 1, 2, n_cap, *rng.sample(range(n_cap + 1), 6)})
+                scales = [p**n for n in depths]
+                expected = [_count_under(base.cone, base.stair.scale(q).runs) for q in scales]
+                assert _count_tower(base.cone, base.stair.runs, scales) == expected, (base, p)
+            values = ghk_function(VER31, p, n_cap)
+            for n in (0, n_cap // 2, n_cap):
+                assert values[n] == _count_under(VER31.cone, VER31.stair.scale(p**n).runs)
+
+    def test_tower_costs_a_floor_sum_per_width_and_scales_no_staircase(self, monkeypatch):
+        # each q: one floor sum for the bottom row, at most one per distinct step width
+        rng = random.Random(3517)
+        bases = tower_bases(rng)
+        calls = count_floor_sums(monkeypatch)
+
+        def scaling(stair, k):
+            raise AssertionError("a tower scaled a staircase")
+
+        monkeypatch.setattr(Staircase, "scale", scaling)
+        tight = shared = 0
+        for base in bases:
+            k = distinct_widths(base)
+            for p, n_max in ((2, 40), (3, 25), (5, 17)):
+                calls.clear()
+                values = ghk_function(base, p, n_max)
+                assert len(values) == n_max + 1
+                assert len(calls) <= (n_max + 1) * (k + 1), (base, p)
+                # the bound is met when every column sum is a floor sum, and it is below
+                # one floor sum per run for every tower
+                tight += len(calls) == (n_max + 1) * (k + 1) and k > 0
+                shared += len(calls) < (n_max + 1) * (len(base.stair.runs) + 1)
+        assert tight >= 5 and shared == 3 * len(bases)
+
     def test_skew_small_prime_tower(self):
         assert ghk_function(VER31, 2, 2) == [0, 1, 5]
 
