@@ -2,7 +2,9 @@
 
 Every subcommand prints one JSON report document on stdout (machine
 readable, keys sorted, exact rationals as {"rational", "decimal"}
-pairs) and a short human summary on stderr.  Exit codes: 0 on success,
+pairs) and a short human summary on stderr.  Results hold each rational
+as its Fraction; fmt alone knows how it prints, in the report and, with
+exact_decimal, in a summary line.  Exit codes: 0 on success,
 1 for invalid input or a data-dependent failure, 2 for an internal
 error.  The verify subcommand also exits 1 when some property suite
 fails.
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional
 from .checks import run_instance_checks
 from .errors import BadParameters, ContractViolation, GhkError, InputError, UnboundedRegion
 from .families import ToricInstance, parse_family
-from .fmt import rational_json, report_json
+from .fmt import exact_decimal, report_json
 from .geometry import Cone2
 from .ideals import is_saturated, new_ideal, ordinary_power, torsion_factorization
 from .invariants import (
@@ -48,9 +50,14 @@ from .svgplot import render_region_svg
 
 
 def _load_document(path: str) -> dict:
+    # read whole as bytes: the same text, newlines translated, and the same
+    # error messages as json.load on the file opened in text mode
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # malformed JSON, or an integer past the digit limit
@@ -81,6 +88,8 @@ def _read_list(value, read, what: str, kind: str) -> list:
 
 def _to_int(value) -> int:
     # only ints and integer strings: int() would truncate 3.9 and read true as 1
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(value)
     return int(value)
@@ -177,34 +186,35 @@ def _cmd_eghk(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     value = eghk(ideal)
     c1, c2 = ideal.thresholds
     results = {
-        "eghk": rational_json(value),
+        "eghk": value,
         "thresholds": [c1, c2],
         "saturated": is_saturated(ideal),
         "det_abs": ideal.cone.det_abs,
     }
     if instance.closed_form is not None:
-        results["closed_form"] = rational_json(instance.closed_form)
-    return results, [f"{instance.label}: e_gHK = {value} = {results['eghk']['decimal']}"]
+        results["closed_form"] = instance.closed_form
+    return results, [f"{instance.label}: e_gHK = {value} = {exact_decimal(value)}"]
 
 
 def _cmd_function(instance: ToricInstance, args) -> tuple[dict, list[str]]:
     ideal = instance.ideal
     values = ghk_function(ideal, args.prime, args.max_n)
     limit = eghk(ideal)
-    normalized = [
-        rational_json(Fraction(v, (args.prime**n) ** 2)) for n, v in enumerate(values)
-    ]
+    normalized, q = [], 1
+    for v in values:
+        normalized.append(Fraction(v, q * q))
+        q *= args.prime
     results = {
         "prime": args.prime,
         "values": values,
         "normalized": normalized,
-        "limit": rational_json(limit),
+        "limit": limit,
         "convergence_constant": convergence_constant(ideal),
     }
     return results, [
         f"{instance.label}: gap counts at q = {args.prime}^0 .. "
         f"{args.prime}^{args.max_n}: {values}",
-        f"limit of count / q^2 is {limit} = {results['limit']['decimal']}",
+        f"limit of count / q^2 is {limit} = {exact_decimal(limit)}",
     ]
 
 
@@ -238,7 +248,7 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
             "shift": list(fact.shift),
             "primary_generators": [list(g) for g in fact.primary.gens],
             "newton_multiplicity": newton,
-            "predicted_leading": rational_json(predicted),
+            "predicted_leading": predicted,
         }
         summary.append(
             f"torsion order {fact.order}, Newton multiplicity {newton}, "
@@ -259,7 +269,7 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
             "classes": [
                 {
                     "residue": c.residue,
-                    "coefficients": [rational_json(x) for x in c.coeffs],
+                    "coefficients": c.coeffs,
                     "onset": c.onset,
                 }
                 for c in fit.classes
@@ -267,9 +277,7 @@ def _cmd_powers(instance: ToricInstance, args) -> tuple[dict, list[str]]:
         }
         lead = ", ".join(str(c.coeffs[0]) for c in fit.classes)
         summary.append(f"quasi-polynomial of period {period}: leading {lead}")
-    results["epsilon_estimate"] = rational_json(
-        Fraction(values[-1], args.max_n * args.max_n)
-    )
+    results["epsilon_estimate"] = Fraction(values[-1], args.max_n * args.max_n)
     return results, summary
 
 
@@ -277,14 +285,14 @@ def _cmd_reptype(source: tuple, args) -> tuple[dict, list[str]]:
     r, table, mults, weights = source
     value = eghk_from_type(mults, weights, table)
     results = {
-        "eghk": rational_json(value),
+        "eghk": value,
         "dim": table.dim,
         "multiplicities": mults,
-        "weights": [rational_json(w) for w in weights],
+        "weights": weights,
     }
     if r is not None:
         results["r"] = r
-    return results, [f"module pairing gives e_gHK = {value} = {results['eghk']['decimal']}"]
+    return results, [f"module pairing gives e_gHK = {value} = {exact_decimal(value)}"]
 
 
 def _cmd_verify(instance: ToricInstance, args) -> tuple[dict, list[str]]:
@@ -315,9 +323,9 @@ def _cmd_plot(instance: ToricInstance, args) -> tuple[dict, list[str]]:
         "out": args.out,
         "power_scale": q,
         "areas": {
-            "total_gap": rational_json(total),
-            "ordinary_gap": rational_json(ordinary),
-            "band": rational_json(total - ordinary),
+            "total_gap": total,
+            "ordinary_gap": ordinary,
+            "band": total - ordinary,
         },
     }
     return results, [f"{instance.label}: wrote {args.out} (power scale {q})"]

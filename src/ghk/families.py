@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BadParameters
-from .geometry import Cone2, Point
+from .geometry import Cone2, Point, Staircase
 from .ideals import MonomialIdeal, new_ideal
 
 
@@ -41,7 +41,8 @@ def veronese(r: int, m: int) -> ToricInstance:
     if not 1 <= m <= r - 1:
         raise BadParameters("veronese width m must satisfy 1 <= m <= r - 1")
     cone = Cone2.from_rays((1, 0), (1, r))
-    ideal = new_ideal(cone, [(1, k) for k in range(m + 1)])
+    # the generators are already one run of minimal corners, s increasing
+    ideal = MonomialIdeal(cone, Staircase(tuple(cone.corner((1, k)) for k in range(m + 1))))
     return ToricInstance(f"veronese:{r},{m}", ideal, Fraction(m * (m + 1), 2 * r))
 
 
@@ -55,7 +56,7 @@ def a_singularity(r: int, m: int) -> ToricInstance:
     if not 1 <= m <= r - 1:
         raise BadParameters("type A parameter m must satisfy 1 <= m <= r - 1")
     cone = Cone2.from_rays((0, 1), (r, -1))
-    ideal = new_ideal(cone, [(r, -1), (m, 0)])
+    ideal = MonomialIdeal(cone, Staircase((cone.corner((m, 0)), cone.corner((r, -1)))))
     return ToricInstance(f"a:{r},{m}", ideal, Fraction(m * (r - m), r))
 
 

@@ -2,12 +2,15 @@
 
 Rationals print as correctly rounded decimal strings, divided in one
 module-level context, so they do not depend on the caller's decimal
-context.  Reports print through report_json, which writes the bytes of
-the standard json.dumps with an indent of 2 and sorted keys at the
-speed of the C string encoder: CPython runs its pure-Python encoder
-whenever an indent is set.  The writer makes one call per dict and
-list; their exact str and int items, the leaves of almost every
-report, are written inside that call.
+context.  This is the one module that knows how a rational prints:
+results hold Fractions, and report_json writes each one as the object
+rational_json makes of it.  report_json writes the bytes of the
+standard json.dumps with an indent of 2 and sorted keys at the speed
+of the C string encoder: CPython runs its pure-Python encoder whenever
+an indent is set.  The writer makes one call per dict and list; their
+exact str and int items, the leaves of almost every report, are
+written inside that call, and each Fraction item by one call that
+writes its two strings.
 """
 
 import json
@@ -41,15 +44,24 @@ def rational_json(value: Fraction) -> dict:
 def report_json(value) -> str:
     """The standard json.dumps of value, indent 2 and keys sorted, byte for byte.
 
-    Dicts (str keys only, written in sorted order), lists, tuples, str,
-    int, bool and None are written here, strings through the C
+    Every Fraction counts as the object rational_json(value).  Dicts
+    (str keys only, written in sorted order), lists, tuples, str, int,
+    bool, None and Fraction are written here, strings through the C
     encode_basestring_ascii and ints through int.__repr__, so an int past
-    the interpreter's digit limit raises the same ValueError.  Any other
-    value (a float echoed from an input document, NaN and infinities
-    included) goes to json.dumps, which also raises the TypeError for a
-    value JSON cannot hold.
+    the interpreter's digit limit raises the same ValueError; so does a
+    Fraction, from str(value) in rational_json.  Any other value (a float
+    echoed from an input document, NaN and infinities included) goes to
+    json.dumps, which also raises the TypeError for a value JSON cannot
+    hold.
     """
     return _encode(value, "\n")
+
+
+def _rational(value: Fraction, newline: str) -> str:
+    # its keys in sorted order; the two strings hold only digits, "-", "." and "/"
+    pair, inner = rational_json(value), newline + "  "
+    return (f'{{{inner}"decimal": "{pair["decimal"]}",'
+            f'{inner}"rational": "{pair["rational"]}"{newline}}}')
 
 
 def _encode(value, newline: str) -> str:
@@ -58,15 +70,11 @@ def _encode(value, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         items = [
-            encode_basestring_ascii(key)
-            + ": "
-            + (
-                encode_basestring_ascii(item)
-                if type(item) is str
-                else repr(item)
-                if type(item) is int
-                else _encode(item, inner)
-            )
+            encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(item) if type(item) is str
+                else repr(item) if type(item) is int
+                else _rational(item, inner) if type(item) is Fraction
+                else _encode(item, inner))
             for key, item in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -75,10 +83,9 @@ def _encode(value, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         items = [
-            encode_basestring_ascii(item)
-            if type(item) is str
-            else repr(item)
-            if type(item) is int
+            encode_basestring_ascii(item) if type(item) is str
+            else repr(item) if type(item) is int
+            else _rational(item, inner) if type(item) is Fraction
             else _encode(item, inner)
             for item in value
         ]
@@ -93,4 +100,6 @@ def _encode(value, newline: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, Fraction):
+        return _rational(value, newline)
     return json.dumps(value)

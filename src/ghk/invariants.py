@@ -49,9 +49,11 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
     return staircase_complement_area(ideal.cone, ideal.thresholds, ideal.stair)
 
 
-# run counts over the tower, a run at q = p^n charged 1 + (n * p's bit length) // 256
-# counts as its ints grow with q: 0.8 to 1.4 s of counting on det_abs 10^12 + 39 at the
-# cap, whether q stays under 2^24 or nears 2^4096 (2-vCPU Xeon VM, in process)
+# count steps over the tower: each run once, then at each q = p^n one floor sum and one
+# column sum per distinct step width, each charged 1 + (n * p's bit length) // 256 as its
+# ints grow with q: 0.5 to 0.9 s at the cap, report included, on det_abs 10^12 + 39 with
+# 60 to 20,000 distinct widths, whether q stays under 2^24 or nears 2^4096 (2-vCPU Xeon
+# VM, in process)
 _MAX_TOWER_WORK = 500_000
 
 
@@ -61,12 +63,13 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     Entry n is the number of lattice points above the scaled thresholds
     that are missing from the q-th bracket power, q = p^n.  p must be
     prime and n_max nonnegative.  p over 40 bits, n_max times p's bit
-    length over 4096, or a tower over _MAX_TOWER_WORK run counts raises
+    length over 4096, or a tower over _MAX_TOWER_WORK count steps raises
     BadParameters before the primality test; so does a count that could
     pass the interpreter's int-to-str digit limit, before any counting.
-    Each q = p^n is charged 1 + b // 256 counts per run, b = n times p's
-    bit length, a bound on the bits of q that builds no power of p, so a
-    tower whose q all stay under 2^256 is (n_max + 1) times the run count.
+    The runs are charged once, and each q = p^n is charged 1 + b // 256
+    steps per sum it takes, b = n times p's bit length, a bound on the
+    bits of q that builds no power of p, so a tower whose q all stay
+    under 2^256 is the run count plus (n_max + 1) times the sums per q.
     The digit-limit check is a bit-length test: a bound of at
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
@@ -75,8 +78,7 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     _count_tower counts the whole tower straight off them: each q costs
     one floor sum and one column sum per distinct step width, and neither
     the bracket power frobenius_power(ideal, q) nor its staircase is
-    built.  The run-count cap charges every run, so it over-charges a
-    staircase whose runs share a width.
+    built.
     """
     if n_max < 0:
         raise BadParameters("n_max must be nonnegative")
@@ -85,10 +87,12 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
     if n_max * bits > 4096:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
-    work = len(ideal.stair.runs) * sum(1 + n * bits // 256 for n in range(n_max + 1))
+    runs = ideal.stair.runs
+    sums = 1 + len({w for _, _, w, _, r in runs if r})  # _count_tower's sums per q
+    work = len(runs) + sums * sum(1 + n * bits // 256 for n in range(n_max + 1))
     if work > _MAX_TOWER_WORK:
         raise BadParameters(
-            f"q = {p}^0 .. {p}^{n_max} needs {work} run counts, over {_MAX_TOWER_WORK}"
+            f"q = {p}^0 .. {p}^{n_max} needs {work} count steps, over {_MAX_TOWER_WORK}"
         )
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadParameters(f"characteristic {p} is not prime")

@@ -5,12 +5,12 @@ Each runs as its own `python -m ghk` process and must finish in under
 over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify walks its box scans up to the scan cap and refuses past it or
-when a suite hits a work cap, and function sizes a tower by its run
-counts, charged by the bits of q, refusing too many.  The counting
-kernel reads a long run of equal steps as at most det_abs interleaved
-runs of lattice steps, one column sum each, and so does the band count
-over a long run of touching rectangles; both are timed in process,
-under 1 s.
+when a suite hits a work cap, and function sizes a tower by its runs
+and its sums per q, charged by the bits of q, refusing too many.  The
+counting kernel reads a long run of equal steps as at most det_abs
+interleaved runs of lattice steps, one column sum each, and so does the
+band count over a long run of touching rectangles; both are timed in
+process, under 1 s.
 """
 
 import json
@@ -46,7 +46,8 @@ QUADRANT = {
     "cone": {"rays": [[1, 0], [0, 1]]},
     "generators": [[i, 20000 - i] for i in range(20001)],
 }
-# 20,001 corners whose steps (1, -1) and (2, -1) alternate: 20,000 runs of one step
+# 20,001 corners whose steps (1, -2) and (1, -1) alternate: 20,000 one-step runs,
+# all of width 1
 ALTERNATING = {
     "cone": {"rays": [[1, 0], [0, 1]]},
     "generators": [[i + i // 2, 20000 - i] for i in range(20001)],
@@ -56,6 +57,12 @@ ALTERNATING = {
 WIDE_Q = {
     "cone": {"rays": [[1, 0], [1, 10**12 + 39]]},
     "generators": [[1, 39 * i + i // 2] for i in range(251)],
+}
+# 251 corners on det_abs 10^12 + 39 whose lattice steps (39w, -39w), w = 1 .. 250, are
+# 250 runs of distinct widths: each q of a function tower takes 251 sums
+WIDTHS = {
+    "cone": {"rays": [[1, 0], [1, 10**12 + 39]]},
+    "generators": [[1, 39 * (w * (w + 1) // 2)] for w in range(251)],
 }
 
 
@@ -157,28 +164,39 @@ def test_verify_row_scanned_over_the_scan_cap_is_refused(tmp_path):
 
 
 def test_function_tower_over_the_cap_is_refused(tmp_path):
-    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "25"], ALTERNATING)
+    # the 250 runs once, then 251 sums per q: 498736 count steps at --max-n 650,
+    # the largest the cap accepts
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "651"], WIDTHS)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: q = 2^0 .. 2^25 needs 520000 run counts, over 500000\n"
+    assert proc.stderr == "error: q = 3^0 .. 3^651 needs 500242 count steps, over 500000\n"
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "650"], WIDTHS)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["values"]) == 651
+
+
+def test_function_tower_charged_per_width(tmp_path):
+    # 20,000 runs of one width take two sums per q: 20052 count steps, where
+    # charging every run per q refused the tower at 520000 run counts
+    proc = run_ghk(tmp_path, ["function", "--prime", "2", "--max-n", "25"], ALTERNATING)
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout)["results"]["values"]
+    assert values[:2] == [300010000, 1200040000] and len(values) == 26
 
 
 def test_function_tower_sized_by_the_bits_of_q(tmp_path):
-    # each q = 3^n costs 1 + 2n // 256 counts per run: 250 * 16640 at --max-n 1999,
-    # a tower that counts for about 9 s
+    # each q = 3^n costs 1 + 2n // 256 steps per sum: 250 + 251 * 16640 at
+    # --max-n 1999, a tower that counts for seconds, refused at once
     start = perf_counter()
-    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "1999"], WIDE_Q)
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "1999"], WIDTHS)
     assert perf_counter() - start < 1
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: q = 3^0 .. 3^1999 needs 4160000 run counts, over 500000\n"
-    # 250 * 2000 counts at --max-n 652, the largest the cap accepts
-    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "652"], WIDE_Q)
+    assert proc.stderr == "error: q = 3^0 .. 3^1999 needs 4176890 count steps, over 500000\n"
+    # three sums per q: the bit cap on q is reached first, at 52525 count steps
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "2048"], WIDE_Q)
     assert proc.returncode == 0, proc.stderr
-    assert len(json.loads(proc.stdout)["results"]["values"]) == 653
-    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "653"], WIDE_Q)
-    assert proc.returncode == 1
-    assert "3^653 needs 501000 run counts, over 500000" in proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["values"]) == 2049
 
 
 def test_function_tower_of_one_long_run(tmp_path):

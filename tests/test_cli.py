@@ -90,6 +90,10 @@ class Label(str):
 
 
 INTS = st.integers() | st.integers(min_value=1 - 10**4300, max_value=10**4300 - 1)
+# huge, negative and integer-valued rationals, each written as rational_json(value)
+FRACTIONS = st.builds(
+    Fraction, INTS, st.just(1) | st.integers(min_value=1) | st.integers(1, 10**4300 - 1)
+)
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -101,11 +105,13 @@ JSON_SCALARS = (
     | st.sampled_from([Rank.LOW, Rank.HIGH, True, False])
     | st.integers().map(Count)
     | st.text().map(Label)
+    | FRACTIONS
 )
 JSON_VALUES = st.recursive(
     # all-int lists and rational dicts, whose every item the writer writes inline
     JSON_SCALARS
     | st.lists(INTS, max_size=6)
+    | st.lists(FRACTIONS, max_size=6)
     | st.fixed_dictionaries({"decimal": st.text(), "rational": st.text()}),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
@@ -114,12 +120,24 @@ JSON_VALUES = st.recursive(
 )
 
 
+def as_rational_json(value):
+    """value with every Fraction replaced by rational_json of it."""
+    if isinstance(value, Fraction):
+        return rational_json(value)
+    if isinstance(value, dict):
+        return {key: as_rational_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(as_rational_json(item) for item in value)
+    return value
+
+
 class TestReportWriter:
     @seed(1503)
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
     def test_matches_stdlib_indented_dump(self, value):
-        assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+        expected = json.dumps(as_rational_json(value), indent=2, sort_keys=True)
+        assert report_json(value) == expected
 
     def test_same_errors_as_stdlib(self):
         for bad in (
@@ -128,9 +146,11 @@ class TestReportWriter:
             object(),
             [0, -1, 10**4300, 2],
             {"pair": ("x", object())},
+            {"q": [Fraction(1, 3), Fraction(10**4300, 7)]},
+            Fraction(-(10**4300), 3),
         ):
             with pytest.raises((ValueError, TypeError)) as expected:
-                json.dumps(bad, indent=2, sort_keys=True)
+                json.dumps(as_rational_json(bad), indent=2, sort_keys=True)
             with pytest.raises(expected.type, match=re.escape(str(expected.value))):
                 report_json(bad)
 
@@ -735,6 +755,9 @@ class TestDispatch:
         assert seen == [("a:5,2", "a:5,2")]
 
 
+GOOD_DOCUMENT = b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [1, 1]]}'
+
+
 class TestErrorMapping:
     def test_unknown_family(self, capsys):
         code, report, err = run_json(capsys, ["eghk", "--family", "mystery:1"])
@@ -846,6 +869,72 @@ class TestErrorMapping:
         code = run_command([argv[0], "--file", "doc.json", *argv[1:]])
         assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
         assert not Path("out.svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["eghk"], b"\xef\xbb\xbf" + GOOD_DOCUMENT,
+             "doc.json is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+             "line 1 column 1 (char 0)"),
+            (["eghk"], GOOD_DOCUMENT.decode().encode("utf-16"),
+             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
+            (["eghk"], b'{"label": "ab\xff", "cone": {"rays": [[1, 0], [1, 3]]}}',
+             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 13: "
+             "invalid start byte"),
+            (["eghk"], GOOD_DOCUMENT[:-1] + b', "label": "\xc3\x28"}',
+             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xc3 in position 79: "
+             "invalid continuation byte"),
+            # positions are counted after \r\n and \r become \n, as text mode reads them
+            (["eghk"],
+             b'{\r\n  "cone": {"rays": [[1, 0], [1, 3]]},\r\n  "generators": [[1, 0], [1, 1]],'
+             b'\r\n  "label": "x"\r\n  oops\r\n}\r\n',
+             "doc.json is not valid JSON: Expecting ',' delimiter: line 5 column 3 (char 91)"),
+            (["eghk"],
+             b'{\r  "cone": {"rays": [[1, 0], [1, 3]]},\r  "generators": [[1, 0], [1, 1]]\r  ]\r}',
+             "doc.json is not valid JSON: Expecting ',' delimiter: line 4 column 3 (char 75)"),
+            (["reptype"], b'{"reptype":\r\n {"r": 3,\r\n "multiplicities": [1, 0,]}}',
+             "doc.json is not valid JSON: Expecting value: line 3 column 26 (char 47)"),
+            (["eghk"], b"",
+             "doc.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (["eghk"], b" \r\n\t",
+             "doc.json is not valid JSON: Expecting value: line 2 column 2 (char 3)"),
+            (["eghk"],
+             b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [false, 1]]}',
+             "generators entries must be [x, y] integer pairs, got [False, 1]"),
+            (["eghk"], b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1.0, 0]]}',
+             "generators entries must be [x, y] integer pairs, got [1.0, 0]"),
+            (["eghk"], b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [["1", "x"]]}',
+             "generators entries must be [x, y] integer pairs, got ['1', 'x']"),
+            (["eghk"], b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": ["1,0"]}',
+             "generators entries must be [x, y] integer pairs, got '1,0'"),
+            (["function", "--prime", "2", "--max-n", "1"],
+             b'{"cone": {"rays": [[1, 0], [1, 3e0]]}, "generators": [[1, 0]]}',
+             "cone.rays entries must be [x, y] integer pairs, got [1, 3.0]"),
+            (["reptype"], b'{"reptype": {"r": false, "multiplicities": [1, 0]}}',
+             '"r" must be an integer, got False'),
+        ],
+    )
+    def test_document_bytes_read_as_in_text_mode(
+        self, capsys, tmp_path, monkeypatch, argv, data, message
+    ):
+        # every message as json.load gave it on the file opened in text mode
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_bytes(data)
+        code = run_command([argv[0], "--file", "doc.json", *argv[1:]])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+    def test_crlf_document_reads_as_lf(self, capsys, tmp_path, monkeypatch):
+        # the label's escaped \r\n is kept; the line ends around it are not
+        monkeypatch.chdir(tmp_path)
+        lines = [b"{", b'  "label": "two\\r\\nlines",', b'  "cone": {"rays": [[1, 0], [1, 3]]},',
+                 b'  "generators": [[1, 0], [1, 1]]', b"}", b""]
+        outputs = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            Path("doc.json").write_bytes(end.join(lines))
+            outputs.append((run_command(["eghk", "--file", "doc.json"]), *capsys.readouterr()))
+        assert outputs[0][2] == "two\r\nlines: e_gHK = 1/3 = 0.333333333333\n"
+        assert outputs == [outputs[0]] * 3
 
     def test_integer_strings_still_accepted(self, capsys, tmp_path):
         path = tmp_path / "doc.json"

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from ghk.errors import BadParameters
 from ghk.families import a_singularity, parse_family, quadrant, veronese
-from ghk.ideals import is_saturated, torsion_factorization
+from ghk.ideals import is_saturated, new_ideal, torsion_factorization
 from ghk.invariants import eghk
 
 
@@ -89,6 +90,37 @@ class TestParse:
             inst = parse_family(text)
             assert inst.label == text
             assert parse_family(inst.label).ideal == inst.ideal
+
+    def test_families_build_what_new_ideal_builds(self):
+        # the staircases are written down, not reduced from the generators
+        for r in range(2, 41):
+            for m in range(1, r):
+                for text, gens, closed_form in (
+                    (f"veronese:{r},{m}", [(1, k) for k in range(m + 1)],
+                     Fraction(m * (m + 1), 2 * r)),
+                    (f"a:{r},{m}", [(r, -1), (m, 0)], Fraction(m * (r - m), r)),
+                ):
+                    inst = parse_family(text)
+                    ideal = new_ideal(inst.ideal.cone, gens)
+                    assert inst.ideal == ideal
+                    assert inst.ideal.stair.runs == ideal.stair.runs
+                    assert inst.ideal.thresholds == ideal.thresholds
+                    assert inst.closed_form == closed_form == eghk(ideal)
+
+    def test_parameter_messages(self):
+        for text, message in (
+            ("veronese:1,1", "veronese degree r must be at least 2"),
+            ("veronese:5,0", "veronese width m must satisfy 1 <= m <= r - 1"),
+            ("veronese:5,5", "veronese width m must satisfy 1 <= m <= r - 1"),
+            ("a:1,1", "type A index r must be at least 2"),
+            ("a:-3,1", "type A index r must be at least 2"),
+            ("a:5,-1", "type A parameter m must satisfy 1 <= m <= r - 1"),
+            ("a:5,5", "type A parameter m must satisfy 1 <= m <= r - 1"),
+            ("a:5,x", "family 'a:5,x' has non-integer parameters"),
+            ("veronese:5", "family 'veronese:5' needs two integer parameters"),
+        ):
+            with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+                parse_family(text)
 
     def test_quadrant_parse(self):
         inst = parse_family("quadrant:(2,0);(0,3)")

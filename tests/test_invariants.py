@@ -282,18 +282,21 @@ class TestGhkFunction:
         assert perf_counter() - start < 0.1
 
     def test_tower_cap_is_exact(self, monkeypatch):
-        # (n_max + 1) counts of every run, refused before the primality test;
-        # the ideal's 3 corners are 2 runs
-        ideal = non_run_ideal()
-        assert len(ideal.stair.runs) == 2 and len(ideal.stair.corners) == 3
-        work = 6 * 2
-        monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work)
-        assert len(ghk_function(ideal, 2, 5)) == 6
-        monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work - 1)
-        refusal = rf"\^5 needs {work} run counts, over {work - 1}"
-        for p in (2, 4):
-            with pytest.raises(BadParameters, match=refusal):
-                ghk_function(ideal, p, 5)
+        # the runs once, then (n_max + 1) times a floor sum and a column sum per
+        # distinct width, refused before the primality test: 3 corners in 2 runs
+        # of the widths 1 and 4, and 7 corners whose steps (1, -2) and (1, -1)
+        # alternate, 6 runs of the one width 1
+        alternating = new_ideal(QUADRANT, [(i + i // 2, 6 - i) for i in range(7)])
+        for ideal, runs, widths in ((non_run_ideal(), 2, 2), (alternating, 6, 1)):
+            assert len(ideal.stair.runs) == runs
+            work = runs + 6 * (1 + widths)
+            monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work)
+            assert len(ghk_function(ideal, 2, 5)) == 6
+            monkeypatch.setattr(invariants, "_MAX_TOWER_WORK", work - 1)
+            refusal = rf"\^5 needs {work} count steps, over {work - 1}"
+            for p in (2, 4):
+                with pytest.raises(BadParameters, match=refusal):
+                    ghk_function(ideal, p, 5)
 
     def test_digit_limit_boundary(self):
         # on the unit quadrant the count at q = 1 is exactly the gap box, n^2
