@@ -197,7 +197,7 @@ def _probe_points(ideal: MonomialIdeal) -> list[Point]:
     return points
 
 
-_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, 0.2 to 0.4 s of work
+_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, at most about 0.6 s of work
 
 
 def _box_work(cone: Cone2, w: int, h: int) -> int:
@@ -209,16 +209,17 @@ def _box_work(cone: Cone2, w: int, h: int) -> int:
 def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
     """Upper estimate of the lines and points that the box scans of the suites visit.
 
-    A conservative allowance for the probe lines of the ideal and of its
-    third bracket power, a 4 * det_abs + 5 square box each, far more
-    than the four thin boxes _probe_points scans; then per probe the
-    oracle's three boxes: the window and the two strips below the
-    staircase's largest s and largest t.
+    The four thin boxes _probe_points scans, two columns 2 * det_abs
+    rows high and two rows 2 * det_abs columns wide, for the ideal and
+    for its third bracket power; then per probe the oracle's three
+    boxes: the window and the two strips below the staircase's largest
+    s and largest t.
     """
     cone, stair, d = ideal.cone, ideal.stair, ideal.cone.det_abs
     boxes = [(d, d), (stair.max_s, d), (d, stair.max_t)]
     per_probe = sum(_box_work(cone, w, h) for w, h in boxes)
-    return 2 * _box_work(cone, 4 * d + 5, 4 * d + 5) + probes * per_probe
+    lines = 2 * _box_work(cone, 1, 2 * d) + 2 * _box_work(cone, 2 * d, 1)
+    return 2 * lines + probes * per_probe
 
 
 def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:

@@ -15,27 +15,26 @@ det_abs consecutive columns hold one point per row, and a floor sum
 counts the points under any number of consecutive columns in
 O(log det_abs) steps.  A staircase is stored as its maximal runs of
 equal steps, found once when it is built from its corners, which are a
-view listed only when read.  Every step (w, -h) of an ideal's staircase
-is a lattice vector, h + tau * w == 0 (mod det_abs), so step j of a run
-is step 0 moved by a lattice vector, and the points below its top in
-each of its columns, (t - 1 - tau * s) // det_abs, are step 0's less
-j * (h + tau * w) / det_abs.  A complement is counted straight off the
-runs by one run kernel, and a run of lattice steps costs one column sum
-of its first step, O(log det_abs), whatever its length and its width;
-a staircase that is one run, as every ordinary power of a one-run ideal
+view listed only when read.  Every corner of an ideal's staircase is a
+lattice corner and every step (w, -h) a lattice vector, h + tau * w ==
+0 (mod det_abs), and a complement is counted only on such a staircase
+(_require_lattice, one rule for ideals and counts).  So step j of a
+run is step 0 moved by a lattice vector, and the points below its top
+in each of its columns, (t - 1 - tau * s) // det_abs, are step 0's
+less j * (h + tau * w) / det_abs: a run costs one column sum of its
+first step, O(log det_abs), whatever its length and its width, and a
+staircase that is one run, as every ordinary power of a one-run ideal
 is, is never listed.  A band between two staircases is walked over
 their corners and counted one run of like rectangles at a time by one
-band-run kernel, which reads a run whose bottoms are lattice corners
-off its first rectangle in the same way.  The band between the q-th
-ordinary and bracket powers of a one-run ideal of m steps is the band
-under its first bracket step and m - 1 lattice translates of it, so it
-is one call of that kernel off the base run, listing neither power.
-The bracket powers q = p^0 .. p^n of an ideal are counted together off
-its base runs: each q is one floor sum and one column sum per distinct
-step width, with no staircase built.  A
-run of R other steps, which only a staircase that is no ideal's can have,
-is min(P, R) interleaved runs of lattice steps, P being det_abs over
-gcd(det_abs, h + tau * w), and costs O(min(P, R)) column sums.
+band-run kernel, a rectangle joining a run only when its bottom is a
+lattice move from the last one's, so a run is read off its first
+rectangle in the same way; any staircases can bound a band.  The band
+between the q-th ordinary and bracket powers of a one-run ideal of m
+steps is the band under its first bracket step and m - 1 lattice
+translates of it, so it is one call of that kernel off the base run,
+listing neither power.  The bracket powers q = p^0 .. p^n of an ideal
+are counted together off its base runs: each q is one floor sum and one
+column sum per distinct step width, with no staircase built.
 
 All arithmetic is exact (Python ints and fractions.Fraction; Fraction
 values are always in lowest terms with positive denominator).  Floating
@@ -283,6 +282,13 @@ def _box_points_bound(w: int, h: int, d: int) -> int:
     return min(w * -(-h // d), h * -(-w // d))
 
 
+def _require_lattice(cone: Cone2, stair: Staircase) -> None:
+    # every run starts at the corner of a lattice point and steps by a lattice vector
+    tau, d = cone.tau, cone.det_abs
+    if any((hi - tau * a) % d or (h + tau * w) % d for a, hi, w, h, _ in stair.runs):
+        raise ValueError("staircase corner is not the corner of a lattice point")
+
+
 def _require_bounded(threshold: Corner, stair: Staircase) -> None:
     # the region between threshold quadrant and staircase is bounded exactly
     # when the staircase touches both threshold lines
@@ -345,29 +351,17 @@ def _band_run(
     step.bit_length(), computed once per count.  Column s = a0 + j * w + x
     of rectangle j holds
     (top - 1 - tau * s) // step - (lo0 + j * delta - 1 - tau * s) // step
-    points.  The top side is one column sum over all R * w columns.  The
-    bottom of rectangle j + P, P = det_abs / gcd(det_abs, delta - tau * w),
-    is that of rectangle j moved by a lattice vector, each of its columns
-    summing sink = P * (delta - tau * w) / det_abs more, so the n
-    rectangles k, k + P, ... of a class k < min(P, R) have n times
-    rectangle k's bottom side plus sink * w * n * (n - 1) / 2:
-    O(min(P, R)) column sums.  Bottoms moving by a lattice vector, and
-    R = 1, are one class and return early: two column sums in all.
+    points.  When R >= 2 the bottoms move by a lattice vector, det_abs
+    dividing delta - tau * w, so each column of rectangle j sums
+    j * sink more below its bottom than rectangle 0's, sink being
+    (delta - tau * w) / det_abs: the top side is one column sum over all
+    R * w columns, the bottoms R times rectangle 0's bottom side plus
+    sink * w * R * (R - 1) / 2, two column sums in all.
     """
-    sink, rem = divmod(delta - tau * w, step)
-    if not rem or run < 2:
-        bottom = _columns(tau, step, bits, w, lo0 - 1 - tau * a0)
-        total = _columns(tau, step, bits, run * w, top - 1 - tau * a0)
-        return total - run * bottom - sink * w * (run * (run - 1) // 2)
-    period = step // gcd(step, rem)
-    sink = (delta - tau * w) * period // step
+    sink = (delta - tau * w) // step
+    bottom = _columns(tau, step, bits, w, lo0 - 1 - tau * a0)
     total = _columns(tau, step, bits, run * w, top - 1 - tau * a0)
-    c = lo0 - 1 - tau * a0
-    for k in range(min(period, run)):
-        n = (run - k - 1) // period + 1
-        total -= n * _columns(tau, step, bits, w, c) + sink * w * (n * (n - 1) // 2)
-        c += delta - tau * w
-    return total
+    return total - run * bottom - sink * w * (run * (run - 1) // 2)
 
 
 def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
@@ -376,9 +370,12 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     The band is walked as the rectangles (a, b, lo, hi) of _rectangles,
     and each run of them is counted by _band_run, a run being a maximal
     stretch of touching rectangles of one width w and one top hi whose
-    bottoms move by one constant delta.  Complements go through
-    _count_under instead, so this walk stays an independent count that
-    the gap split's total_gap == sym_vs_ord + ord_vs_frob can check.
+    bottoms move by one constant delta that is a lattice move: det_abs
+    divides delta - tau * w.  A rectangle whose bottom is no lattice
+    move from the last one's starts a run of its own, so the band of any
+    two staircases is counted.  Complements go through _count_under
+    instead, so this walk stays an independent count that the gap
+    split's total_gap == sym_vs_ord + ord_vs_frob can check.
     """
     tau = cone.tau
     step = cone.det_abs
@@ -389,7 +386,9 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     a0 = w = lo0 = top = delta = run = end = last = 0
     # a closing rectangle that touches nothing ends the last run
     for a, b, lo, hi in _rectangles(lower, upper) + [(None, None, 0, 0)]:
-        if a == end and b - a == w and hi == top and (lo - last == delta or run == 1):
+        if a == end and b - a == w and hi == top and (
+            lo - last == delta if run > 1 else (lo - last - tau * w) % step == 0
+        ):
             end, last, delta, run = b, lo, lo - last, run + 1
             continue
         total += _band_run(tau, step, bits, a0, w, lo0, top, delta, run)
@@ -416,44 +415,19 @@ def _count_run_band(cone: Cone2, s0: int, t0: int, w: int, h: int, m: int, q: in
     return m * _band_run(tau, step, step.bit_length(), q * s0 + w, w, top - h, top, -h, q - 1)
 
 
-def _run_tops(tau: int, step: int, bits: int, c: int, w: int, h: int, run: int) -> int:
-    """Top-side sum of a run of R = run equal steps (w, -h) from column a under row hi.
-
-    That is the sum over the run's columns s of (t - 1 - tau * s) // step,
-    t being the row of the step over s and step being det_abs; the count
-    under the run is this less the same sum for its bottom row.  c is
-    hi - 1 - tau * a, and bits is step.bit_length(), computed once per
-    count.  Column x of step j is a + j * w + x, under row hi - j * h.
-    Steps j and j + P, P = det_abs / gcd(det_abs, h + tau * w), are one
-    lattice vector apart, so each column of step j + P sums lift less than
-    that of step j, lift being P * (h + tau * w) / det_abs, and the n
-    steps k, k + P, ... of a class k < min(P, R) are n times step k's top
-    side less lift * w * n * (n - 1) / 2: O(min(P, R)) column sums.  A
-    run of lattice steps, P = 1, is one class and returns early.
-    """
-    lift, rem = divmod(h + tau * w, step)
-    if not rem:
-        return run * _columns(tau, step, bits, w, c) - lift * w * (run * (run - 1) // 2)
-    period = step // gcd(step, rem)
-    lift = (h + tau * w) * period // step
-    total = 0
-    for k in range(min(period, run)):
-        n = (run - k - 1) // period + 1
-        total += n * _columns(tau, step, bits, w, c) - lift * w * (n * (n - 1) // 2)
-        c -= h + tau * w
-    return total
-
-
 def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) -> int:
-    """Lattice points under the steps of a staircase, at or above its last corner's row.
+    """Lattice points under the steps of a lattice staircase, at or above its last corner's row.
 
     runs are the staircase's maximal runs (a, hi, w, h, r), as Staircase
-    stores them, and lo is its last corner's row: column s under a step
-    on row t counts the rows lo <= t' < t.  Column s holds
-    (u - 1 - tau * s) // det_abs points below row u, so the lo side is
-    one floor sum over all the staircase's columns, and _run_tops adds
-    the top sides of each run in turn: for an ideal's staircase one
-    floor sum, or at most det_abs.bit_length() columns, per run.
+    stores them, each starting at a lattice corner and stepping by a
+    lattice vector (see _require_lattice), and lo is the last corner's
+    row: column s under a step on row t counts the rows lo <= t' < t.
+    Column s holds (u - 1 - tau * s) // det_abs points below row u, so
+    the lo side is one floor sum over all the staircase's columns.  Each
+    column of step j of a run sums lift = (h + tau * w) / det_abs fewer
+    than the same column of step j - 1, so the top sides of a run of R
+    steps are R times its first step's less lift * w * R * (R - 1) / 2:
+    one floor sum, or at most det_abs.bit_length() columns, per run.
     """
     tau = cone.tau
     step = cone.det_abs
@@ -461,7 +435,8 @@ def _count_under(cone: Cone2, runs: Sequence[tuple[int, int, int, int, int]]) ->
     a0, (a, hi, w, h, r) = runs[0][0], runs[-1]
     total = -_floor_sum(a + r * w - a0, step, -tau, hi - r * h - 1 - tau * a0)
     for a, hi, w, h, r in runs:
-        total += _run_tops(tau, step, bits, hi - 1 - tau * a, w, h, r)
+        lift = (h + tau * w) // step
+        total += r * _columns(tau, step, bits, w, hi - 1 - tau * a) - lift * w * (r * (r - 1) // 2)
     return total
 
 
@@ -520,11 +495,14 @@ def staircase_complement_area(cone: Cone2, threshold: Corner, stair: Staircase) 
 def count_lattice_complement(cone: Cone2, threshold: Corner, stair: Staircase) -> int:
     """Number of lattice points in the threshold quadrant not dominating stair.
 
-    Same boundedness precondition as staircase_complement_area.  Counts
-    actual points of Z^2, through their corners, with _count_under over
-    the staircase's runs.
+    Same boundedness precondition as staircase_complement_area, and stair
+    must be a lattice staircase, each corner the corner of a lattice
+    point, as an ideal's is: otherwise ValueError, with the message
+    MonomialIdeal gives.  Counts actual points of Z^2, through their
+    corners, with _count_under over the staircase's runs.
     """
     _require_bounded(threshold, stair)
+    _require_lattice(cone, stair)
     return _count_under(cone, stair.runs)
 
 
@@ -534,7 +512,8 @@ def count_lattice_band(
     """Lattice points in the threshold quadrant dominating fine but not coarse.
 
     fine must describe a region containing the coarse one within the
-    quadrant; both staircases must meet the threshold lines.
+    quadrant; both staircases must meet the threshold lines.  Unlike a
+    complement, the band takes any staircases, lattice or not.
     """
     _require_bounded(threshold, fine)
     _require_bounded(threshold, coarse)

@@ -39,6 +39,7 @@ from .geometry import (
     Point,
     Staircase,
     _pareto_front,
+    _require_lattice,
     count_lattice_complement,
     pareto_minimal,
 )
@@ -50,7 +51,8 @@ class MonomialIdeal:
     stair holds the corners of the minimal generators, s increasing.
     Every corner must be the corner of a lattice point (t == tau * s
     modulo det_abs, see Cone2), otherwise ValueError; that is checked
-    run by run, on a run's first corner and its step.  gens, the
+    run by run, on a run's first corner and its step, by the rule that
+    count_lattice_complement applies too.  gens, the
     generators as lattice points in the same order, is derived from the
     staircase on first use.  Two ideals are equal when their cones and
     staircases are; the powers an ideal keeps are not part of it.  Use
@@ -61,9 +63,7 @@ class MonomialIdeal:
     __slots__ = ("cone", "stair", "_gens", "_powers", "__weakref__")
 
     def __init__(self, cone: Cone2, stair: Staircase) -> None:
-        tau, d = cone.tau, cone.det_abs
-        if any((hi - tau * a) % d or (h + tau * w) % d for a, hi, w, h, _ in stair.runs):
-            raise ValueError("staircase corner is not the corner of a lattice point")
+        _require_lattice(cone, stair)
         self.cone, self.stair, self._gens = cone, stair, None
         # ordinary powers by n >= 2: the ideal under 1 would be a cycle
         self._powers: dict[int, MonomialIdeal] = {}

@@ -7,10 +7,11 @@ rectangle and refuses too many lines, the pairing sums in integers,
 verify walks its box scans up to the scan cap and refuses past it or
 when a suite hits a work cap, and function sizes a tower by its runs
 and its sums per q, charged by the bits of q, refusing too many.  The
-counting kernel reads a long run of equal steps as at most det_abs
-interleaved runs of lattice steps, one column sum each, and so does the
-band count over a long run of touching rectangles; both are timed in
-process, under 1 s.
+counting kernel reads a long run of lattice steps off its first step,
+and refuses a run of other steps; the band count reads a long run of
+touching rectangles whose bottoms move by a lattice vector off its
+first rectangle, and walks other rectangles one at a time.  Both are
+timed in process, under 1 s.
 """
 
 import json
@@ -24,7 +25,14 @@ from time import perf_counter
 import pytest
 
 from conftest import floor_sum_count_complement
-from ghk.geometry import Cone2, Corner, Staircase, _count_under, count_lattice_band
+from ghk.geometry import (
+    Cone2,
+    Corner,
+    Staircase,
+    _count_under,
+    count_lattice_band,
+    count_lattice_complement,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 D = 10**12
@@ -133,16 +141,16 @@ def scan_cap_input(d):
 
 
 def test_verify_at_the_largest_index_under_the_scan_cap(tmp_path):
-    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(17853))
+    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(62489))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["all_passed"] is True
 
 
 def test_verify_over_the_scan_cap_is_refused(tmp_path):
-    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(17854))
+    proc = run_ghk(tmp_path, ["verify"], scan_cap_input(62490))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "verify needs about 1000016 scan steps, over 1000000" in proc.stderr
+    assert "verify needs about 1000012 scan steps, over 1000000" in proc.stderr
 
 
 def transposed_scan_cap_input(d):
@@ -151,16 +159,16 @@ def transposed_scan_cap_input(d):
 
 
 def test_verify_row_scanned_at_the_largest_index_under_the_scan_cap(tmp_path):
-    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(17853))
+    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(62489))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["all_passed"] is True
 
 
 def test_verify_row_scanned_over_the_scan_cap_is_refused(tmp_path):
-    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(17854))
+    proc = run_ghk(tmp_path, ["verify"], transposed_scan_cap_input(62490))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "verify needs about 1000016 scan steps, over 1000000" in proc.stderr
+    assert "verify needs about 1000012 scan steps, over 1000000" in proc.stderr
 
 
 def test_function_tower_over_the_cap_is_refused(tmp_path):
@@ -237,24 +245,26 @@ def timed(count, what):
 
 @pytest.mark.parametrize("width", [100_003, 1], ids=["wide-step-by-step", "narrow-whole"])
 def test_a_long_run_is_read_once(width):
-    # 10^5 equal steps on a cone of index 3, wide or narrow, none a lattice step:
-    # steps 3 apart are a lattice vector apart, so the run is 3 interleaved
-    # lattice runs of one column sum each; a kernel that scans the run again
-    # per step is stopped after 10 s
-    cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
-    corners = tuple((i * width, 3 * (steps - i)) for i in range(steps + 1))
+    # 10^5 equal lattice steps on a cone of index 3 (tau = -1, so (w, -h) is a lattice
+    # step when h == w modulo 3), wide or narrow, from a lattice corner: each step is
+    # the first moved by a lattice vector, so the run is one column sum; a kernel
+    # that scans the run again per step is stopped after 10 s
+    cone, steps, h = Cone2.from_rays((1, 0), (1, 3)), 10**5, 3 + width % 3
+    low = -steps * h % 3
+    corners = tuple((i * width, low + h * (steps - i)) for i in range(steps + 1))
     what = f"{steps} steps {width} wide"
     count, elapsed = timed(lambda: _count_under(cone, Staircase(corners).runs), what)
     assert elapsed < 1, f"{what} took {elapsed:.2f} s"
     stair = Staircase(tuple(Corner(s, t) for s, t in corners))
-    assert count == floor_sum_count_complement(cone, Corner(0, 0), stair)
+    assert count == floor_sum_count_complement(cone, Corner(0, low), stair)
 
 
 @pytest.mark.parametrize("width", [100_003, 1], ids=["wide-by-rectangle", "narrow-whole"])
 def test_a_long_band_run_is_read_once(width):
     # the band between a run of 10^5 equal steps and its two end corners is
-    # 10^5 - 1 touching rectangles of one top: their top side is one column
-    # sum, and their bottoms are 3 interleaved lattice runs, one column sum each
+    # 10^5 - 1 touching rectangles of one top; no step is a lattice step, so no
+    # bottom is a lattice move from the last one's, and each rectangle is a run
+    # of its own, two column sums
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
     fine = Staircase(tuple(Corner(i * width, 3 * (steps - i)) for i in range(steps + 1)))
     coarse = Staircase((fine.corners[0], fine.corners[-1]))
@@ -267,18 +277,17 @@ def test_a_long_band_run_is_read_once(width):
 
 
 def test_a_long_narrow_run_on_a_huge_index():
-    # 10^5 steps (40, -1) on a cone of index 10^12 + 39: no two steps of the run
-    # are a lattice vector apart, so it is 10^5 lattice runs of one step, each
-    # one column sum of 40 columns, for the complement and for the band's bottoms
+    # 10^5 steps (40, -1) on a cone of index 10^12 + 39: no step is a lattice step, so
+    # the complement count refuses the staircase at once, and the band walks its 10^5
+    # rectangles one at a time, each two column sums of 40 columns
     cone, steps = Cone2.from_rays((1, 0), (1, 10**12 + 39)), 10**5
     fine = Staircase(tuple((40 * i, steps - i) for i in range(steps + 1)))
     coarse = Staircase((fine.corners[0], fine.corners[-1]))
     threshold = Corner(0, 0)
     what = f"{steps} steps 40 wide on index 10^12 + 39"
-    under, elapsed = timed(lambda: _count_under(cone, fine.runs), what)
-    assert elapsed < 1, f"{what} took {elapsed:.2f} s"
+    with pytest.raises(ValueError, match="not the corner of a lattice point"):
+        count_lattice_complement(cone, threshold, fine)
     band, elapsed = timed(lambda: count_lattice_band(cone, threshold, fine, coarse), what)
     assert elapsed < 1, f"the band of {what} took {elapsed:.2f} s"
     outside = [floor_sum_count_complement(cone, threshold, stair) for stair in (fine, coarse)]
-    assert under == outside[0]
     assert band == outside[1] - outside[0]

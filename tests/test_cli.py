@@ -588,7 +588,7 @@ class TestVerifyCommand:
         code, report, err = run_json(capsys, ["verify", "--file", str(path)])
         assert time.perf_counter() - start < 1
         assert (code, report) == (1, None)
-        assert err == "error: verify needs about 112000360 scan steps, over 1000000\n"
+        assert err == "error: verify needs about 32000220 scan steps, over 1000000\n"
 
 
     def test_skewed_cone_scans_rows(self, capsys, tmp_path):

@@ -30,6 +30,7 @@ from conftest import (
     shoelace_complement_area,
     unimodular,
 )
+from ghk import geometry
 from ghk.errors import CollinearRays, EmptyInput, UnboundedRegion
 from ghk.families import a_singularity, quadrant, veronese
 from ghk.geometry import (
@@ -40,7 +41,6 @@ from ghk.geometry import (
     _count_under,
     _floor_sum,
     _rectangles,
-    _run_tops,
     count_lattice_band,
     count_lattice_complement,
     dot,
@@ -56,21 +56,63 @@ from ghk.ideals import (
     saturation,
     torsion_factorization,
 )
+from ghk.invariants import frobenius_gap_split
 
 GEOMETRY = Path(__file__).resolve().parent.parent / "src" / "ghk" / "geometry.py"
 
 
-def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
+def record_band_runs(monkeypatch) -> list:
+    """Record (tau, step, w, delta, run) for every geometry._band_run call from now on."""
+    calls, inner = [], geometry._band_run
+
+    def recorded(tau, step, bits, a0, w, lo0, top, delta, run):
+        calls.append((tau, step, w, delta, run))
+        return inner(tau, step, bits, a0, w, lo0, top, delta, run)
+
+    monkeypatch.setattr(geometry, "_band_run", recorded)
+    return calls
+
+
+@pytest.fixture(autouse=True)
+def band_runs_move_by_lattice_vectors(monkeypatch):
+    # every band run that any test here counts, of lattice staircases or not, is
+    # one rectangle or has bottoms that move by a lattice vector: _band_run reads
+    # each run off its first rectangle and needs no residue classes
+    calls = record_band_runs(monkeypatch)
+    yield
+    odd = [call for call in calls if call[4] > 1 and (call[3] - call[0] * call[2]) % call[1]]
+    assert odd == [], odd[:5]
+
+
+def lattice_row(cone: Cone2, s: int, t: int) -> int:
+    """The lowest row at or above t whose corner in column s is a lattice point's."""
+    return t + (cone.tau * s - t) % cone.det_abs
+
+
+def on_lattice(cone: Cone2, corners) -> Staircase:
+    """The staircase of the corners, each first lifted to the lowest lattice corner above it.
+
+    Every corner is then a lattice point's and every step a lattice
+    vector, as in an ideal's staircase: one a complement count takes.
+    """
+    return pareto_minimal([Corner(s, lattice_row(cone, s, t)) for s, t in corners])
+
+
+def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None, lattice: bool = False):
     """A random cone, threshold and nested staircases fine >= coarse at scale q.
 
     coarse is a random staircase scaled by q.  fine adds corners below it,
     some anywhere in the box and some one to three columns right of a
     coarse corner, so its steps are both narrower and wider than det_abs.
-    The cone is random unless one is given.
+    The cone is random unless one is given.  With lattice, every corner
+    is lifted onto the lattice (on_lattice), coarse's before it is scaled.
     """
     if cone is None:
         cone = random_cone(rng, rng.randint(1, 12))
-    threshold, coarse = grounded(random_staircase(rng, max_corners=8).scale(q))
+    base = random_staircase(rng, max_corners=8)
+    if lattice:
+        base = on_lattice(cone, base.corners)
+    threshold, coarse = grounded(base.scale(q))
     extra = []
     for _ in range(rng.randint(0, 4)):
         cs, ct = rng.choice(coarse.corners)
@@ -78,15 +120,18 @@ def scaled_pair(rng: random.Random, q: int, cone: Cone2 = None):
         extra.append(
             Corner(rng.randint(threshold.s, coarse.max_s), rng.randint(threshold.t, coarse.max_t))
         )
-    fine = pareto_minimal(list(coarse.corners) + extra)
+    corners = list(coarse.corners) + extra
+    fine = on_lattice(cone, corners) if lattice else pareto_minimal(corners)
     return cone, threshold, fine, coarse
 
 
-def run_staircase(rng: random.Random, bits: int) -> Staircase:
+def run_staircase(rng: random.Random, bits: int, cone: Cone2 = None) -> Staircase:
     """Runs of 1 to 60 equal steps, each followed by up to three irregular steps.
 
     A run's steps are narrow (at most bits columns wide) or wide (more
-    than bits), so _count_under takes every branch on them.
+    than bits), so _count_under takes every branch on them.  Given a
+    cone, each step height is lifted to the lowest that makes the step a
+    lattice vector, and the first corner onto the lattice.
     """
     steps = []
     for _ in range(rng.randint(1, 4)):
@@ -94,7 +139,12 @@ def run_staircase(rng: random.Random, bits: int) -> Staircase:
         steps += [(w, rng.randint(1, 12))] * rng.randint(1, 60)
         for _ in range(rng.randint(0, 3)):
             steps.append((rng.randint(1, 3 * bits + 8), rng.randint(1, 12)))
+    if cone is not None:
+        # (w, -h) is a lattice step when h == tau * -w (mod det_abs), the lattice row of column -w
+        steps = [(w, lattice_row(cone, -w, h)) for w, h in steps]
     s, t = rng.randint(0, 5), rng.randint(0, 5) + sum(h for _, h in steps)
+    if cone is not None:
+        t = lattice_row(cone, s, t)
     corners = [Corner(s, t)]
     for w, h in steps:
         s, t = s + w, t - h
@@ -119,12 +169,12 @@ def band_runs(rects) -> list[tuple[int, int, int]]:
 
 
 def residue_kind(step: int, slope: int, run: int) -> str:
-    """How many interleaved lattice runs a run of R = run steps splits into.
+    """How the steps of a run of R = run equal steps sit against the lattice.
 
     The column sums of step j of the run move by slope per step, so
     steps P = det_abs / gcd(det_abs, slope) apart are one lattice vector
-    apart and the run is min(P, R) lattice runs: one ("P = 1"), fewer
-    than R ("1 < P < R") or R of one step each ("P >= R").
+    apart: neighbours ("P = 1"), steps fewer than R apart ("1 < P < R")
+    or no two steps of the run ("P >= R").
     """
     period = step // gcd(step, slope)
     return "P = 1" if period == 1 else "1 < P < R" if period < run else "P >= R"
@@ -390,42 +440,50 @@ class TestCount:
         assert progression_count(-6, -1, 2, 5) == 1
 
     def test_kernel_matches_column_and_box_oracles(self):
+        # complements are counted on lattice staircases only, bands on any
         rng = random.Random(37)
         for _ in range(80):
-            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(1, 8))
-            brute = {}
-            for stair in (fine, coarse):
-                count = count_lattice_complement(cone, threshold, stair)
-                assert count == column_count_complement(cone, threshold, stair)
-                brute[stair] = brute_count_complement(cone, threshold, stair)
-                assert count == brute[stair]
-            band = count_lattice_band(cone, threshold, fine, coarse)
-            assert band == column_count_band(cone, threshold, fine, coarse)
-            assert band == brute[coarse] - brute[fine]
+            q = rng.randint(1, 8)
+            for lattice in (False, True):
+                cone, threshold, fine, coarse = scaled_pair(rng, q, lattice=lattice)
+                brute = {}
+                for stair in (fine, coarse):
+                    brute[stair] = brute_count_complement(cone, threshold, stair)
+                    if lattice:
+                        count = count_lattice_complement(cone, threshold, stair)
+                        assert count == column_count_complement(cone, threshold, stair)
+                        assert count == brute[stair]
+                band = count_lattice_band(cone, threshold, fine, coarse)
+                assert band == column_count_band(cone, threshold, fine, coarse)
+                assert band == brute[coarse] - brute[fine]
 
     def test_kernel_matches_column_oracle_up_to_q_1000(self):
         rng = random.Random(41)
         for _ in range(40):
-            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(9, 1000))
-            for stair in (fine, coarse):
-                assert count_lattice_complement(
-                    cone, threshold, stair
-                ) == column_count_complement(cone, threshold, stair)
-            assert count_lattice_band(
-                cone, threshold, fine, coarse
-            ) == column_count_band(cone, threshold, fine, coarse)
+            q = rng.randint(9, 1000)
+            for lattice in (False, True):
+                cone, threshold, fine, coarse = scaled_pair(rng, q, lattice=lattice)
+                for stair in (fine, coarse) if lattice else ():
+                    assert count_lattice_complement(
+                        cone, threshold, stair
+                    ) == column_count_complement(cone, threshold, stair)
+                assert count_lattice_band(
+                    cone, threshold, fine, coarse
+                ) == column_count_band(cone, threshold, fine, coarse)
 
     def test_kernel_matches_floor_sum_oracle_up_to_2_40(self):
         rng = random.Random(43)
         for _ in range(300):
             q = rng.choice([rng.randint(1, 2**40), 2 ** rng.randint(0, 40)])
-            cone, threshold, fine, coarse = scaled_pair(rng, q)
-            outside = {}
-            for stair in (fine, coarse):
-                outside[stair] = floor_sum_count_complement(cone, threshold, stair)
-                assert count_lattice_complement(cone, threshold, stair) == outside[stair]
-            band = count_lattice_band(cone, threshold, fine, coarse)
-            assert band == outside[coarse] - outside[fine]
+            for lattice in (False, True):
+                cone, threshold, fine, coarse = scaled_pair(rng, q, lattice=lattice)
+                outside = {}
+                for stair in (fine, coarse):
+                    outside[stair] = floor_sum_count_complement(cone, threshold, stair)
+                    if lattice:
+                        assert count_lattice_complement(cone, threshold, stair) == outside[stair]
+                band = count_lattice_band(cone, threshold, fine, coarse)
+                assert band == outside[coarse] - outside[fine]
 
     def test_floor_sum_matches_plain_sum(self):
         rng = random.Random(47)
@@ -446,42 +504,44 @@ class TestCount:
                 k = rng.randint(-d, d)
             cone = Cone2.from_rays(*rng.choice([((1, 0), (k, d)), ((0, 1), (d, k))]))
             assert cone.det_abs == d
-            cone, threshold, fine, coarse = scaled_pair(rng, rng.randint(1, d // 2 + 1), cone)
-            for stair in (fine, coarse):
-                assert count_lattice_complement(
-                    cone, threshold, stair
-                ) == column_count_complement(cone, threshold, stair)
-            assert count_lattice_band(
-                cone, threshold, fine, coarse
-            ) == column_count_band(cone, threshold, fine, coarse)
-            rects = _rectangles(fine, coarse) + _rectangles(Staircase((threshold,)), coarse)
+            q, rects = rng.randint(1, d // 2 + 1), []
+            for lattice in (False, True):
+                _, threshold, fine, coarse = scaled_pair(rng, q, cone, lattice)
+                for stair in (fine, coarse) if lattice else ():
+                    assert count_lattice_complement(
+                        cone, threshold, stair
+                    ) == column_count_complement(cone, threshold, stair)
+                assert count_lattice_band(
+                    cone, threshold, fine, coarse
+                ) == column_count_band(cone, threshold, fine, coarse)
+                rects += _rectangles(fine, coarse) + _rectangles(Staircase((threshold,)), coarse)
             wide += any((b - a) % d > d.bit_length() for a, b, _, _ in rects)
         assert wide >= 30
 
     def test_run_kernel_matches_column_and_floor_sum_oracles(self):
         # half the cones random, half of index up to 10^12; a run of R equal
-        # steps is min(P, R) interleaved lattice runs, one column sum each
+        # lattice steps is R times its first step less a closed-form term, one
+        # column sum
         rng = random.Random(53)
         kinds = Counter()
         for i in range(100):
             cone = random_index_ideal(rng, d_max=10**12).cone if i % 2 else random_cone(rng)
             bits = cone.det_abs.bit_length()
-            threshold, stair = grounded(run_staircase(rng, bits))
+            threshold, stair = grounded(run_staircase(rng, bits, cone))
             count = _count_under(cone, stair.runs)
             assert count == floor_sum_count_complement(cone, threshold, stair)
             assert count == column_count_complement(cone, threshold, stair)
             steps = [(b.s - a.s, a.t - b.t) for a, b in zip(stair.corners, stair.corners[1:])]
             for (w, h), run in groupby(steps):
-                size = len(list(run))
-                if size > 1:
-                    kinds[residue_kind(cone.det_abs, h + cone.tau * w, size)] += 1
-        # runs of one lattice run, of fewer than R and of R one-step runs
-        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
+                if len(list(run)) > 1:
+                    kinds["narrow" if w <= bits else "wide"] += 1
+        # runs of steps at most and over det_abs.bit_length() wide
+        assert len(kinds) == 2 and min(kinds.values()) >= 10, kinds
 
     def test_run_count_matches_listed_run_and_oracles(self):
-        # the run (s0 + i * w, t0 - i * h), i = 0 .. r, counted as min(P, r)
-        # interleaved lattice runs, r = 0 being a principal ideal's power;
-        # half the cones random, half of index up to 10^12
+        # the lattice run (s0 + i * w, t0 - i * h), i = 0 .. r, counted off its
+        # first step, r = 0 being a principal ideal's power; half the cones
+        # random, half of index up to 10^12
         rng = random.Random(59)
         kinds = Counter()
         for i in range(160):
@@ -490,7 +550,9 @@ class TestCount:
             r = rng.choice([0, rng.randint(1, 8), rng.randint(9, 60)])
             w = rng.randint(1, 12) if r else 0
             h = rng.choice([rng.randint(1, 12), rng.randint(1, 3 * cone.det_abs)]) if r else 0
-            s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
+            h = lattice_row(cone, -w, h) if r else 0  # (w, -h) a lattice step
+            s0 = rng.randint(0, 5)
+            t0 = lattice_row(cone, s0, r * h + rng.randint(0, 5))
             stair = Staircase(tuple(Corner(s0 + k * w, t0 - k * h) for k in range(r + 1)))
             threshold, _ = grounded(stair)
             count = _count_under(cone, ((s0, t0, w, h, r),))
@@ -499,41 +561,9 @@ class TestCount:
             if small and r * w * t0 <= 20_000:
                 assert count == brute_count_complement(cone, threshold, stair)
                 kinds["brute"] += 1
-            kinds["principal" if r == 0 else residue_kind(cone.det_abs, h + cone.tau * w, r)] += 1
-        assert kinds["principal"] >= 20 and kinds["brute"] >= 20 and len(kinds) == 5, kinds
+            kinds["principal" if r == 0 else "short" if r <= 8 else "long"] += 1
+        assert kinds["principal"] >= 20 and kinds["brute"] >= 20 and len(kinds) == 4, kinds
         assert min(kinds.values()) >= 10, kinds
-
-    def test_run_tops_match_a_plain_column_sum(self):
-        # R steps (w, -h) from column a under row hi, given c = hi - 1 - tau * a:
-        # column x of step j holds (c - j * h - tau * (j * w + x)) // det_abs
-        # points; tau and det_abs random, det_abs up to 10^12, and h a lattice
-        # step's, random, or one making steps P = det_abs / g apart, 1 < P < R,
-        # a lattice vector apart: then h + tau * w is g times a unit mod P
-        rng = random.Random(61)
-        kinds = Counter()
-        for i in range(160):
-            kind = i % 3
-            run = rng.choice([0, rng.randint(1, 60)]) if kind < 2 else rng.randint(3, 60)
-            g = rng.choice([rng.randint(1, 12), rng.randint(1, 10**9)])
-            step = rng.randint(2, run - 1) * g if kind == 2 else rng.choice(
-                [rng.randint(1, 12), rng.randint(1, 10**12)])
-            tau, bits = rng.randint(-step, step), step.bit_length()
-            w = rng.choice([rng.randint(1, bits), rng.randint(bits + 1, 3 * bits + 8)])
-            h = (-tau * w) % step + step * rng.randint(1, 2)
-            if kind == 1:
-                h = rng.randint(1, 3 * step)
-            elif kind == 2:
-                unit = rng.randint(1, step // g)
-                while gcd(unit, step // g) != 1:
-                    unit = rng.randint(1, step // g)
-                h += g * unit
-            c = rng.randint(-(10**15), 10**15)
-            plain = sum(
-                (c - j * h - tau * (j * w + x)) // step for j in range(run) for x in range(w)
-            )
-            assert _run_tops(tau, step, bits, c, w, h, run) == plain
-            kinds[residue_kind(step, h + tau * w, run)] += 1
-        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
 
     def test_run_count_lists_nothing(self, monkeypatch):
         # a run no longer than its steps are wide is counted off s0, t0, w, h
@@ -545,8 +575,9 @@ class TestCount:
             bits = cone.det_abs.bit_length()
             r = rng.choice([0, rng.randint(1, bits), rng.randint(1, 12)])
             w = max(r, rng.choice([rng.randint(1, bits), rng.randint(bits + 1, 3 * bits + 8)]))
-            h = rng.randint(1, 3 * cone.det_abs)
-            s0, t0 = rng.randint(0, 5), r * h + rng.randint(0, 5)
+            h = lattice_row(cone, -w, rng.randint(1, 3 * cone.det_abs))
+            s0 = rng.randint(0, 5)
+            t0 = lattice_row(cone, s0, r * h + rng.randint(0, 5))
             stair = Staircase(tuple((s0 + k * w, t0 - k * h) for k in range(r + 1)))
             threshold, _ = grounded(stair)
             with monkeypatch.context() as patched:
@@ -561,8 +592,10 @@ class TestCount:
         # fine: runs of 1 to 60 equal steps among irregular ones; coarse: a
         # subset of its corners, so each coarse step covers touching band
         # rectangles of one top whose bottoms fall by one step's height, cut
-        # wherever the subset cuts the fine runs.  The bottoms of a run of R
-        # rectangles are min(P, R) interleaved lattice runs, P here from delta - tau * w
+        # wherever the subset cuts the fine runs.  Such rectangles are one run
+        # when their bottoms move by a lattice vector, and are counted one at a
+        # time when they do not; kinds still sorts the stretches as
+        # residue_kind does, P here from delta - tau * w
         rng = random.Random(59)
         kinds = Counter()
         for i in range(120):
@@ -621,6 +654,28 @@ class TestCount:
                       else "wide"] += 1
         assert min(kinds.values()) >= 10 and len(kinds) == 6, kinds
 
+    def test_split_band_runs_are_the_maximal_runs_on_saturated_ideals(self, monkeypatch):
+        # the lattice join rule never cuts a run of band rectangles that split
+        # counts: on saturated ideals of more than one run, _count_between makes
+        # one _band_run call per maximal run of touching rectangles of one width
+        # and top whose bottoms move by one constant, as band_runs finds them
+        rng = random.Random(107)
+        calls = record_band_runs(monkeypatch)
+        ideals, long_runs = 0, 0
+        while ideals < 200:
+            ideal = saturation(random_ideal(rng, ray_bound=rng.randint(1, 8)))
+            if len(ideal.stair.runs) == 1:
+                continue
+            ideals += 1
+            for q in (2, 3, 5):
+                del calls[:]
+                frobenius_gap_split(ideal, q)
+                power, frob = ordinary_power(ideal, q), frobenius_power(ideal, q)
+                runs = band_runs(_rectangles(power.stair, frob.stair))
+                assert len([call for call in calls if call[4]]) == len(runs), (ideal, q)
+                long_runs += sum(size > 1 for _, size, _ in runs)
+        assert long_runs >= 500, long_runs
+
     def test_box_count_unit_lattice(self):
         stair = pareto_minimal([Corner(2, 0), Corner(0, 3)])
         assert count_lattice_complement(QUADRANT, Corner(0, 0), stair) == 6
@@ -637,7 +692,7 @@ class TestCount:
         rng = random.Random(19)
         for _ in range(120):
             cone = random_cone(rng)
-            threshold, stair = grounded(random_staircase(rng))
+            threshold, stair = grounded(on_lattice(cone, random_staircase(rng).corners))
             assert count_lattice_complement(
                 cone, threshold, stair
             ) == brute_count_complement(cone, threshold, stair)
@@ -655,12 +710,12 @@ class TestCount:
         checked = 0
         while checked < 60:
             cone = random_cone(rng)
-            threshold, fine = grounded(random_staircase(rng))
-            # push corners up, then pin both ends so the minima still meet
-            # the threshold; the result describes a subregion of fine
-            shifted = [Corner(c.s, c.t + rng.randint(0, 4)) for c in fine.corners]
-            coarse = pareto_minimal(
-                shifted + [Corner(fine.max_s, fine.min_t), Corner(fine.min_s, fine.max_t)]
+            threshold, fine = grounded(on_lattice(cone, random_staircase(rng).corners))
+            # push corners up onto the lattice, then pin both ends so the minima
+            # still meet the threshold; the result describes a subregion of fine
+            shifted = [(s, t + rng.randint(0, 4)) for s, t in fine.corners]
+            coarse = on_lattice(
+                cone, shifted + [(fine.max_s, fine.min_t), (fine.min_s, fine.max_t)]
             )
             if any(not fine.dominates(c) for c in coarse.corners):
                 continue
@@ -674,7 +729,7 @@ class TestCount:
         rng = random.Random(31)
         for _ in range(25):
             cone = random_cone(rng)
-            threshold, stair = grounded(random_staircase(rng, spread=6))
+            threshold, stair = grounded(on_lattice(cone, random_staircase(rng, spread=6).corners))
             area = staircase_complement_area(cone, threshold, stair)
             width = stair.max_s - stair.min_s
             height = stair.max_t - stair.min_t
@@ -704,6 +759,8 @@ def lattice_run_staircase(
 
     A run is long and narrow, 2 to long_max steps one or two columns
     wide, or short and wide, 2 or 3 steps of 3 to wide_max columns.
+    With lattice steps the first corner is a lattice corner too, so the
+    staircase is one a complement count takes.
     """
     steps = []
     for _ in range(rng.randint(1, 3)):
@@ -713,6 +770,8 @@ def lattice_run_staircase(
             w, size = rng.randint(3, wide_max), rng.randint(2, 3)
         steps += [(w, step_height(rng, cone, w, lattice))] * size
     s, t = rng.randint(0, 5), rng.randint(0, 5) + sum(h for _, h in steps)
+    if lattice:
+        t = lattice_row(cone, s, t)
     corners = [(s, t)]
     for w, h in steps:
         s, t = s + w, t - h
@@ -728,8 +787,8 @@ def run_kinds(stair: Staircase, cone: Cone2) -> set:
 
 class TestLatticeRuns:
     # a run of lattice steps is counted off its first step in O(1) floor sums
-    # whatever its length; a run of other steps, which only a staircase that is
-    # no ideal's has, is counted as min(P, R) interleaved runs of lattice steps
+    # whatever its length; a staircase with other steps is no ideal's, and only
+    # the band counts it, one rectangle at a time where bottoms are no lattice move
 
     def test_counts_match_the_box_scan(self):
         # the box-scan oracle lists every lattice point of the gap box, det_abs up to 80
@@ -737,7 +796,8 @@ class TestLatticeRuns:
         kinds = Counter()
         for i in range(60):
             cone = random_index_ideal(rng, d_max=80).cone
-            threshold, fine = grounded(lattice_run_staircase(rng, cone, i % 2 == 0, 20, 20))
+            lattice = i % 2 == 0
+            threshold, fine = grounded(lattice_run_staircase(rng, cone, lattice, 20, 20))
             inner = [c for c in fine.corners[1:-1] if rng.random() < 0.3]
             coarse = Staircase((fine.corners[0], *inner, fine.corners[-1]))
             box = box_scan_points(cone, threshold.s, fine.max_s, threshold.t, fine.max_t)
@@ -747,7 +807,8 @@ class TestLatticeRuns:
                 outside[stair] = sum(
                     not any(s >= cs and t >= ct for cs, ct in stair.corners) for s, t in corners
                 )
-            assert _count_under(cone, fine.runs) == outside[fine]
+            if lattice:
+                assert _count_under(cone, fine.runs) == outside[fine]
             band = count_lattice_band(cone, threshold, fine, coarse)
             assert band == outside[coarse] - outside[fine]
             kinds.update(run_kinds(fine, cone))
@@ -759,13 +820,52 @@ class TestLatticeRuns:
         kinds = Counter()
         for i in range(60):
             cone = random_index_ideal(rng, d_max=80).cone
-            threshold, fine = grounded(lattice_run_staircase(rng, cone, i % 2 == 0, 2000, 10**4))
+            lattice = i % 2 == 0
+            threshold, fine = grounded(lattice_run_staircase(rng, cone, lattice, 2000, 10**4))
             coarse = Staircase(fine.corners[: -1 : rng.randint(2, 40)] + fine.corners[-1:])
             outside = [floor_sum_count_complement(cone, threshold, st) for st in (fine, coarse)]
-            assert _count_under(cone, fine.runs) == outside[0]
+            if lattice:
+                assert _count_under(cone, fine.runs) == outside[0]
             assert count_lattice_band(cone, threshold, fine, coarse) == outside[1] - outside[0]
             kinds.update(run_kinds(fine, cone))
         assert len(kinds) == 4 and min(kinds.values()) >= 8, kinds
+
+    def test_one_rule_and_one_message_for_ideals_and_complements(self):
+        # a staircase whose first corner is off the lattice, and one with an
+        # off-lattice step: MonomialIdeal and count_lattice_complement refuse both
+        # with one message, and the band counts both
+        message = "staircase corner is not the corner of a lattice point"
+        stairs = [
+            (SKEW, Staircase(((0, 10), (1, 6), (2, 2)))),  # lattice steps (1, -4) from (0, 10)
+            (SKEW, Staircase(((0, 9), (1, 6), (2, 3), (3, 0)))),  # steps (1, -3) from (0, 9)
+        ]
+        rng = random.Random(109)
+        for i in range(40):
+            ideal = random_index_ideal(rng, d_max=10**6)
+            corners = ideal.stair.corners
+            if i % 2:
+                # every corner one row up: the steps stay lattice vectors
+                stairs.append((ideal.cone, Staircase(tuple((s, t + 1) for s, t in corners))))
+            elif len(corners) > 1:
+                # the last corner one column right: the last step is no lattice vector
+                (s, t), rest = corners[-1], corners[:-1]
+                stairs.append((ideal.cone, Staircase((*rest, (s + 1, t)))))
+        kinds = Counter()
+        for cone, stair in stairs:
+            threshold, _ = grounded(stair)
+            with pytest.raises(ValueError) as ideal_error:
+                MonomialIdeal(cone, stair)
+            with pytest.raises(ValueError) as count_error:
+                count_lattice_complement(cone, threshold, stair)
+            assert str(ideal_error.value) == str(count_error.value) == message
+            ends = Staircase((stair.corners[0], stair.corners[-1]))
+            for coarse in (stair, ends):
+                assert count_lattice_band(
+                    cone, threshold, stair, coarse
+                ) == column_count_band(cone, threshold, stair, coarse)
+            first_on_lattice = cone.preimage(stair.corners[0]) is not None
+            kinds["off-lattice step" if first_on_lattice else "off-lattice corner"] += 1
+        assert min(kinds.values()) >= 10 and len(kinds) == 2, kinds
 
     def test_a_lattice_run_costs_at_most_two_floor_sums(self, monkeypatch):
         # R up to 10^5 steps, each up to 10^4 columns wide; half the cones of index up to 10^12
