@@ -197,7 +197,7 @@ def _probe_points(ideal: MonomialIdeal) -> list[Point]:
     return points
 
 
-_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, at most about 0.6 s of work
+_MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, about 0.5 s in process
 
 
 def _box_work(cone: Cone2, w: int, h: int) -> int:

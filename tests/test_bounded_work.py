@@ -25,10 +25,12 @@ from time import perf_counter
 import pytest
 
 from conftest import floor_sum_count_complement
+from ghk import geometry
 from ghk.geometry import (
     Cone2,
     Corner,
     Staircase,
+    _band_run,
     _count_under,
     count_lattice_band,
     count_lattice_complement,
@@ -259,21 +261,50 @@ def test_a_long_run_is_read_once(width):
     assert count == floor_sum_count_complement(cone, Corner(0, low), stair)
 
 
-@pytest.mark.parametrize("width", [100_003, 1], ids=["wide-by-rectangle", "narrow-whole"])
-def test_a_long_band_run_is_read_once(width):
-    # the band between a run of 10^5 equal steps and its two end corners is
-    # 10^5 - 1 touching rectangles of one top; no step is a lattice step, so no
-    # bottom is a lattice move from the last one's, and each rectangle is a run
-    # of its own, two column sums
+def long_run_band(width, h, low):
+    # the band between a run of 10^5 equal steps (width, -h) from (0, low) on a cone
+    # of index 3 and the run's two end corners: 10^5 - 1 touching rectangles of one top
     cone, steps = Cone2.from_rays((1, 0), (1, 3)), 10**5
-    fine = Staircase(tuple(Corner(i * width, 3 * (steps - i)) for i in range(steps + 1)))
+    fine = Staircase(tuple(Corner(i * width, low + h * (steps - i)) for i in range(steps + 1)))
     coarse = Staircase((fine.corners[0], fine.corners[-1]))
-    threshold = Corner(0, 0)
-    what = f"a band of {steps} steps {width} wide"
+    return cone, Corner(0, low), fine, coarse
+
+
+def timed_band(monkeypatch, cone, threshold, fine, coarse, what):
+    """The band count, its time, and the length of every run _band_run was given."""
+    runs = []
+
+    def band_run(*args):
+        runs.append(args[-1])
+        return _band_run(*args)
+
+    monkeypatch.setattr(geometry, "_band_run", band_run)
     count, elapsed = timed(lambda: count_lattice_band(cone, threshold, fine, coarse), what)
     assert elapsed < 1, f"{what} took {elapsed:.2f} s"
     outside = [floor_sum_count_complement(cone, threshold, stair) for stair in (fine, coarse)]
     assert count == outside[1] - outside[0]
+    return [run for run in runs if run]
+
+
+@pytest.mark.parametrize("width", [100_003, 1], ids=["wide-by-rectangle", "narrow-whole"])
+def test_a_long_band_run_is_read_once(monkeypatch, width):
+    # the lattice steps of test_a_long_run_is_read_once, from a lattice corner: each
+    # bottom is a lattice move from the last one's, so the 10^5 - 1 rectangles join
+    # into one run, read off its first rectangle in two column sums
+    h = 3 + width % 3
+    band = long_run_band(width, h, -(10**5) * h % 3)
+    runs = timed_band(monkeypatch, *band, f"a lattice band of 10^5 steps {width} wide")
+    assert runs == [10**5 - 1]
+
+
+@pytest.mark.parametrize("width", [100_003, 1], ids=["wide", "narrow"])
+def test_a_non_lattice_band_is_walked_one_rectangle_at_a_time(monkeypatch, width):
+    # steps (width, -3), none a lattice step: no bottom is a lattice move from the
+    # last one's, so each of the 10^5 - 1 rectangles is a run of its own, two column
+    # sums each
+    band = long_run_band(width, 3, 0)
+    runs = timed_band(monkeypatch, *band, f"a band of 10^5 steps (w, -3), w = {width}")
+    assert runs == [1] * (10**5 - 1)
 
 
 def test_a_long_narrow_run_on_a_huge_index():

@@ -33,7 +33,7 @@ def test_only_lines_with_code_tokens_count(tmp_path):
 
 def test_the_package_total_is_the_sum_of_its_modules(capsys):
     tool = load_tool()
-    assert tool.main([]) == 0
+    assert tool.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[-1][0] == "total" and len(rows) > 2
     assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])

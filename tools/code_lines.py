@@ -7,9 +7,7 @@ string statement is an expression statement whose value is a string
 constant, found with ast, so a docstring and a string left on its own
 line anywhere count alike.  Only the standard library is used.
 
-    python tools/code_lines.py [DIR]
-
-DIR defaults to the src/ghk beside this script's directory.
+    python tools/code_lines.py
 """
 
 import ast
@@ -42,9 +40,11 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "ghk"
-    counts = {path.name: code_lines(path) for path in sorted(root.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent / "src" / "ghk"
+
+
+def main() -> int:
+    counts = {path.name: code_lines(path) for path in sorted(ROOT.glob("*.py"))}
     width = max(map(len, counts), default=5)
     for name, n in counts.items():
         print(f"{name:<{width}}  {n:>5}")
@@ -53,4 +53,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
