@@ -8,7 +8,8 @@ rational_json makes of it.  report_json writes the bytes of the
 standard json.dumps with an indent of 2 and sorted keys at the speed
 of the C string encoder: CPython runs its pure-Python encoder whenever
 an indent is set.  The writer makes one call per dict and list; their
-exact str and int items, the leaves of almost every report, are
+exact str and int items, the leaves of almost every report, and their
+[x, y] lists of two exact ints, the points a --file report echoes, are
 written inside that call, and each Fraction item by one call that
 writes its two strings.
 """
@@ -74,6 +75,8 @@ def _encode(value, newline: str) -> str:
                 encode_basestring_ascii(item) if type(item) is str
                 else repr(item) if type(item) is int
                 else _rational(item, inner) if type(item) is Fraction
+                else f"[{inner}  {item[0]!r},{inner}  {item[1]!r}{inner}]"
+                if type(item) is list and len(item) == 2 and type(item[0]) is type(item[1]) is int
                 else _encode(item, inner))
             for key, item in sorted(value.items())
         ]
@@ -86,6 +89,8 @@ def _encode(value, newline: str) -> str:
             encode_basestring_ascii(item) if type(item) is str
             else repr(item) if type(item) is int
             else _rational(item, inner) if type(item) is Fraction
+            else f"[{inner}  {item[0]!r},{inner}  {item[1]!r}{inner}]"
+            if type(item) is list and len(item) == 2 and type(item[0]) is type(item[1]) is int
             else _encode(item, inner)
             for item in value
         ]

@@ -382,7 +382,7 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
     bits = step.bit_length()
     total = 0
     # the open run: rectangles (a0 + k * w, a0 + (k + 1) * w, lo0 + k * delta, top) for
-    # k < run, the last one ending at column end on bottom row last
+    # k < run, the last one ending at column end on bottom row last; none before the first
     a0 = w = lo0 = top = delta = run = end = last = 0
     # a closing rectangle that touches nothing ends the last run
     for a, b, lo, hi in _rectangles(lower, upper) + [(None, None, 0, 0)]:
@@ -391,7 +391,8 @@ def _count_between(cone: Cone2, lower: Staircase, upper: Staircase) -> int:
         ):
             end, last, delta, run = b, lo, lo - last, run + 1
             continue
-        total += _band_run(tau, step, bits, a0, w, lo0, top, delta, run)
+        if run:
+            total += _band_run(tau, step, bits, a0, w, lo0, top, delta, run)
         if a is None:
             return total
         a0, w, lo0, top, run, end, last = a, b - a, lo, hi, 1, b, lo

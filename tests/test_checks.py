@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from ghk.errors import BadParameters, NotMPrimary
 from ghk.families import a_singularity, parse_family, veronese
 from ghk.geometry import Cone2, Staircase
 from ghk.ideals import MonomialIdeal, new_ideal
+from ghk.invariants import eghk, ghk_function
 
 
 def random_box(rng: random.Random, size: int) -> tuple[int, int, int, int]:
@@ -113,6 +115,31 @@ class TestCornerBoxScan:
 
 
 SKEWED = [((1, 0), (40, 1)), ((0, 1), (1, 40))]
+
+
+def test_lines_match_box_scan_line_by_line_for_both_signs_of_det():
+    # _lines takes its first and last line from the vertices' extremes, which trade
+    # places when det < 0, and row scans swap the normals' components
+    rng = random.Random(89)
+    cones = [Cone2.from_rays(*rays) for rays in SKEWED]
+    cones += [random_cone(rng, rng.randint(1, 12)) for _ in range(200)]
+    signs = set()
+    for cone in cones:
+        for _ in range(4):
+            box = random_box(rng, 30)
+            by_rows, n1, n2 = checks._scan_normals(cone, box)
+            walked = {
+                line: list(range(lo, hi + 1)) for line, lo, hi in checks._lines(n1, n2, box)
+                if lo <= hi
+            }
+            found = {}
+            for x, y in box_scan_points(cone, *box):
+                line, place = (y, x) if by_rows else (x, y)
+                found.setdefault(line, []).append(place)
+            assert walked == {line: sorted(places) for line, places in found.items()}, box
+            if walked:
+                signs.add(n1[0] * n2[1] - n1[1] * n2[0] > 0)
+    assert signs == {True, False}
 
 
 def random_probe(rng: random.Random, ideal):
@@ -383,6 +410,27 @@ class TestVerifyWork:
         # n = 2, 3 by the suites, 4 by the gap split, 10 by the epsilon estimate and 7
         # by the torsion factorization; every other call finds the power the ideal keeps
         assert calls == [2, 3, 4, 10, 7]
+
+
+@pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7"])
+def test_convergence_bound_holds_at_its_least_constant(family, monkeypatch):
+    # the suite's integer form of |gaps / q^2 - area| <= C / q keeps the <=: it passes
+    # at the least C for which the Fraction form holds at q = 8, 16, 32, and fails below
+    ideal = parse_family(family).ideal
+    area, qs = eghk(ideal), (8, 16, 32)
+    counts = ghk_function(ideal, 2, 5)[3:]
+    errors = [q * abs(Fraction(gaps, q * q) - area) for q, gaps in zip(qs, counts)]
+    least = max(errors)
+
+    def convergence(bound):
+        monkeypatch.setattr(checks, "convergence_constant", lambda ideal: bound)
+        result, = (c for c in run_instance_checks(ideal) if c.name == "area-count-convergence")
+        return result.passed, result.detail
+
+    assert convergence(least) == (True, "q = 8, 16, 32")
+    for below in (least - 1, least - Fraction(1, 10**9)):
+        q = next(q for q, error in zip(qs, errors) if error > below)
+        assert convergence(below) == (False, f"q={q}")
 
 
 @pytest.mark.parametrize("family", ["a:7,3", "veronese:9,7"])

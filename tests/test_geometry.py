@@ -672,7 +672,8 @@ class TestCount:
                 frobenius_gap_split(ideal, q)
                 power, frob = ordinary_power(ideal, q), frobenius_power(ideal, q)
                 runs = band_runs(_rectangles(power.stair, frob.stair))
-                assert len([call for call in calls if call[4]]) == len(runs), (ideal, q)
+                assert all(call[4] for call in calls), (ideal, q)
+                assert len(calls) == len(runs), (ideal, q)
                 long_runs += sum(size > 1 for _, size, _ in runs)
         assert long_runs >= 500, long_runs
 
