@@ -20,7 +20,10 @@ every point of the same depth.
 run_instance_checks bundles the oracle with the scaling, additivity,
 and convergence properties into a pass/fail report for one instance.
 Its cost is linear in det_abs and in the staircase's far ends, so it
-estimates the scan work first and refuses above _MAX_VERIFY_WORK.
+estimates the scan work first and refuses above _MAX_VERIFY_WORK.  The
+other suites compare staircases, their runs or their corners, and form
+no lattice point on a passing run: the oracle alone reads the
+generators as points, and a failure message maps its corner back.
 """
 
 from fractions import Fraction
@@ -212,7 +215,7 @@ def _box_work(cone: Cone2, w: int, h: int) -> int:
     return min(_spans(cone, w, h)) // d + 3 + _box_points_bound(w, h, d)
 
 
-def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
+def _scan_work(ideal: MonomialIdeal) -> int:
     """Upper estimate of the lines and points that the box scans of the suites visit.
 
     The four thin boxes _probe_points scans, two columns 2 * det_abs
@@ -225,7 +228,7 @@ def _scan_work(ideal: MonomialIdeal, probes: int) -> int:
     boxes = [(d, d), (stair.max_s, d), (d, stair.max_t)]
     per_probe = sum(_box_work(cone, w, h) for w, h in boxes)
     lines = 2 * _box_work(cone, 1, 2 * d) + 2 * _box_work(cone, 2 * d, 1)
-    return 2 * lines + probes * per_probe
+    return 2 * lines + _PROBES * per_probe
 
 
 def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
@@ -239,7 +242,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
     it ends the run and is re-raised; any other GhkError or failed
     assertion marks its suite as FAIL.
     """
-    work = _scan_work(ideal, _PROBES)
+    work = _scan_work(ideal)
     if work > _MAX_VERIFY_WORK:
         raise BadParameters(f"verify needs about {work} scan steps, over {_MAX_VERIFY_WORK}")
     results: list[CheckResult] = []
@@ -261,7 +264,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
         for q in (2, 3, 5):
             fp = frobenius_power(ideal, q)
             assert fp.thresholds == (q * c1, q * c2), f"thresholds at q={q}"
-            assert fp.stair.corners == ideal.stair.scale(q).corners, f"stair at q={q}"
+            assert fp.stair == ideal.stair.scale(q), f"stair at q={q}"
         return "q = 2, 3, 5"
 
     def ordinary_thresholds() -> str:
@@ -273,16 +276,14 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
         q = 3
         frob = frobenius_power(ideal, q)
         ordn = ordinary_power(ideal, q)
-        pts = [tuple(g) for g in frob.gens] + _probe_points(frob)
-        checked = 0
-        for p in pts:
-            c = frob.cone.corner(p)
+        pt = frob.cone.preimage  # a corner is mapped back to its point only in a message
+        corners = [*frob.stair.corners, *map(frob.cone.corner, _probe_points(frob))]
+        for c in corners:
             if frob.stair.dominates(c):
-                assert ordn.stair.dominates(c), f"bracket power point {p} not in power"
+                assert ordn.stair.dominates(c), f"bracket power point {pt(c)} not in power"
             if ordn.stair.dominates(c):
-                assert c[0] >= q * c1 and c[1] >= q * c2, f"power point {p} below thresholds"
-            checked += 1
-        return f"{checked} points at q = {q}"
+                assert c[0] >= q * c1 and c[1] >= q * c2, f"power point {pt(c)} below thresholds"
+        return f"{len(corners)} points at q = {q}"
 
     def saturation_oracle() -> str:
         pts = _probe_points(ideal)
@@ -317,7 +318,7 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
     def degeneracy() -> str:
         sat = saturation(ideal)
         zero_area = eghk(sat) == 0
-        principal = len(sat.gens) == 1
+        principal = len(sat.stair.corners) == 1
         corner_hit = any(c == (c1, c2) for c in sat.stair.corners)
         assert zero_area == principal == corner_hit, (
             f"area zero: {zero_area}, principal: {principal}, corner: {corner_hit}"
@@ -335,8 +336,9 @@ def run_instance_checks(ideal: MonomialIdeal) -> list[CheckResult]:
             return "skipped: ideal is not saturated"
         fact = torsion_factorization(ideal)
         rebuilt = ordinary_power(ideal, fact.order)
-        shifted = sorted((x + fact.shift[0], y + fact.shift[1]) for x, y in fact.primary.gens)
-        assert shifted == sorted(rebuilt.gens), "shift does not rebuild the power"
+        ds, dt = ideal.cone.corner(fact.shift)
+        shifted = tuple((a + ds, hi + dt, w, h, r) for a, hi, w, h, r in fact.primary.stair.runs)
+        assert shifted == rebuilt.stair.runs, "shift does not rebuild the power"
         newton_multiplicity(fact.primary)
         return f"order {fact.order}, shift {fact.shift}"
 

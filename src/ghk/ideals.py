@@ -53,18 +53,18 @@ class MonomialIdeal:
     modulo det_abs, see Cone2), otherwise ValueError; that is checked
     run by run, on a run's first corner and its step, by the rule that
     count_lattice_complement applies too.  gens, the
-    generators as lattice points in the same order, is derived from the
-    staircase on first use.  Two ideals are equal when their cones and
-    staircases are; the powers an ideal keeps are not part of it.  Use
-    new_ideal to build an ideal from lattice points; it performs the
-    Pareto reduction and the cone check.
+    generators as lattice points in the same order, is a view of the
+    staircase, built on each read and kept nowhere.  Two ideals are
+    equal when their cones and staircases are; the powers an ideal keeps
+    are not part of it.  Use new_ideal to build an ideal from lattice
+    points; it performs the Pareto reduction and the cone check.
     """
 
-    __slots__ = ("cone", "stair", "_gens", "_powers", "__weakref__")
+    __slots__ = ("cone", "stair", "_powers", "__weakref__")
 
     def __init__(self, cone: Cone2, stair: Staircase) -> None:
         _require_lattice(cone, stair)
-        self.cone, self.stair, self._gens = cone, stair, None
+        self.cone, self.stair = cone, stair
         # ordinary powers by n >= 2: the ideal under 1 would be a cycle
         self._powers: dict[int, MonomialIdeal] = {}
 
@@ -80,9 +80,8 @@ class MonomialIdeal:
 
     @property
     def gens(self) -> tuple[Point, ...]:
-        if self._gens is None:
-            self._gens = tuple(self.cone.preimage(c) for c in self.stair.corners)
-        return self._gens
+        """The generators as lattice points, s increasing: one preimage per corner, per read."""
+        return tuple(self.cone.preimage(c) for c in self.stair.corners)
 
     @property
     def thresholds(self) -> Corner:

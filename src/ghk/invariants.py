@@ -51,9 +51,11 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
 
 # count steps over the tower: each run once, then at each q = p^n one floor sum and one
 # column sum per distinct step width, each charged 1 + (n * p's bit length) // 256 as its
-# ints grow with q: 0.5 to 0.9 s at the cap, report included, on det_abs 10^12 + 39 with
-# 60 to 20,000 distinct widths, whether q stays under 2^24 or nears 2^4096 (2-vCPU Xeon
-# VM, in process)
+# ints grow with q, times ceil(L / 2) for a cone whose Euclid length L is over 2: 0.5 to
+# 0.9 s at the cap, report included, on det_abs 10^12 + 39 (L = 1) with 60 to 20,000
+# distinct widths, whether q stays under 2^24 or nears 2^4096, and 0.2 to 1.1 s on
+# det_abs F_60 (L = 58, charged 29 times) with 1 to 250 widths at p = 3 or a 40-bit
+# prime (2-vCPU Xeon VM, in process)
 _MAX_TOWER_WORK = 500_000
 
 
@@ -68,8 +70,11 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     pass the interpreter's int-to-str digit limit, before any counting.
     The runs are charged once, and each q = p^n is charged 1 + b // 256
     steps per sum it takes, b = n times p's bit length, a bound on the
-    bits of q that builds no power of p, so a tower whose q all stay
-    under 2^256 is the run count plus (n_max + 1) times the sums per q.
+    bits of q that builds no power of p.  A floor sum runs Euclid on
+    (det_abs, -tau mod det_abs), so each sum is charged ceil(L / 2)
+    times, at least once, L the division steps of that Euclid, counted
+    once per call: on a cone with L <= 2 a tower whose q all stay under
+    2^256 is the run count plus (n_max + 1) times the sums per q.
     The digit-limit check is a bit-length test: a bound of at
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
@@ -87,8 +92,12 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
         raise BadParameters(f"characteristic {p} has {bits} bits, over 40")
     if n_max * bits > 4096:
         raise BadParameters(f"q = {p}^{n_max} needs up to {n_max * bits} bits, over 4096")
-    runs = ideal.stair.runs
-    sums = 1 + len({w for _, _, w, _, r in runs if r})  # _count_tower's sums per q
+    runs, cone = ideal.stair.runs, ideal.cone
+    # L = steps: a floor sum takes L + 1 rounds, 2 on the L = 1 cones the cap was timed on
+    m, a, steps = cone.det_abs, -cone.tau % cone.det_abs, 0
+    while a:
+        m, a, steps = a, m % a, steps + 1
+    sums = max(1, -(-steps // 2)) * (1 + len({w for _, _, w, _, r in runs if r}))
     work = len(runs) + sums * sum(1 + n * bits // 256 for n in range(n_max + 1))
     if work > _MAX_TOWER_WORK:
         raise BadParameters(
@@ -99,14 +108,14 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     # the largest count is at most the lattice points of its gap box
     q, stair = p**n_max, ideal.stair
     width, height = q * (stair.max_s - stair.min_s), q * (stair.max_t - stair.min_t)
-    bound = _box_points_bound(width, height, ideal.cone.det_abs)
+    bound = _box_points_bound(width, height, cone.det_abs)
     digits = sys.get_int_max_str_digits()  # 0 when the limit is switched off
     if digits and bound.bit_length() > 3 * digits and bound >= 10**digits:
         raise BadParameters(
             f"gap counts up to q = {p}^{n_max} may pass {digits} digits, "
             "the limit for printing an integer"
         )
-    return _count_tower(ideal.cone, stair.runs, [p**n for n in range(n_max + 1)])
+    return _count_tower(cone, runs, [p**n for n in range(n_max + 1)])
 
 
 class GapSplit(NamedTuple):
@@ -254,8 +263,11 @@ def newton_multiplicity(ideal: MonomialIdeal) -> int:
     """Multiplicity of a finite-colength ideal from its Newton region.
 
     Twice the plane area between the cone and the convex hull of the
-    ideal region.  The ideal must have thresholds (0, 0); the result is
-    always an integer and ContractViolation flags a non-integer area.
+    ideal region.  The hull is built in corner space from the run ends,
+    each run's first corner and the last corner: the corners inside a
+    run lie on the segment between its ends, so none is a hull vertex.
+    The ideal must have thresholds (0, 0); the result is always an
+    integer and ContractViolation flags a non-integer area.
     """
     if ideal.thresholds != (0, 0):
         raise NotMPrimary(
@@ -267,7 +279,7 @@ def newton_multiplicity(ideal: MonomialIdeal) -> int:
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     hull: list[tuple[int, int]] = []
-    for c in ideal.stair.corners:
+    for c in [*(run[:2] for run in ideal.stair.runs), (ideal.stair.max_s, ideal.stair.min_t)]:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], c) <= 0:
             hull.pop()
         hull.append(c)

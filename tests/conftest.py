@@ -215,6 +215,45 @@ def shoelace_complement_area(
     return Fraction(abs(twice), 2 * cone.det_abs)
 
 
+def newton_hull_oracle(ideal: MonomialIdeal) -> Fraction:
+    """Newton multiplicity oracle: gift wrapping over every listed corner.
+
+    From the first corner, the next hull vertex is the later corner of
+    least slope, the farthest one on a tie, compared as Fractions; the
+    result is twice the area under the hull from the origin over det_abs.
+    """
+    corners = ideal.stair.corners
+    hull = [corners[0]]
+    while hull[-1] != corners[-1]:
+        s0, t0 = hull[-1]
+        later = [(Fraction(t - t0, s - s0), -s, (s, t)) for s, t in corners if s > s0]
+        hull.append(min(later)[2])
+    twice = sum(s0 * t1 - s1 * t0 for (s0, t0), (s1, t1) in zip(hull, hull[1:]))
+    return Fraction(abs(twice), ideal.cone.det_abs)
+
+
+def random_primary(rng: random.Random, cone: Cone2) -> MonomialIdeal:
+    """An ideal with thresholds (0, 0) whose lattice steps come in runs of 3 to 6.
+
+    Each run repeats a random lattice step (w, -h); a last step w wide
+    makes the width a multiple of det_abs, so the first corner (0, H) and
+    the last (S, 0) are lattice corners, H and S being the steps' sums.
+    """
+    d, tau = cone.det_abs, cone.tau
+    steps = []
+    for _ in range(rng.randint(1, 4)):
+        w = rng.randint(1, 4)
+        steps += [(w, (-tau * w) % d + d * rng.randint(0, 2) or d)] * rng.randint(3, 6)
+    w = -sum(w for w, _ in steps) % d or d
+    steps.append((w, (-tau * w) % d or d))
+    s, t = 0, sum(h for _, h in steps)
+    corners = [(s, t)]
+    for w, h in steps:
+        s, t = s + w, t - h
+        corners.append((s, t))
+    return MonomialIdeal(cone, Staircase(tuple(corners)))
+
+
 def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
     while True:
         r1 = (rng.randint(-bound, bound), rng.randint(-bound, bound))

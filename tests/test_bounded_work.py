@@ -6,12 +6,12 @@ over leftover columns, the plot walks the shorter side of each gap
 rectangle and refuses too many lines, the pairing sums in integers,
 verify walks its box scans up to the scan cap and refuses past it or
 when a suite hits a work cap, and function sizes a tower by its runs
-and its sums per q, charged by the bits of q, refusing too many.  The
-counting kernel reads a long run of lattice steps off its first step,
-and refuses a run of other steps; the band count reads a long run of
-touching rectangles whose bottoms move by a lattice vector off its
-first rectangle, and walks other rectangles one at a time.  Both are
-timed in process, under 1 s.
+and its sums per q, charged by the bits of q and by the cone's Euclid
+length, refusing too many.  The counting kernel reads a long run of
+lattice steps off its first step, and refuses a run of other steps; the
+band count reads a long run of touching rectangles whose bottoms move by
+a lattice vector off its first rectangle, and walks other rectangles one
+at a time.  Both are timed in process, under 1 s.
 """
 
 import json
@@ -73,6 +73,17 @@ WIDE_Q = {
 WIDTHS = {
     "cone": {"rays": [[1, 0], [1, 10**12 + 39]]},
     "generators": [[1, 39 * (w * (w + 1) // 2)] for w in range(251)],
+}
+
+# 251 corners on det_abs F_60, rays (1, 0) and (F_59, F_60), whose lattice steps
+# (w, -F_59 * w), w = 1 .. 250, are 250 runs of distinct widths: -tau mod det_abs is F_59,
+# so each floor sum runs 58 division steps of Euclid, not 1, and is charged 29 times
+FIB = [0, 1]
+while len(FIB) < 61:
+    FIB.append(FIB[-1] + FIB[-2])
+FIB_WIDTHS = {
+    "cone": {"rays": [[1, 0], [FIB[59], FIB[60]]]},
+    "generators": [[19391, w * (w + 1) // 2] for w in range(251)],
 }
 
 
@@ -183,6 +194,22 @@ def test_function_tower_over_the_cap_is_refused(tmp_path):
     proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "650"], WIDTHS)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["results"]["values"]) == 651
+
+
+def test_function_tower_charged_by_the_euclid_length(tmp_path):
+    # 250 + 29 * 251 * 1986 count steps at --max-n 650, which the cap charged as
+    # 498736 and ran for seconds, refused at once
+    start = perf_counter()
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "650"], FIB_WIDTHS)
+    assert perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: q = 3^0 .. 3^650 needs 14456344 count steps, over 500000\n"
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "68"], FIB_WIDTHS)
+    assert proc.stderr == "error: q = 3^0 .. 3^68 needs 502501 count steps, over 500000\n"
+    proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "67"], FIB_WIDTHS)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["values"]) == 68
 
 
 def test_function_tower_charged_per_width(tmp_path):

@@ -358,11 +358,11 @@ class TestVerifyWork:
         for ideal in cases:
             work.clear()
             assert all(c.passed for c in run_instance_checks(ideal))
-            assert work and sum(work) <= checks._scan_work(ideal, 8)
+            assert work and sum(work) <= checks._scan_work(ideal)
 
     def test_cap_boundary(self, monkeypatch):
         ideal = a_singularity(7, 3).ideal
-        work = checks._scan_work(ideal, 8)
+        work = checks._scan_work(ideal)
         monkeypatch.setattr(checks, "_MAX_VERIFY_WORK", work)
         assert all(c.passed for c in run_instance_checks(ideal))
         monkeypatch.setattr(checks, "_MAX_VERIFY_WORK", work - 1)
@@ -453,3 +453,103 @@ def test_additivity_catches_a_one_run_power_missing_a_corner(family, monkeypatch
     assert code == 1
     failed = [c["name"] for c in json.loads(out.getvalue())["results"]["checks"] if not c["passed"]]
     assert "gap-split-additivity" in failed, failed
+
+
+NONRUN = Path(__file__).parent / "golden" / "nonrun-verify.json"
+
+
+def verify_failures(source: str, tmp_path: Path) -> dict[str, str]:
+    """Run verify on a family, or on the nonrun golden's document, and return its failed suites."""
+    argv = ["verify", "--family", source]
+    if source == "nonrun":
+        doc = json.loads(NONRUN.read_text(encoding="utf-8"))["files"]["nonrun.json"]
+        (tmp_path / "nonrun.json").write_text(doc, encoding="utf-8")
+        argv = ["verify", "--file", str(tmp_path / "nonrun.json")]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    checks_run = json.loads(out.getvalue())["results"]["checks"]
+    failed = {c["name"]: c["detail"] for c in checks_run if not c["passed"]}
+    assert code == (1 if failed else 0)
+    return failed
+
+
+def moved_frobenius_power(ideal, q):
+    # the scaled staircase moved by the corner of ray1, a lattice vector
+    ds, dt = ideal.cone.corner(ideal.cone.ray1)
+    runs = ideals.frobenius_power(ideal, q).stair.runs
+    moved = tuple((a + ds, hi + dt, w, h, r) for a, hi, w, h, r in runs)
+    return MonomialIdeal(ideal.cone, Staircase._of_runs(moved))
+
+
+def thinned_frobenius_power(ideal, q):
+    # the bracket power without its second corner: the thresholds stay where they are
+    corners = ideals.frobenius_power(ideal, q).stair.corners
+    return MonomialIdeal(ideal.cone, Staircase(corners[:1] + corners[2:]))
+
+
+def misshifted_torsion_factorization(ideal):
+    fact = ideals.torsion_factorization(ideal)
+    (x, y), (dx, dy) = fact.shift, ideal.cone.ray1
+    return fact._replace(shift=(x + dx, y + dy))
+
+
+def cube_without_its_first_corner(ideal, n):
+    power = ideals.ordinary_power(ideal, n)
+    if n != 3:
+        return power
+    return MonomialIdeal(power.cone, Staircase(power.stair.corners[1:]))
+
+
+SOURCES = ["a:7,3", "veronese:9,7", "nonrun"]
+
+
+class TestSuitesCompareCorners:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_frobenius_scaling_catches_a_moved_bracket_power(self, source, monkeypatch, tmp_path):
+        monkeypatch.setattr(checks, "frobenius_power", moved_frobenius_power)
+        failed = verify_failures(source, tmp_path)
+        assert failed["frobenius-scaling"] == "thresholds at q=2"
+        if source != "nonrun":
+            # on one run no other suite sees the move
+            assert list(failed) == ["frobenius-scaling"]
+
+    @pytest.mark.parametrize("source", SOURCES[1:])
+    def test_frobenius_scaling_catches_a_bracket_power_missing_a_corner(
+        self, source, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(checks, "frobenius_power", thinned_frobenius_power)
+        assert verify_failures(source, tmp_path)["frobenius-scaling"] == "stair at q=2"
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_torsion_roundtrip_catches_a_shift_off_by_a_ray(self, source, monkeypatch, tmp_path):
+        monkeypatch.setattr(checks, "torsion_factorization", misshifted_torsion_factorization)
+        failed = verify_failures(source, tmp_path)
+        assert failed == {"torsion-roundtrip": "shift does not rebuild the power"}
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_membership_chain_names_the_point_missing_from_the_power(
+        self, source, monkeypatch, tmp_path
+    ):
+        # the first corner of I^3 is that of 3 g, g the first generator
+        ideal = non_run_ideal() if source == "nonrun" else parse_family(source).ideal
+        x, y = ideal.gens[0]
+        monkeypatch.setattr(checks, "ordinary_power", cube_without_its_first_corner)
+        failed = verify_failures(source, tmp_path)
+        assert failed["membership-chain"] == f"bracket power point {(3 * x, 3 * y)} not in power"
+
+    def test_a_passing_verify_forms_points_only_for_the_oracle_and_the_shift(
+        self, monkeypatch, tmp_path
+    ):
+        # the oracle reads the generators as points and the torsion factorization forms
+        # its shift; every other suite compares staircases, runs or corners
+        generators = len(veronese(9, 7).ideal.stair.corners)
+        calls, preimage = [], Cone2.preimage
+
+        def counting(cone, c):
+            calls.append(c)
+            return preimage(cone, c)
+
+        monkeypatch.setattr(Cone2, "preimage", counting)
+        assert verify_failures("veronese:9,7", tmp_path) == {}
+        assert 0 < len(calls) <= generators + 1

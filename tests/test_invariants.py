@@ -17,10 +17,12 @@ from conftest import (
     fit_oracle,
     floor_sum_count_complement,
     forbid_listing,
+    newton_hull_oracle,
     non_run_ideal,
     random_cone,
     random_ideal,
     random_index_ideal,
+    random_primary,
     unimodular,
 )
 from ghk import ideals, invariants
@@ -610,6 +612,20 @@ class TestNewtonMultiplicity:
     def test_requires_zero_thresholds(self):
         with pytest.raises(NotMPrimary):
             newton_multiplicity(A31)
+
+    def test_hull_of_the_run_ends_is_the_hull_of_every_corner(self):
+        # the hull starts from the run ends only; the oracle wraps every corner
+        rng = random.Random(113)
+        primaries = [random_primary(rng, random_cone(rng, 4)) for _ in range(150)]
+        assert max(len(p.stair.runs) for p in primaries) >= 4
+        for r in range(2, 41):
+            for m in range(1, r):
+                for instance in (a_singularity(r, m), veronese(r, m)):
+                    fact = torsion_factorization(instance.ideal)
+                    if fact.order <= 40:
+                        primaries.append(fact.primary)
+        for primary in primaries:
+            assert newton_multiplicity(primary) == newton_hull_oracle(primary)
 
 
 class TestEpsilon:
