@@ -194,16 +194,18 @@ def _probe_points(ideal: MonomialIdeal) -> list[Point]:
     outside, one step across a threshold line or beside the corner.  A
     test that moves either threshold by one, or ignores one, answers
     some of them wrongly.  A point may lie on a column and a row both,
-    and is then listed twice.
+    and is then listed twice.  Both columns are scanned as one box two
+    columns wide, and both rows as one box two rows high: a two-line box
+    costs what a one-line box does.  Each is split back by corner into
+    its lines, so the points come line by line, as four one-line boxes
+    would list them.
     """
     cone, (c1, c2) = ideal.cone, ideal.thresholds
     d = cone.det_abs
-    points = []
-    for s in (c1 - 1, c1):
-        points += lattice_points_in_corner_box(cone, s, s + 1, c2 - d, c2 + d)
-    for t in (c2 - 1, c2):
-        points += lattice_points_in_corner_box(cone, c1 - d, c1 + d, t, t + 1)
-    return points
+    columns = lattice_points_in_corner_box(cone, c1 - 1, c1 + 1, c2 - d, c2 + d)
+    rows = lattice_points_in_corner_box(cone, c1 - d, c1 + d, c2 - 1, c2 + 1)
+    points = [p for s in (c1 - 1, c1) for p in columns if cone.corner(p)[0] == s]
+    return points + [p for t in (c2 - 1, c2) for p in rows if cone.corner(p)[1] == t]
 
 
 _MAX_VERIFY_WORK = 1_000_000  # lines and points of the box scans, about 0.15 s in process
@@ -218,11 +220,14 @@ def _box_work(cone: Cone2, w: int, h: int) -> int:
 def _scan_work(ideal: MonomialIdeal) -> int:
     """Upper estimate of the lines and points that the box scans of the suites visit.
 
-    The four thin boxes _probe_points scans, two columns 2 * det_abs
-    rows high and two rows 2 * det_abs columns wide, for the ideal and
-    for its third bracket power; then per probe the oracle's three
-    boxes: the window and the two strips below the staircase's largest
-    s and largest t.
+    The four thin boxes beside the threshold lines, two columns
+    2 * det_abs rows high and two rows 2 * det_abs columns wide, for the
+    ideal and for its third bracket power; then per probe the oracle's
+    three boxes: the window and the two strips below the staircase's
+    largest s and largest t.  _probe_points scans the lines in pairs,
+    one two-column and one two-row box, but the estimate still charges
+    four one-line boxes: each pair costs at most what its two lines do
+    apart, so the estimate stays an upper bound on the two scans.
     """
     cone, stair, d = ideal.cone, ideal.stair, ideal.cone.det_abs
     boxes = [(d, d), (stair.max_s, d), (d, stair.max_t)]

@@ -51,11 +51,13 @@ def eghk(ideal: MonomialIdeal) -> Fraction:
 
 # count steps over the tower: each run once, then at each q = p^n one floor sum and one
 # column sum per distinct step width, each charged 1 + (n * p's bit length) // 256 as its
-# ints grow with q, times ceil(L / 2) for a cone whose Euclid length L is over 2: 0.5 to
-# 0.9 s at the cap, report included, on det_abs 10^12 + 39 (L = 1) with 60 to 20,000
-# distinct widths, whether q stays under 2^24 or nears 2^4096, and 0.2 to 1.1 s on
+# ints grow with q, times ceil(L / 2) for a cone whose Euclid length L is over 2, and
+# times 1 + (det_abs's bit length) // 64 for the ints each of Euclid's rounds divides:
+# 0.5 to 0.9 s at the cap, report included, on det_abs 10^12 + 39 (L = 1) with 60 to
+# 20,000 distinct widths, whether q stays under 2^24 or nears 2^4096, 0.2 to 1.1 s on
 # det_abs F_60 (L = 58, charged 29 times) with 1 to 250 widths at p = 3 or a 40-bit
-# prime (2-vCPU Xeon VM, in process)
+# prime, and 0.1 to 0.4 s on F_200 (138 bits, 20 widths) and F_500 (346 bits, one
+# width), which the Euclid charge alone let run 0.7 to 1.6 s (2-vCPU Xeon VM, in process)
 _MAX_TOWER_WORK = 500_000
 
 
@@ -73,8 +75,10 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     bits of q that builds no power of p.  A floor sum runs Euclid on
     (det_abs, -tau mod det_abs), so each sum is charged ceil(L / 2)
     times, at least once, L the division steps of that Euclid, counted
-    once per call: on a cone with L <= 2 a tower whose q all stay under
-    2^256 is the run count plus (n_max + 1) times the sums per q.
+    once per call, and that again 1 + b' // 64 times, b' the bit length
+    of det_abs: on a cone with L <= 2 and det_abs under 2^63 a tower
+    whose q all stay under 2^256 is the run count plus (n_max + 1)
+    times the sums per q.
     The digit-limit check is a bit-length test: a bound of at
     most 3 * digits bits is below 8^digits, so the power of ten is built
     only for a bound over 3 * digits bits, and the check costs the same
@@ -97,7 +101,8 @@ def ghk_function(ideal: MonomialIdeal, p: int, n_max: int) -> list[int]:
     m, a, steps = cone.det_abs, -cone.tau % cone.det_abs, 0
     while a:
         m, a, steps = a, m % a, steps + 1
-    sums = max(1, -(-steps // 2)) * (1 + len({w for _, _, w, _, r in runs if r}))
+    rounds = max(1, -(-steps // 2)) * (1 + cone.det_abs.bit_length() // 64)
+    sums = rounds * (1 + len({w for _, _, w, _, r in runs if r}))
     work = len(runs) + sums * sum(1 + n * bits // 256 for n in range(n_max + 1))
     if work > _MAX_TOWER_WORK:
         raise BadParameters(

@@ -79,11 +79,17 @@ WIDTHS = {
 # (w, -F_59 * w), w = 1 .. 250, are 250 runs of distinct widths: -tau mod det_abs is F_59,
 # so each floor sum runs 58 division steps of Euclid, not 1, and is charged 29 times
 FIB = [0, 1]
-while len(FIB) < 61:
+while len(FIB) < 501:
     FIB.append(FIB[-1] + FIB[-2])
 FIB_WIDTHS = {
     "cone": {"rays": [[1, 0], [FIB[59], FIB[60]]]},
     "generators": [[19391, w * (w + 1) // 2] for w in range(251)],
+}
+# one step of width 1 on det_abs F_500, 346 bits: L = 498, and each of Euclid's rounds
+# divides ints of six 64-bit words, so each sum is charged 249 * 6 times
+FIB_HUGE = {
+    "cone": {"rays": [[1, 0], [FIB[499], FIB[500]]]},
+    "generators": [[1, 0], [1, 1]],
 }
 
 
@@ -210,6 +216,29 @@ def test_function_tower_charged_by_the_euclid_length(tmp_path):
     proc = run_ghk(tmp_path, ["function", "--prime", "3", "--max-n", "67"], FIB_WIDTHS)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["results"]["values"]) == 68
+
+
+def test_function_tower_charged_by_the_size_of_det_abs(tmp_path):
+    # 1 + 249 * 6 * 2 * 874 count steps at the 40-bit prime's largest --max-n, 102: charged
+    # by the Euclid length alone, it was admitted and ran for more than a second
+    start = perf_counter()
+    argv = ["function", "--prime", "1099511627689", "--max-n", "102"]
+    proc = run_ghk(tmp_path, argv, FIB_HUGE)
+    assert perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: q = 1099511627689^0 .. 1099511627689^102 needs 2611513 count steps, over 500000\n"
+    )
+    argv[-1] = "43"
+    proc = run_ghk(tmp_path, argv, FIB_HUGE)
+    assert proc.stderr == (
+        "error: q = 1099511627689^0 .. 1099511627689^43 needs 510949 count steps, over 500000\n"
+    )
+    argv[-1] = "42"
+    proc = run_ghk(tmp_path, argv, FIB_HUGE)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["values"]) == 43
 
 
 def test_function_tower_charged_per_width(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -162,6 +163,48 @@ class TestPlotCommand:
             assert run_command(["plot", "--family", "a:4,1", "--out", str(out)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("stale", [64 * 1024, -100], ids=["longer", "shorter"])
+    def test_writes_over_a_stale_file_and_cuts_it_to_length(self, capsys, tmp_path, stale):
+        svg = render_region_svg(parse_family("a:5,2").ideal, q_mark=3).encode("utf-8")
+        out = tmp_path / "region.svg"
+        out.write_bytes(b"x" * (len(svg) + stale))
+        code = run_command(["plot", "--family", "a:5,2", "--q-mark", "3", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == svg
+
+    def test_writes_to_a_device(self, capsys):
+        # /dev/null has no length to cut: the SVG goes to it and the report still prints
+        code = run_command(["plot", "--family", "a:3,1", "--out", os.devnull])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["out"] == os.devnull
+
+    def test_directory_as_out_is_input_error(self, capsys, tmp_path):
+        code = run_command(["plot", "--family", "a:3,1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    def test_opens_without_truncating(self, capsys, tmp_path, monkeypatch):
+        # O_TRUNC frees an existing file's blocks before the write; the old bytes are
+        # written over and cut to length instead
+        original, flags = os.open, []
+
+        def recording(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return original(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        out = tmp_path / "region.svg"
+        for _ in range(2):
+            assert run_command(["plot", "--family", "a:3,1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
 
     def test_q_mark_beyond_dot_cap_is_input_error(self, capsys, tmp_path):
         # 12,444,445 gap dots, about a gigabyte of SVG, refused before any power is built
