@@ -756,6 +756,7 @@ class TestDispatch:
 
 
 GOOD_DOCUMENT = b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [1, 1]]}'
+NOT_JSON = "doc.json is not valid JSON"
 
 
 class TestErrorMapping:
@@ -873,32 +874,23 @@ class TestErrorMapping:
     @pytest.mark.parametrize(
         "argv, data, message",
         [
-            (["eghk"], b"\xef\xbb\xbf" + GOOD_DOCUMENT,
-             "doc.json is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
-             "line 1 column 1 (char 0)"),
-            (["eghk"], GOOD_DOCUMENT.decode().encode("utf-16"),
-             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
-             "invalid start byte"),
-            (["eghk"], b'{"label": "ab\xff", "cone": {"rays": [[1, 0], [1, 3]]}}',
-             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 13: "
-             "invalid start byte"),
-            (["eghk"], GOOD_DOCUMENT[:-1] + b', "label": "\xc3\x28"}',
-             "doc.json is not valid JSON: 'utf-8' codec can't decode byte 0xc3 in position 79: "
-             "invalid continuation byte"),
+            # json.load refuses these, and the message ends in its words
+            (["eghk"], b"\xef\xbb\xbf" + GOOD_DOCUMENT, NOT_JSON),
+            (["eghk"], GOOD_DOCUMENT.decode().encode("utf-16"), NOT_JSON),
+            (["eghk"], b'{"label": "ab\xff", "cone": {"rays": [[1, 0], [1, 3]]}}', NOT_JSON),
+            (["eghk"], GOOD_DOCUMENT[:-1] + b', "label": "\xc3\x28"}', NOT_JSON),
             # positions are counted after \r\n and \r become \n, as text mode reads them
             (["eghk"],
              b'{\r\n  "cone": {"rays": [[1, 0], [1, 3]]},\r\n  "generators": [[1, 0], [1, 1]],'
              b'\r\n  "label": "x"\r\n  oops\r\n}\r\n',
-             "doc.json is not valid JSON: Expecting ',' delimiter: line 5 column 3 (char 91)"),
+             NOT_JSON),
             (["eghk"],
              b'{\r  "cone": {"rays": [[1, 0], [1, 3]]},\r  "generators": [[1, 0], [1, 1]]\r  ]\r}',
-             "doc.json is not valid JSON: Expecting ',' delimiter: line 4 column 3 (char 75)"),
-            (["reptype"], b'{"reptype":\r\n {"r": 3,\r\n "multiplicities": [1, 0,]}}',
-             "doc.json is not valid JSON: Expecting value: line 3 column 26 (char 47)"),
-            (["eghk"], b"",
-             "doc.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-            (["eghk"], b" \r\n\t",
-             "doc.json is not valid JSON: Expecting value: line 2 column 2 (char 3)"),
+             NOT_JSON),
+            (["reptype"], b'{"reptype":\r\n {"r": 3,\r\n "multiplicities": [1, 0,]}}', NOT_JSON),
+            (["eghk"], b"", NOT_JSON),
+            (["eghk"], b" \r\n\t", NOT_JSON),
+            # json.load reads these, and ghk writes the message
             (["eghk"],
              b'{"cone": {"rays": [[1, 0], [1, 3]]}, "generators": [[1, 0], [false, 1]]}',
              "generators entries must be [x, y] integer pairs, got [False, 1]"),
@@ -918,9 +910,15 @@ class TestErrorMapping:
     def test_document_bytes_read_as_in_text_mode(
         self, capsys, tmp_path, monkeypatch, argv, data, message
     ):
-        # every message as json.load gave it on the file opened in text mode
+        # a JSON or UTF-8 error reads as json.load gives it on the file opened in text
+        # mode, on the running interpreter: 3.13 words some of them unlike 3.11
         monkeypatch.chdir(tmp_path)
         Path("doc.json").write_bytes(data)
+        try:
+            with open("doc.json", encoding="utf-8") as fh:
+                json.load(fh)
+        except ValueError as exc:
+            message = f"{message}: {exc}"
         code = run_command([argv[0], "--file", "doc.json", *argv[1:]])
         assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
 
